@@ -218,7 +218,15 @@ class Derivation:
         return verdict
 
     def _require_verified(self):
-        verdict = self._verdict or self.nilpotency_check()
+        """Verified verdict at the default bound, for exp and projection.
+
+        Raises NotVerifiedLND unless D is well-defined and verified. Only
+        a verified cached verdict is reused, so an earlier check at a
+        smaller bound does not decide here.
+        """
+        if not self.is_well_defined()[0]:
+            raise NotVerifiedLND("derivation does not preserve the relations")
+        verdict = self.nilpotency_check()
         if not verdict.verified:
             raise NotVerifiedLND(verdict.describe())
         return verdict

@@ -1,17 +1,27 @@
 """Gröbner-basis kernel: Buchberger, normal forms, ideal membership.
 
+Buchberger computes each basis element's leading monomial once, when
+the element enters the basis, and keeps the pending S-pairs in a heap,
+each keyed once on insertion by its lcm's order key and its indices.
+Division (`reduce_poly`) works on a mutable accumulator, a dict from
+monomial to coefficient with the order keys memoised for the call, and
+builds a single Polynomial, the remainder.
+
 Deterministic throughout: for fixed generators and order, the reduced
 basis and every normal form are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 from typing import Sequence
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
 from .poly import Monomial, Polynomial, grevlex_key
+from .toric import matrix_rank
 
 DEFAULT_PAIR_BUDGET = 100_000
 
@@ -90,7 +100,7 @@ def _lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _quotient(a: Monomial, b: Monomial) -> Monomial:
@@ -111,21 +121,56 @@ def _mono_times(f: Polynomial, mono: Monomial, coeff: Fraction) -> Polynomial:
 def reduce_poly(
     f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 ) -> Polynomial:
-    """Full remainder of f under multivariate division by `basis`."""
+    """Full remainder of f under multivariate division by `basis`.
+
+    Each step cancels the leading term of what is left against the first
+    basis element whose leading monomial divides it, or moves that term
+    to the remainder. The work happens on a dict from monomial to
+    coefficient, and each monomial's order key and each basis element's
+    leading term are computed once per call; only the remainder becomes
+    a Polynomial. Raises ArityMismatch if a basis element's arity differs
+    from f's.
+    """
     if not basis:
         return f
-    lead = [_leading(g, order) for g in basis]
+    for g in basis:
+        if g.arity != f.arity:
+            raise ArityMismatch(f"arity {f.arity} vs basis arity {g.arity}")
+    keys: dict[Monomial, object] = {}
+
+    def key(m: Monomial):
+        k = keys.get(m)
+        if k is None:
+            k = keys[m] = order.key(m)
+        return k
+
+    divisors = []
+    for g in basis:
+        glm, glc = max(g.terms, key=lambda t: key(t[0]))
+        divisors.append((glm, glc, [t for t in g.terms if t[0] != glm]))
+    acc = dict(f.terms)
+    for m in acc:
+        key(m)
     remainder_terms: list[tuple[Monomial, Fraction]] = []
-    p = f
-    while not p.is_zero():
-        lm, lc = _leading(p, order)
-        for g, (glm, glc) in zip(basis, lead):
+    while acc:
+        # every monomial that enters acc has its key in `keys`
+        lm = max(acc, key=keys.__getitem__)
+        lc = acc.pop(lm)
+        for glm, glc, tail in divisors:
             if _divides(glm, lm):
-                p = p - _mono_times(g, _quotient(lm, glm), lc / glc)
+                q = _quotient(lm, glm)
+                c = lc / glc
+                for m, gc in tail:
+                    m = tuple(map(add, m, q))
+                    v = acc.get(m, 0) - c * gc
+                    if v:
+                        acc[m] = v
+                        key(m)
+                    else:
+                        del acc[m]
                 break
         else:
             remainder_terms.append((lm, lc))
-            p = p - Polynomial(p.arity, [(lm, lc)])
     return Polynomial(f.arity, remainder_terms)
 
 
@@ -158,58 +203,55 @@ def groebner(
 ) -> GroebnerBasis:
     """Reduced Gröbner basis by Buchberger with the normal strategy.
 
-    Pair selection: smallest lcm in the order, ties by index. The product
-    and chain criteria prune pairs. Raises ResourceLimit past the budget.
+    Pair selection: smallest lcm in the order, ties by index. Each basis
+    element's leading monomial is computed once, when it enters the
+    basis, and each pair is keyed once, when it enters a heap, by
+    (order key of the lcm, i, j). The product and chain criteria prune
+    pairs. Every pair taken from the heap counts against `pair_budget`;
+    past it, ResourceLimit is raised.
     """
     G: list[Polynomial] = []
+    lms: list[Monomial] = []  # lms[k] is the leading monomial of G[k]
+    heap: list[tuple] = []
+    pairs: set[tuple[int, int]] = set()  # the pairs still in the heap
+
+    def enter(g: Polynomial) -> None:
+        lm, lc = _leading(g, order)
+        j = len(G)
+        for i in range(j):
+            heapq.heappush(heap, (order.key(_lcm(lms[i], lm)), i, j))
+            pairs.add((i, j))
+        G.append(g.scale(1 / lc))
+        lms.append(lm)
+
     for g in ideal.generators:
         if not g.is_zero():
-            _, lc = _leading(g, order)
-            G.append(g.scale(1 / lc))
-    pairs: set[tuple[int, int]] = {
-        (i, j) for j in range(len(G)) for i in range(j)
-    }
+            enter(g)
     processed = 0
-    while pairs:
-        pair = min(
-            pairs,
-            key=lambda p: (
-                order.key(
-                    _lcm(_leading(G[p[0]], order)[0], _leading(G[p[1]], order)[0])
-                ),
-                p,
-            ),
-        )
-        pairs.discard(pair)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pairs.discard((i, j))
         processed += 1
         if processed > pair_budget:
             raise ResourceLimit(f"S-pair budget {pair_budget} exceeded")
-        i, j = pair
-        lmi = _leading(G[i], order)[0]
-        lmj = _leading(G[j], order)[0]
+        lmi, lmj = lms[i], lms[j]
         l = _lcm(lmi, lmj)
         # product criterion: coprime leading monomials
         if l == tuple(a + b for a, b in zip(lmi, lmj)):
             continue
         # chain criterion
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if _divides(_leading(G[k], order)[0], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pairs and pjk not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(
+            k != i
+            and k != j
+            and _divides(lmk, l)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k, lmk in enumerate(lms)
+        ):
             continue
         r = reduce_poly(s_polynomial(G[i], G[j], order), G, order)
         if not r.is_zero():
-            _, lc = _leading(r, order)
-            r = r.scale(1 / lc)
-            pairs.update((k, len(G)) for k in range(len(G)))
-            G.append(r)
+            enter(r)
     return GroebnerBasis(order, _autoreduce(G, order), ideal.arity)
 
 
@@ -217,31 +259,24 @@ def _autoreduce(
     G: list[Polynomial], order: MonomialOrder
 ) -> tuple[Polynomial, ...]:
     # minimalize: drop elements whose leading monomial another one divides
-    G = [g for g in G if not g.is_zero()]
-    G.sort(key=lambda g: order.key(_leading(g, order)[0]))
-    minimal: list[Polynomial] = []
-    for idx, g in enumerate(G):
-        lm = _leading(g, order)[0]
-        keep = True
-        for jdx, h in enumerate(G):
-            if jdx == idx:
-                continue
-            hlm = _leading(h, order)[0]
-            if _divides(hlm, lm) and (hlm != lm or jdx < idx):
-                keep = False
-                break
-        if keep:
-            minimal.append(g)
-    # inter-reduce tails
-    reduced: list[Polynomial] = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = reduce_poly(g, others, order)
-        if not r.is_zero():
-            _, lc = _leading(r, order)
-            reduced.append(r.scale(1 / lc))
-    reduced.sort(key=lambda g: order.key(_leading(g, order)[0]))
-    return tuple(reduced)
+    lead = sorted(
+        ((_leading(g, order)[0], g) for g in G if not g.is_zero()),
+        key=lambda e: order.key(e[0]),
+    )
+    minimal = [
+        g
+        for idx, (lm, g) in enumerate(lead)
+        if not any(
+            jdx != idx and _divides(hlm, lm) and (hlm != lm or jdx < idx)
+            for jdx, (hlm, _) in enumerate(lead)
+        )
+    ]
+    # inter-reduce tails; no other leading monomial divides an element's
+    # leading term, so it survives: the results stay monic and sorted
+    return tuple(
+        reduce_poly(g, minimal[:idx] + minimal[idx + 1 :], order)
+        for idx, g in enumerate(minimal)
+    )
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -286,27 +321,4 @@ def jacobian_rank_at_point(
         [rel.partial_derivative(j).evaluate(pt) for j in range(arity)]
         for rel in relations
     ]
-    return _rank(rows)
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next(
-            (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return matrix_rank(rows)

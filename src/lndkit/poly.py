@@ -8,6 +8,7 @@ descending) so equal polynomials have identical representations.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -26,7 +27,7 @@ EXPONENT_CAP = 2**63 - 1
 
 def grevlex_key(m: Monomial):
     """Sort key realizing grevlex: higher keys are larger monomials."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 def _check_exponents(m: Monomial) -> Monomial:
@@ -264,20 +265,6 @@ class Polynomial:
         return Polynomial(
             self.arity + extra, [(m + pad, c) for m, c in self.terms]
         )
-
-    def drop_last(self) -> "Polynomial":
-        """Inverse of extend(1); requires the last variable to be absent."""
-        if any(m[-1] for m, _ in self.terms):
-            raise ValueError("polynomial involves the variable being dropped")
-        return Polynomial(self.arity - 1, [(m[:-1], c) for m, c in self.terms])
-
-    def substitute_last(self, value) -> "Polynomial":
-        """Evaluate the last variable at a rational, keeping the others."""
-        value = Fraction(value)
-        out = []
-        for m, c in self.terms:
-            out.append((m[:-1], c * value ** m[-1]))
-        return Polynomial(self.arity - 1, out)
 
     # ---- formatting -------------------------------------------------
 

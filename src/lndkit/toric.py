@@ -125,7 +125,7 @@ def classify_toric(cone: Cone, box: int = 10) -> ClassificationReport:
     Requires a pointed full-dimensional cone. Emptiness of the root box
     is evidence for type C, never proof.
     """
-    if _rank([list(v) for v in cone.rays]) != cone.dim:
+    if matrix_rank(cone.rays) != cone.dim:
         raise DegenerateCone("rays do not span; cone is not full-dimensional")
     if not _is_pointed(cone):
         raise DegenerateCone("cone contains a line; not pointed")
@@ -204,10 +204,11 @@ def _fourier_motzkin_feasible(
     return all(c <= 0 for _, c in constraints)
 
 
-# ---- exact integer linear algebra -----------------------------------------
+# ---- exact linear algebra ------------------------------------------------
 
 
-def _rank(rows: list[list[int]]) -> int:
+def matrix_rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank over Q of a matrix with integer or rational entries."""
     rows = [[Fraction(x) for x in r] for r in rows]
     rank, col = 0, 0
     ncols = len(rows[0]) if rows else 0

@@ -177,6 +177,31 @@ def test_exp_requires_verified_lnd():
         euler.exp_action(algebra.parse("x"), Fraction(1))
 
 
+def test_exp_rechecks_after_weaker_verdict():
+    # a small explicit bound is inconclusive; exp must not reuse that verdict
+    algebra = PresentedAlgebra(["x", "y"])
+    D = Derivation.from_strings(algebra, {"x": "y^5", "y": "1"})
+    assert D.nilpotency_check(3).status == "inconclusive"
+    x = algebra.parse("x")
+    assert D.exp_action(x, Fraction(1)) == algebra.parse("x + 1/6*(y + 1)^6 - 1/6*y^6")
+    assert D.nilpotency_check().describe() == "VerifiedLND(max_order=7)"
+
+
+def test_exp_and_projection_require_well_defined():
+    # d/dx does not preserve x*y = z^2 - 1, although its chains vanish
+    xyz = ["x", "y", "z"]
+    algebra = PresentedAlgebra(xyz, [parse_poly("x*y - z^2 + 1", xyz)])
+    D = Derivation.from_strings(algebra, {"x": "1", "y": "0", "z": "0"})
+    assert not D.is_well_defined()[0]
+    assert D.nilpotency_check().verified
+    with pytest.raises(NotVerifiedLND):
+        D.exp_action(algebra.parse("x*y"), Fraction(1))
+    with pytest.raises(NotVerifiedLND):
+        D.exp_action(algebra.parse("x*y"), None)
+    with pytest.raises(NotVerifiedLND):
+        D.kernel_projection(algebra.parse("x"), algebra.parse("y"))
+
+
 def test_exp_reserved_variable_collision():
     algebra = PresentedAlgebra(["x", "_s"])
     D = Derivation.from_strings(algebra, {"x": "1", "_s": "0"})

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lndkit.errors import ArityMismatch, PointNotOnVariety, ResourceLimit
 from lndkit.groebner import (
     GREVLEX,
     LEX,
     Ideal,
+    MonomialOrder,
     contains_one,
     groebner,
     jacobian_rank_at_point,
@@ -154,3 +157,112 @@ def test_normal_form_arity_check():
     gb = gb_of(["x^2 - y"], ["x", "y"])
     with pytest.raises(ArityMismatch):
         normal_form(p("x", ["x"]), gb)
+
+
+# ---- larger systems: fixed pair sequence -------------------------------
+
+
+def _cyclic(n):
+    names = [f"x{i}" for i in range(n)]
+    texts = [
+        " + ".join(
+            "*".join(names[(i + k) % n] for k in range(d)) for i in range(n)
+        )
+        for d in range(1, n)
+    ]
+    texts.append("*".join(names) + " - 1")
+    return names, texts
+
+
+KATSURA3 = (
+    ["x0", "x1", "x2", "x3"],
+    [
+        "x0 + 2*x1 + 2*x2 + 2*x3 - 1",
+        "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 - x0",
+        "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1",
+        "x1^2 + 2*x0*x2 + 2*x1*x3 - x2",
+    ],
+)
+
+
+def test_cyclic5_grevlex():
+    names, texts = _cyclic(5)
+    gens = [parse_poly(t, names) for t in texts]
+    gb = groebner(Ideal.of(gens), GREVLEX)
+    assert len(gb.basis) == 20
+    for g in gb.basis:
+        assert max(g.terms, key=lambda t: GREVLEX.key(t[0]))[1] == 1
+    for g in gens:
+        assert normal_form(g, gb).is_zero()
+
+
+@pytest.mark.parametrize(
+    "system, budget", [(_cyclic(4), 91), (KATSURA3, 561)], ids=["cyclic4", "katsura3"]
+)
+def test_lex_pair_budget_boundary(system, budget):
+    # the number of S-pairs taken is part of the contract: the smallest
+    # budget that succeeds was measured with the original pair selection
+    names, texts = system
+    ideal = Ideal.of([parse_poly(t, names) for t in texts])
+    gb = groebner(ideal, LEX, pair_budget=budget)
+    assert all(normal_form(g, gb).is_zero() for g in ideal.generators)
+    with pytest.raises(ResourceLimit):
+        groebner(ideal, LEX, pair_budget=budget - 1)
+
+
+# ---- division against the immutable-Polynomial reference -----------------
+
+
+def _reference_reduce(f, basis, order):
+    """Textbook division that builds a new Polynomial at every step."""
+
+    def leading(h):
+        return max(h.terms, key=lambda t: order.key(t[0]))
+
+    def shifted(h, mono, coeff):
+        return Polynomial(
+            h.arity,
+            [(tuple(a + b for a, b in zip(m, mono)), c * coeff) for m, c in h.terms],
+        )
+
+    if not basis:
+        return f
+    lead = [leading(g) for g in basis]
+    remainder = []
+    p = f
+    while not p.is_zero():
+        lm, lc = leading(p)
+        for g, (glm, glc) in zip(basis, lead):
+            if all(x <= y for x, y in zip(glm, lm)):
+                q = tuple(x - y for x, y in zip(lm, glm))
+                p = p - shifted(g, q, lc / glc)
+                break
+        else:
+            remainder.append((lm, lc))
+            p = p - Polynomial(p.arity, [(lm, lc)])
+    return Polynomial(f.arity, remainder)
+
+
+ORDERS = [LEX, GREVLEX, MonomialOrder("weighted", (3, 1, 2))]
+
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_term = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), _coeff)
+_poly = st.lists(_term, min_size=0, max_size=6).map(lambda ts: Polynomial(3, ts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=_poly,
+    basis=st.lists(_poly.filter(lambda g: not g.is_zero()), max_size=4),
+    order=st.sampled_from(ORDERS),
+)
+def test_reduce_poly_matches_reference_division(f, basis, order):
+    assert reduce_poly(f, basis, order) == _reference_reduce(f, basis, order)
+
+
+def test_reduce_poly_arity_mismatch():
+    f = p("x*y + z")
+    for basis in ([p("x", ["x", "y"])], [p("y"), parse_poly("x^2 + 1", ["x", "y"])]):
+        for order in ORDERS:
+            with pytest.raises(ArityMismatch):
+                reduce_poly(f, basis, order)
