@@ -107,7 +107,7 @@ def conjectured_hdstar_member(
             continue
         cofactor = Polynomial(
             base.arity,
-            [(m[:-1], c) for m, c in component.terms],
+            [(m[:-1], c) for m, c in component.coeffs.items()],
         )
         if not normal_form(cofactor, gb).is_zero():
             return False

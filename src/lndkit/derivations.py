@@ -19,7 +19,7 @@ from .errors import (
     ReservedVariable,
 )
 from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
-from .poly import Polynomial, parse_poly
+from .poly import Polynomial, _add_into, _from_coeffs, parse_poly
 
 FORMAL_PARAMETER = "_s"
 
@@ -157,14 +157,14 @@ class Derivation:
         """D(f) = sum_j (df/dx_j) D(x_j), reduced modulo relations."""
         if f.arity != self.algebra.arity:
             raise ArityMismatch("polynomial arity differs from algebra arity")
-        total = Polynomial.zero(f.arity)
+        total = {}
         for j, image in enumerate(self.images):
             if image.is_zero():
                 continue
             df = f.partial_derivative(j)
             if not df.is_zero():
-                total = total + df * image
-        return self.algebra.normal(total)
+                _add_into(total, (df * image).coeffs)
+        return self.algebra.normal(_from_coeffs(f.arity, total))
 
     def is_well_defined(self) -> tuple[bool, tuple]:
         """Check D kills every relation; certificate lists the reductions."""
@@ -182,10 +182,14 @@ class Derivation:
         """Iterate D on each generator, up to `bound` applications.
 
         A chain entry proportional to an earlier one certifies
-        non-nilpotency; exhausting the bound is Inconclusive.
+        non-nilpotency; exhausting the bound is Inconclusive. Raises
+        NotVerifiedLND if D does not preserve the relations, since no
+        verdict about such a D is a verdict about an LND.
         """
         if bound < 1:
             raise ValueError("bound must be >= 1")
+        if not self.is_well_defined()[0]:
+            raise NotVerifiedLND("derivation does not preserve the relations")
         if self._verdict is not None and self._verdict.verified:
             return self._verdict
         max_order = 0
@@ -224,8 +228,6 @@ class Derivation:
         a verified cached verdict is reused, so an earlier check at a
         smaller bound does not decide here.
         """
-        if not self.is_well_defined()[0]:
-            raise NotVerifiedLND("derivation does not preserve the relations")
         verdict = self.nilpotency_check()
         if not verdict.verified:
             raise NotVerifiedLND(verdict.describe())
@@ -255,20 +257,18 @@ class Derivation:
                     f"variable {FORMAL_PARAMETER!r} is reserved for exp"
                 )
             ext = cylinder(self.algebra, FORMAL_PARAMETER)
-            total = Polynomial.zero(ext.arity)
+            # the terms of s^i D^i(f) / i! are the only ones with _s-degree i
+            total = {}
             for i, term in enumerate(self.iterate(f)):
-                s_power = Polynomial.monomial(
-                    ext.arity, (0,) * self.algebra.arity + (i,)
-                )
-                total = total + term.extend(1).scale(
-                    Fraction(1, factorial(i))
-                ) * s_power
-            return ext.normal(total), ext
+                inv = Fraction(1, factorial(i))
+                for m, c in term.coeffs.items():
+                    total[m + (i,)] = c * inv
+            return ext.normal(_from_coeffs(ext.arity, total)), ext
         s = Fraction(s)
-        total = Polynomial.zero(self.algebra.arity)
+        total = {}
         for i, term in enumerate(self.iterate(f)):
-            total = total + term.scale(s**i / factorial(i))
-        return self.algebra.normal(total)
+            _add_into(total, term.scale(s**i / factorial(i)).coeffs)
+        return self.algebra.normal(_from_coeffs(self.algebra.arity, total))
 
     def kernel_membership(self, f: Polynomial) -> bool:
         return self.apply(f).is_zero()
@@ -282,10 +282,14 @@ class Derivation:
         self._require_verified()
         if not self.check_slice(s):
             raise NotASlice(f"D({self.algebra.format(s)}) != 1")
-        total = Polynomial.zero(self.algebra.arity)
+        total = {}
+        neg_s = -s
+        weight = Polynomial.constant(self.algebra.arity, 1)  # (-s)^i / i!
         for i, term in enumerate(self.iterate(f)):
-            total = total + term * (-s) ** i * Fraction(1, factorial(i))
-        return self.algebra.normal(total)
+            if i:
+                weight = (weight * neg_s).scale(Fraction(1, i))
+            _add_into(total, (term * weight).coeffs)
+        return self.algebra.normal(_from_coeffs(self.algebra.arity, total))
 
     def image_ideal(self) -> Ideal:
         """Ideal generated by the images of the generators."""
@@ -301,18 +305,14 @@ class Derivation:
 
 def _proportional_index(chain: list[Polynomial], current: Polynomial):
     """Index of an earlier chain entry that current is a multiple of."""
+    cur = current.coeffs
     for idx, earlier in enumerate(chain):
-        if earlier.is_zero() or len(earlier.terms) != len(current.terms):
+        ear = earlier.coeffs
+        if not ear or ear.keys() != cur.keys():
             continue
-        monos_e = [m for m, _ in earlier.terms]
-        monos_c = [m for m, _ in current.terms]
-        if monos_e != monos_c:
-            continue
-        ratio = current.terms[0][1] / earlier.terms[0][1]
-        if all(
-            c == ratio * e
-            for (_, c), (_, e) in zip(current.terms, earlier.terms)
-        ):
+        m0 = next(iter(cur))
+        ratio = cur[m0] / ear[m0]
+        if all(cur[m] == ratio * e for m, e in ear.items()):
             return idx
     return None
 

@@ -1,11 +1,12 @@
 """Gröbner-basis kernel: Buchberger, normal forms, ideal membership.
 
-Buchberger computes each basis element's leading monomial once, when
-the element enters the basis, and keeps the pending S-pairs in a heap,
-each keyed once on insertion by its lcm's order key and its indices.
-Division (`reduce_poly`) works on a mutable accumulator, a dict from
-monomial to coefficient with the order keys memoised for the call, and
-builds a single Polynomial, the remainder.
+Leading terms come from `Polynomial.leading(order)`, which memoises
+them on each polynomial, so a basis element's leading term is found
+once however many S-pairs and reductions use it. Buchberger keeps the
+pending S-pairs in a heap, each keyed once on insertion by its lcm's
+order key and its indices. S-polynomials and remainders are built as
+one coefficient dict each and handed to the trusted polynomial
+constructor.
 
 Deterministic throughout: for fixed generators and order, the reduced
 basis and every normal form are reproducible bit for bit.
@@ -20,7 +21,7 @@ from operator import add, le
 from typing import Sequence
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
-from .poly import Monomial, Polynomial, grevlex_key
+from .poly import Monomial, Polynomial, _add_into, _from_coeffs, grevlex_key
 from .toric import matrix_rank
 
 DEFAULT_PAIR_BUDGET = 100_000
@@ -107,17 +108,6 @@ def _quotient(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _leading(f: Polynomial, order: MonomialOrder) -> tuple[Monomial, Fraction]:
-    return max(f.terms, key=lambda t: order.key(t[0]))
-
-
-def _mono_times(f: Polynomial, mono: Monomial, coeff: Fraction) -> Polynomial:
-    return Polynomial(
-        f.arity,
-        [(tuple(a + b for a, b in zip(m, mono)), c * coeff) for m, c in f.terms],
-    )
-
-
 def reduce_poly(
     f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 ) -> Polynomial:
@@ -125,11 +115,11 @@ def reduce_poly(
 
     Each step cancels the leading term of what is left against the first
     basis element whose leading monomial divides it, or moves that term
-    to the remainder. The work happens on a dict from monomial to
-    coefficient, and each monomial's order key and each basis element's
-    leading term are computed once per call; only the remainder becomes
-    a Polynomial. Raises ArityMismatch if a basis element's arity differs
-    from f's.
+    to the remainder. The work happens on a copy of `f.coeffs`, with each
+    monomial's order key computed once per call; basis leading terms come
+    from `Polynomial.leading`, memoised on the basis elements. The
+    remainder goes to the trusted constructor. Raises ArityMismatch if a
+    basis element's arity differs from f's.
     """
     if not basis:
         return f
@@ -146,12 +136,12 @@ def reduce_poly(
 
     divisors = []
     for g in basis:
-        glm, glc = max(g.terms, key=lambda t: key(t[0]))
-        divisors.append((glm, glc, [t for t in g.terms if t[0] != glm]))
-    acc = dict(f.terms)
+        glm, glc = g.leading(order)
+        divisors.append((glm, glc, [t for t in g.coeffs.items() if t[0] != glm]))
+    acc = dict(f.coeffs)
     for m in acc:
         key(m)
-    remainder_terms: list[tuple[Monomial, Fraction]] = []
+    remainder: dict[Monomial, Fraction] = {}
     while acc:
         # every monomial that enters acc has its key in `keys`
         lm = max(acc, key=keys.__getitem__)
@@ -159,28 +149,35 @@ def reduce_poly(
         for glm, glc, tail in divisors:
             if _divides(glm, lm):
                 q = _quotient(lm, glm)
-                c = lc / glc
+                c = -lc / glc
                 for m, gc in tail:
                     m = tuple(map(add, m, q))
-                    v = acc.get(m, 0) - c * gc
-                    if v:
-                        acc[m] = v
+                    v = acc.get(m)
+                    if v is None:
+                        acc[m] = c * gc
                         key(m)
                     else:
-                        del acc[m]
+                        v += c * gc
+                        if v:
+                            acc[m] = v
+                        else:
+                            del acc[m]
                 break
         else:
-            remainder_terms.append((lm, lc))
-    return Polynomial(f.arity, remainder_terms)
+            remainder[lm] = lc
+    return _from_coeffs(f.arity, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    flm, flc = _leading(f, order)
-    glm, glc = _leading(g, order)
+    """lcm/LT(f) * f - lcm/LT(g) * g, built in one coefficient dict."""
+    flm, flc = f.leading(order)
+    glm, glc = g.leading(order)
     l = _lcm(flm, glm)
-    return _mono_times(f, _quotient(l, flm), 1 / flc) - _mono_times(
-        g, _quotient(l, glm), 1 / glc
-    )
+    qf, cf = _quotient(l, flm), 1 / flc
+    acc = {tuple(map(add, m, qf)): c * cf for m, c in f.coeffs.items()}
+    qg, cg = _quotient(l, glm), -1 / glc
+    _add_into(acc, {tuple(map(add, m, qg)): c * cg for m, c in g.coeffs.items()})
+    return _from_coeffs(f.arity, acc)
 
 
 # ---- Buchberger ----------------------------------------------------------
@@ -216,7 +213,7 @@ def groebner(
     pairs: set[tuple[int, int]] = set()  # the pairs still in the heap
 
     def enter(g: Polynomial) -> None:
-        lm, lc = _leading(g, order)
+        lm, lc = g.leading(order)
         j = len(G)
         for i in range(j):
             heapq.heappush(heap, (order.key(_lcm(lms[i], lm)), i, j))
@@ -260,7 +257,7 @@ def _autoreduce(
 ) -> tuple[Polynomial, ...]:
     # minimalize: drop elements whose leading monomial another one divides
     lead = sorted(
-        ((_leading(g, order)[0], g) for g in G if not g.is_zero()),
+        ((g.leading(order)[0], g) for g in G if not g.is_zero()),
         key=lambda e: order.key(e[0]),
     )
     minimal = [

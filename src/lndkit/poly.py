@@ -1,14 +1,19 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Monomials are exponent tuples, coefficients are ``fractions.Fraction``.
-Terms are kept in a canonical order (graded reverse lexicographic,
-descending) so equal polynomials have identical representations.
+A polynomial stores its terms in one dict, ``coeffs``, from monomial to
+nonzero coefficient, in no particular order; equality and hashing look
+only at that mapping. The public constructor checks its input; the ring
+operations build their result dicts directly and hand them to the
+trusted ``_from_coeffs``. Term order appears only where it is asked
+for: ``terms`` (grevlex-descending, built on first use and cached),
+``format`` and ``leading(order)`` (memoised per order).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import neg
+from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -37,10 +42,48 @@ def _check_exponents(m: Monomial) -> Monomial:
     return m
 
 
-class Polynomial:
-    """Immutable polynomial with Fraction coefficients in canonical form."""
+_set = object.__setattr__
 
-    __slots__ = ("arity", "terms", "_hash")
+
+def _fill(p: "Polynomial", arity: int, coeffs: dict[Monomial, Fraction]) -> None:
+    _set(p, "arity", arity)
+    _set(p, "coeffs", coeffs)
+    _set(p, "_terms", None)
+    _set(p, "_leads", None)
+    _set(p, "_hash", None)
+
+
+def _from_coeffs(arity: int, coeffs: dict[Monomial, Fraction]) -> "Polynomial":
+    """Trusted constructor: takes ownership of `coeffs` without checks.
+
+    Every key must be a tuple of `arity` non-negative exponents within
+    EXPONENT_CAP and every value a nonzero Fraction.
+    """
+    p = object.__new__(Polynomial)
+    _fill(p, arity, coeffs)
+    return p
+
+
+def _add_into(
+    acc: dict[Monomial, Fraction], coeffs: dict[Monomial, Fraction]
+) -> None:
+    """acc += coeffs in place, dropping the monomials that cancel."""
+    for m, c in coeffs.items():
+        v = acc.get(m)
+        if v is None:
+            acc[m] = c
+        else:
+            v += c
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+
+
+class Polynomial:
+    """Immutable polynomial: a dict from monomial to nonzero Fraction."""
+
+    __slots__ = ("arity", "coeffs", "_terms", "_leads", "_hash")
 
     def __init__(self, arity: int, terms: Iterable[tuple[Monomial, Fraction]]):
         collected: dict[Monomial, Fraction] = {}
@@ -58,15 +101,7 @@ class Polynomial:
                 collected[mono] = c
             elif mono in collected:
                 del collected[mono]
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(
-                sorted(collected.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-            ),
-        )
-        object.__setattr__(self, "_hash", None)
+        _fill(self, arity, collected)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -75,21 +110,19 @@ class Polynomial:
 
     @staticmethod
     def zero(arity: int) -> "Polynomial":
-        return Polynomial(arity, ())
+        return _from_coeffs(arity, {})
 
     @staticmethod
     def constant(arity: int, c) -> "Polynomial":
         c = Fraction(c)
-        if not c:
-            return Polynomial.zero(arity)
-        return Polynomial(arity, [((0,) * arity, c)])
+        return _from_coeffs(arity, {(0,) * arity: c} if c else {})
 
     @staticmethod
     def variable(arity: int, index: int) -> "Polynomial":
         if not 0 <= index < arity:
             raise IndexOutOfRange(f"variable index {index} in arity {arity}")
         mono = tuple(1 if i == index else 0 for i in range(arity))
-        return Polynomial(arity, [(mono, Fraction(1))])
+        return _from_coeffs(arity, {mono: Fraction(1)})
 
     @staticmethod
     def monomial(arity: int, exponents: Sequence[int], coeff=1) -> "Polynomial":
@@ -97,51 +130,72 @@ class Polynomial:
 
     # ---- basic queries -------------------------------------------------
 
+    @property
+    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        """(monomial, coefficient) pairs, grevlex-descending."""
+        terms = self._terms
+        if terms is None:
+            terms = tuple(
+                sorted(
+                    self.coeffs.items(),
+                    key=lambda t: grevlex_key(t[0]),
+                    reverse=True,
+                )
+            )
+            _set(self, "_terms", terms)
+        return terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_constant(self) -> bool:
-        return all(not any(m) for m, _ in self.terms)
+        return all(not any(m) for m in self.coeffs)
 
     def constant_value(self) -> Fraction:
-        for m, c in self.terms:
-            if not any(m):
-                return c
-        return Fraction(0)
+        return self.coeffs.get((0,) * self.arity, Fraction(0))
 
-    def leading(self) -> tuple[Monomial, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
+    def leading(self, order=None) -> tuple[Monomial, Fraction]:
+        """Leading term under `order` (grevlex when None), memoised per order.
+
+        `order` is anything with a `key(monomial)` method, such as a
+        `groebner.MonomialOrder`.
+        """
+        leads = self._leads
+        if leads is None:
+            leads = {}
+            _set(self, "_leads", leads)
+        lt = leads.get(order)
+        if lt is None:
+            if not self.coeffs:
+                raise ValueError("zero polynomial has no leading term")
+            lm = max(self.coeffs, key=grevlex_key if order is None else order.key)
+            lt = leads[order] = (lm, self.coeffs[lm])
+        return lt
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        mono = tuple(mono)
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
+        return self.coeffs.get(tuple(mono), Fraction(0))
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.coeffs:
             raise ValueError("degree of zero polynomial is undefined")
-        return max(sum(m) for m, _ in self.terms)
+        return max(map(sum, self.coeffs))
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.terms)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.arity == other.arity
-            and self.terms == other.terms
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.arity, self.terms)))
+            _set(self, "_hash", hash((self.arity, frozenset(self.coeffs.items()))))
         return self._hash
 
     def _coerce(self, other) -> "Polynomial":
@@ -155,12 +209,14 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        return Polynomial(self.arity, list(self.terms) + list(other.terms))
+        acc = dict(self.coeffs)
+        _add_into(acc, other.coeffs)
+        return _from_coeffs(self.arity, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.arity, [(m, -c) for m, c in self.terms])
+        return _from_coeffs(self.arity, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -171,15 +227,20 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
         acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _check_exponents(tuple(a + b for a, b in zip(m1, m2)))
-                c = acc.get(m, Fraction(0)) + c1 * c2
-                if c:
-                    acc[m] = c
-                elif m in acc:
-                    del acc[m]
-        return Polynomial(self.arity, acc.items())
+        right = other.coeffs.items()
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in right:
+                m = _check_exponents(tuple(map(add, m1, m2)))
+                v = acc.get(m)
+                if v is None:
+                    acc[m] = c1 * c2
+                else:
+                    v += c1 * c2
+                    if v:
+                        acc[m] = v
+                    else:
+                        del acc[m]
+        return _from_coeffs(self.arity, acc)
 
     __rmul__ = __mul__
 
@@ -199,7 +260,9 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self.arity, [(m, coeff * c) for m, coeff in self.terms])
+        if not c:
+            return Polynomial.zero(self.arity)
+        return _from_coeffs(self.arity, {m: v * c for m, v in self.coeffs.items()})
 
     # ---- calculus / grading -------------------------------------------------
 
@@ -207,22 +270,20 @@ class Polynomial:
         """Formal partial derivative with respect to one variable."""
         if not 0 <= var_index < self.arity:
             raise IndexOutOfRange(f"index {var_index} in arity {self.arity}")
-        out = []
-        for m, c in self.terms:
+        out = {}
+        for m, c in self.coeffs.items():
             e = m[var_index]
             if e:
-                dm = tuple(
-                    v - 1 if i == var_index else v for i, v in enumerate(m)
-                )
-                out.append((dm, c * e))
-        return Polynomial(self.arity, out)
+                dm = m[:var_index] + (e - 1,) + m[var_index + 1 :]
+                out[dm] = c * e
+        return _from_coeffs(self.arity, out)
 
     def weighted_degree(self, w: Sequence[int]) -> int:
         if len(w) != self.arity:
             raise ArityMismatch(f"weight length {len(w)} vs arity {self.arity}")
-        if not self.terms:
+        if not self.coeffs:
             raise ValueError("weighted degree of zero polynomial is undefined")
-        degs = {sum(e * wi for e, wi in zip(m, w)) for m, _ in self.terms}
+        degs = {sum(e * wi for e, wi in zip(m, w)) for m in self.coeffs}
         if len(degs) != 1:
             raise ValueError("polynomial is not homogeneous for these weights")
         return degs.pop()
@@ -233,12 +294,12 @@ class Polynomial:
         """Split into w-homogeneous pieces, sorted by increasing degree."""
         if len(w) != self.arity:
             raise ArityMismatch(f"weight length {len(w)} vs arity {self.arity}")
-        buckets: dict[int, list[tuple[Monomial, Fraction]]] = {}
-        for m, c in self.terms:
+        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        for m, c in self.coeffs.items():
             d = sum(e * wi for e, wi in zip(m, w))
-            buckets.setdefault(d, []).append((m, c))
+            buckets.setdefault(d, {})[m] = c
         return [
-            (d, Polynomial(self.arity, buckets[d])) for d in sorted(buckets)
+            (d, _from_coeffs(self.arity, buckets[d])) for d in sorted(buckets)
         ]
 
     def is_homogeneous(self, w: Sequence[int]) -> bool:
@@ -249,7 +310,7 @@ class Polynomial:
             raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
         pt = [Fraction(x) for x in point]
         total = Fraction(0)
-        for m, c in self.terms:
+        for m, c in self.coeffs.items():
             v = c
             for e, x in zip(m, pt):
                 if e:
@@ -261,9 +322,11 @@ class Polynomial:
 
     def extend(self, extra: int) -> "Polynomial":
         """Embed into a ring with `extra` fresh variables appended."""
+        if extra < 0:
+            raise ValueError("extra must be >= 0")
         pad = (0,) * extra
-        return Polynomial(
-            self.arity + extra, [(m + pad, c) for m, c in self.terms]
+        return _from_coeffs(
+            self.arity + extra, {m + pad: c for m, c in self.coeffs.items()}
         )
 
     # ---- formatting -------------------------------------------------
@@ -271,7 +334,7 @@ class Polynomial:
     def format(self, vars: Sequence[str]) -> str:
         if len(vars) != self.arity:
             raise ArityMismatch(f"{len(vars)} names for arity {self.arity}")
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         pieces = []
         for i, (m, c) in enumerate(self.terms):

@@ -12,7 +12,8 @@ from lndkit.errors import (
     ParseError,
     UnknownVariable,
 )
-from lndkit.poly import EXPONENT_CAP, Polynomial, parse_poly
+from lndkit.groebner import GREVLEX, LEX, MonomialOrder
+from lndkit.poly import EXPONENT_CAP, Polynomial, grevlex_key, parse_poly
 
 from helpers import rand_poly
 
@@ -123,6 +124,126 @@ def test_partial_derivative_leibniz(f, g):
         lhs = (f * g).partial_derivative(j)
         rhs = f * g.partial_derivative(j) + g * f.partial_derivative(j)
         assert lhs == rhs
+
+
+# ---- the dict store against a dict oracle ----------------------------------
+
+ARITY = 3
+monomials = st.tuples(*[st.integers(0, 3)] * ARITY)
+term_lists = st.lists(
+    st.tuples(
+        monomials, st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    ),
+    max_size=7,
+)
+
+
+def oracle(terms) -> dict:
+    """Collect terms into {monomial: coefficient}, dropping zeros."""
+    out: dict = {}
+    for m, c in terms:
+        out[m] = out.get(m, 0) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_mul(a: dict, b: dict) -> dict:
+    return oracle(
+        (tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+        for m1, c1 in a.items()
+        for m2, c2 in b.items()
+    )
+
+
+def assert_canonical(p: Polynomial) -> None:
+    assert all(type(c) is Fraction and c != 0 for c in p.coeffs.values())
+    keys = [grevlex_key(m) for m, _ in p.terms]
+    assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
+    assert dict(p.terms) == p.coeffs
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    term_lists,
+    term_lists,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(0, ARITY - 1),
+)
+def test_operations_match_dict_oracle(ta, tb, k, j):
+    a, b = Polynomial(ARITY, ta), Polynomial(ARITY, tb)
+    oa, ob = oracle(ta), oracle(tb)
+    assert a.coeffs == oa
+    assert b.coeffs == ob
+    expected = [
+        (a + b, oracle([*oa.items(), *ob.items()])),
+        (a - b, oracle([*oa.items(), *((m, -c) for m, c in ob.items())])),
+        (-a, oracle((m, -c) for m, c in oa.items())),
+        (a * b, oracle_mul(oa, ob)),
+        (a.scale(k), oracle((m, c * k) for m, c in oa.items())),
+        (
+            a.partial_derivative(j),
+            oracle(
+                (m[:j] + (m[j] - 1,) + m[j + 1 :], c * m[j])
+                for m, c in oa.items()
+                if m[j]
+            ),
+        ),
+    ]
+    for got, want in expected:
+        assert got.arity == ARITY
+        assert got.coeffs == want
+        assert_canonical(got)
+    extended = a.extend(2)
+    assert extended.arity == ARITY + 2
+    assert extended.coeffs == {m + (0, 0): c for m, c in oa.items()}
+    assert_canonical(extended)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_lists, st.data())
+def test_permuted_terms_give_equal_polynomials(terms, data):
+    shuffled = data.draw(st.permutations(terms))
+    p, q = Polynomial(ARITY, terms), Polynomial(ARITY, shuffled)
+    assert p == q
+    assert hash(p) == hash(q)
+    assert p.terms == q.terms
+    assert_canonical(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_lists.filter(oracle))
+def test_leading_per_order(terms):
+    p = Polynomial(ARITY, terms)
+    assert p.leading() == p.terms[0] == p.leading(GREVLEX)
+    weighted = MonomialOrder("weighted", (2, 1, 3))
+    for order in (LEX, weighted):
+        lm = max(p.coeffs, key=order.key)
+        assert p.leading(order) == (lm, p.coeffs[lm])
+        assert p.leading(order) is p.leading(order)
+
+
+def test_leading_of_zero():
+    with pytest.raises(ValueError):
+        Polynomial.zero(2).leading(LEX)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_lists, st.data())
+def test_public_constructor_checks(terms, data):
+    at = data.draw(st.integers(0, len(terms)))
+    bad_length = (data.draw(st.integers(0, 3)),) * data.draw(
+        st.sampled_from([ARITY - 1, ARITY + 1])
+    )
+    with pytest.raises(ArityMismatch):
+        Polynomial(ARITY, [*terms[:at], (bad_length, 1), *terms[at:]])
+    negative = data.draw(monomials)
+    negative = negative[:1] + (-1,) + negative[2:]
+    with pytest.raises(ValueError):
+        Polynomial(ARITY, [*terms[:at], (negative, 1), *terms[at:]])
+    with pytest.raises(ExponentOverflow):
+        Polynomial(ARITY, [*terms[:at], ((EXPONENT_CAP + 1, 0, 0), 1), *terms[at:]])
+    big = Polynomial.monomial(ARITY, (0, EXPONENT_CAP, 0))
+    with pytest.raises(ExponentOverflow):
+        big * big
 
 
 # ---- partial derivatives -------------------------------------------------
