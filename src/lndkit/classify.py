@@ -10,10 +10,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .derivations import Derivation, PresentedAlgebra, cylinder, lift
+from .derivations import (
+    DEFAULT_NILPOTENCY_BOUND, Derivation, PresentedAlgebra, cylinder, lift
+)
 from .errors import ArityMismatch, NoLNDs
-from .groebner import GroebnerBasis, Ideal, groebner, normal_form
-from .poly import Polynomial
+from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
+from .poly import Polynomial, parse_poly
 from .report import ClassificationReport, Evidence
 from .toric import Cone, classify_toric
 from .trinomial import TrinomialData, classify_trinomial
@@ -31,13 +33,69 @@ class VarietyDossier:
     algebra: PresentedAlgebra | None
     lnds: tuple[Derivation, ...] = ()
     tags: dict = field(default_factory=dict)
+    names: tuple[str, ...] = ()  # names of the lnds, set by from_json
+
+    @staticmethod
+    def from_json(
+        doc: dict, order: MonomialOrder = GREVLEX
+    ) -> "VarietyDossier":
+        """Parse a dossier document (see the README) without verifying it.
+
+        The derivations keep their names for `derivation`; they are not
+        checked to be LNDs, so pass the result through `create` to
+        classify it.
+        """
+        gradings = {
+            name: [int(x) for x in w]
+            for name, w in doc.get("gradings", {}).items()
+        }
+        algebra = None
+        tags: dict = {}
+        if "trinomial" in doc:
+            tri = doc["trinomial"]
+            variant, m, l = int(tri["type"]), int(tri.get("m", 0)), tri["l"]
+            if variant == 1:
+                a = [Fraction(x) for x in tri["a"]]
+                tags["trinomial"] = TrinomialData.type1(l, a, m)
+            else:
+                A = [[Fraction(x) for x in row] for row in tri["A"]]
+                tags["trinomial"] = TrinomialData.type2(l, A, m)
+        if "toric" in doc:
+            tags["toric"] = Cone.of(doc["toric"]["rays"])
+        assertions = doc.get("assertions", {})
+        if assertions.get("rigid"):
+            tags["rigid_asserted"] = True
+        if "invariant_line" in assertions:
+            tags["invariant_line"] = [
+                Fraction(x) for x in assertions["invariant_line"]
+            ]
+        if "vars" in doc:
+            vars = list(doc["vars"])
+            relations = [
+                parse_poly(text, vars) for text in doc.get("relations", [])
+            ]
+            algebra = PresentedAlgebra(vars, relations, gradings, order)
+        derivations = doc.get("derivations") or {}
+        if derivations and algebra is None:
+            raise ValueError("derivations require vars/relations")
+        lnds = [
+            Derivation.from_strings(algebra, images)
+            for images in derivations.values()
+        ]
+        return VarietyDossier(algebra, tuple(lnds), tags, tuple(derivations))
+
+    def derivation(self, name: str) -> Derivation:
+        """The derivation the dossier document names `name`."""
+        if name not in self.names:
+            raise KeyError(f"no derivation named {name!r} in the dossier")
+        return self.lnds[self.names.index(name)]
 
     @staticmethod
     def create(
         algebra: PresentedAlgebra | None,
         lnds: Sequence[Derivation] = (),
         tags: dict | None = None,
-        bound: int = 64,
+        bound: int = DEFAULT_NILPOTENCY_BOUND,
     ) -> "VarietyDossier":
         lnds = tuple(lnds)
         for D in lnds:
@@ -68,19 +126,15 @@ def test_type_a(V: VarietyDossier) -> GroebnerBasis | None:
     Returns the trivial Gröbner basis as the certificate, or None.
     Absence is not evidence against type A; the LND list may be partial.
     """
-    ideal = combined_image_ideal(V)
-    gens = ideal.generators + V.algebra.relations
-    if not gens:
-        return None
-    gb = groebner(Ideal.of(gens, V.algebra.arity), V.algebra.order)
+    gb = groebner(fixed_locus(V), V.algebra.order)
     return gb if gb.is_trivial() else None
 
 
 def fixed_locus(V: VarietyDossier) -> Ideal:
-    """Relations plus all LND images; its zero set is the fixed locus."""
+    """All LND images plus the relations; its zero set is the fixed locus."""
     ideal = combined_image_ideal(V)
     return Ideal.of(
-        V.algebra.relations + ideal.generators, V.algebra.arity
+        ideal.generators + V.algebra.relations, V.algebra.arity
     )
 
 
@@ -124,7 +178,7 @@ class JiCertificate:
 
 
 def ji_lower_bound_check(
-    V: VarietyDossier, i: int, bound: int = 64
+    V: VarietyDossier, i: int, bound: int = DEFAULT_NILPOTENCY_BOUND
 ) -> JiCertificate:
     """Reproduce the containment of the image ideal in J_i.
 

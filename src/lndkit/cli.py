@@ -1,7 +1,10 @@
-"""Command-line front end: load a dossier file, verify, classify, report.
+"""Command-line front end, a thin shell over the library.
 
-Exit codes: 0 success/verified, 1 semantic failure (failed verification,
-non-membership), 2 usage or input error.
+Each subcommand reads a dossier file with `VarietyDossier.from_json`,
+calls the library and prints the result as text, or with `--json` as one
+JSON object with sorted keys. Exit codes: 0 success/verified/member,
+1 semantic failure (failed verification, non-membership), 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .classify import (
@@ -17,76 +21,27 @@ from .classify import (
     combined_image_ideal,
     conjectured_hdstar_member,
 )
-from .derivations import Derivation, PresentedAlgebra, cylinder
+from .derivations import DEFAULT_NILPOTENCY_BOUND, cylinder
 from .errors import LndkitError, NotASlice, NotVerifiedLND
 from .grading import decompose
 from .groebner import GREVLEX, LEX
 from .poly import parse_poly
-from .toric import Cone, detect_line_factor, enumerate_roots
-from .trinomial import TrinomialData
+from .toric import detect_line_factor, enumerate_roots
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 
 
-class Dossier:
-    """Parsed dossier file: algebra, named derivations, gradings, tags."""
-
-    def __init__(self, doc: dict, order=GREVLEX):
-        gradings = {
-            name: [int(x) for x in w]
-            for name, w in doc.get("gradings", {}).items()
-        }
-        self.algebra = None
-        self.tags: dict = {}
-        if "trinomial" in doc:
-            self.tags["trinomial"] = _parse_trinomial(doc["trinomial"])
-        if "toric" in doc:
-            self.tags["toric"] = Cone.of(doc["toric"]["rays"])
-        assertions = doc.get("assertions", {})
-        if assertions.get("rigid"):
-            self.tags["rigid_asserted"] = True
-        if "invariant_line" in assertions:
-            self.tags["invariant_line"] = [
-                Fraction(x) for x in assertions["invariant_line"]
-            ]
-        if "vars" in doc:
-            vars = list(doc["vars"])
-            relations = [
-                parse_poly(text, vars) for text in doc.get("relations", [])
-            ]
-            self.algebra = PresentedAlgebra(vars, relations, gradings, order)
-        self.gradings = gradings
-        self.derivations: dict[str, Derivation] = {}
-        if doc.get("derivations"):
-            if self.algebra is None:
-                raise ValueError("derivations require vars/relations")
-            for name, images in doc["derivations"].items():
-                self.derivations[name] = Derivation.from_strings(
-                    self.algebra, images
-                )
-
-    def derivation(self, name: str) -> Derivation:
-        if name not in self.derivations:
-            raise KeyError(f"no derivation named {name!r} in the dossier")
-        return self.derivations[name]
-
-
-def _parse_trinomial(doc: dict) -> TrinomialData:
-    variant = int(doc["type"])
-    m = int(doc.get("m", 0))
-    l = doc["l"]
-    if variant == 1:
-        return TrinomialData.type1(l, [Fraction(x) for x in doc["a"]], m)
-    return TrinomialData.type2(
-        l, [[Fraction(x) for x in row] for row in doc["A"]], m
-    )
-
-
-def _load(path: str, order) -> Dossier:
+def _load(path: str, order=GREVLEX) -> VarietyDossier:
     with open(path) as fh:
-        return Dossier(json.load(fh), order)
+        return VarietyDossier.from_json(json.load(fh), order)
+
+
+def _verified(args) -> VarietyDossier:
+    """The dossier file with every derivation verified as an LND."""
+    V = _load(args.file, _order(args))
+    return VarietyDossier.create(V.algebra, V.lnds, V.tags, args.bound)
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]):
@@ -98,8 +53,7 @@ def _emit(payload: dict, as_json: bool, lines: list[str]):
 
 
 def cmd_check_lnd(args) -> int:
-    dossier = _load(args.file, _order(args))
-    D = dossier.derivation(args.name)
+    D = _load(args.file, _order(args)).derivation(args.name)
     ok, cert = D.is_well_defined()
     cert_rows = [
         {
@@ -120,29 +74,14 @@ def cmd_check_lnd(args) -> int:
         "name": args.name,
         "well_defined": ok,
         "certificate": cert_rows,
-        "verdict": None
-        if verdict is None
-        else {
-            "status": verdict.status,
-            "max_order": verdict.max_order,
-            "witness_var": verdict.witness_var,
-            "witness_order": verdict.witness_order,
-            "bound": verdict.bound,
-        },
+        "verdict": None if verdict is None else asdict(verdict),
     }
     _emit(payload, args.json, lines)
     return EXIT_OK if ok and verdict.verified else EXIT_FAILED
 
 
 def cmd_classify(args) -> int:
-    dossier = _load(args.file, _order(args))
-    V = VarietyDossier.create(
-        dossier.algebra,
-        list(dossier.derivations.values()),
-        dossier.tags,
-        bound=args.bound,
-    )
-    report = classify(V, box=args.box)
+    report = classify(_verified(args), box=args.box)
     lines = [f"verdict: {report.verdict}"]
     for ev in report.evidence:
         lines.append(f"  - {ev.criterion}" + (f" {ev.data}" if ev.data else ""))
@@ -151,25 +90,26 @@ def cmd_classify(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    dossier = _load(args.file, _order(args))
-    D = dossier.derivation(args.name)
+    D = _load(args.file, _order(args)).derivation(args.name)
     f = D.algebra.parse(args.poly)
-    if args.parameter == "formal":
+    s = None if args.parameter == "formal" else Fraction(args.parameter)
+    verdict = D.nilpotency_check(args.bound)  # exp_action reuses it
+    if not verdict.verified:
+        raise NotVerifiedLND(verdict.describe())
+    if s is None:
         result, ext = D.exp_action(f, None)
         text = result.format(ext.vars)
     else:
-        result = D.exp_action(f, Fraction(args.parameter))
-        text = D.algebra.format(result)
+        text = D.algebra.format(D.exp_action(f, s))
     _emit({"command": "exp", "result": text}, args.json, [text])
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    dossier = _load(args.file, _order(args))
-    D = dossier.derivation(args.name)
-    if args.grading not in dossier.gradings:
+    D = _load(args.file, _order(args)).derivation(args.name)
+    if args.grading not in D.algebra.gradings:
         raise KeyError(f"no grading named {args.grading!r} in the dossier")
-    parts = decompose(D, dossier.gradings[args.grading])
+    parts = decompose(D, D.algebra.gradings[args.grading])
     rows = []
     lines = []
     for part in parts:
@@ -186,10 +126,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    dossier = _load(args.file, _order(args))
-    if "toric" not in dossier.tags:
+    tags = _load(args.file).tags
+    if "toric" not in tags:
         raise ValueError("dossier has no toric cone data")
-    cone = dossier.tags["toric"]
+    cone = tags["toric"]
     roots = enumerate_roots(cone, args.box)
     line = detect_line_factor(cone)
     rows = [
@@ -216,19 +156,13 @@ def cmd_roots(args) -> int:
 
 
 def cmd_hdstar_member(args) -> int:
-    dossier = _load(args.file, _order(args))
-    if dossier.algebra is None or not dossier.derivations:
+    V = _verified(args)
+    if V.algebra is None or not V.lnds:
         raise ValueError("hdstar-member needs vars, relations, and derivations")
-    V = VarietyDossier.create(
-        dossier.algebra,
-        list(dossier.derivations.values()),
-        dossier.tags,
-        bound=args.bound,
-    )
     ideal = combined_image_ideal(V)
-    cyl = cylinder(dossier.algebra)
+    cyl = cylinder(V.algebra)
     f = parse_poly(args.poly, cyl.vars)
-    member = conjectured_hdstar_member(dossier.algebra, f, ideal)
+    member = conjectured_hdstar_member(V.algebra, f, ideal)
     _emit(
         {"command": "hdstar-member", "member": member},
         args.json,
@@ -238,54 +172,71 @@ def cmd_hdstar_member(args) -> int:
 
 
 def _order(args):
-    return LEX if getattr(args, "order", "grevlex") == "lex" else GREVLEX
+    return LEX if args.order == "lex" else GREVLEX
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with one "-" and names no option,
+    such as the rational -1/3 or the polynomial -y, as a positional;
+    plain argparse takes it for an unknown option."""
+
+    def _parse_optional(self, arg_string):
+        short = arg_string[:2]
+        if short[:1] == "-" and short != "--" and not any(
+            option.startswith(short) for option in self._option_string_actions
+        ):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lndkit",
         description="Verify locally nilpotent derivations and classify cylinders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    order = ("--order", {"choices": ["lex", "grevlex"], "default": "grevlex"})
+    bound = ("--bound", {"type": int, "default": DEFAULT_NILPOTENCY_BOUND})
+    box = ("--box", {"type": int, "default": 10})
+
+    def common(p, *options):
         p.add_argument("file", help="dossier JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")
-        p.add_argument("--bound", type=int, default=64)
-        p.add_argument("--box", type=int, default=10)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("check-lnd", help="verify a named derivation")
-    common(p)
+    common(p, order, bound)
     p.add_argument("name")
     p.set_defaults(fn=cmd_check_lnd)
 
     p = sub.add_parser("classify", help="type A/B/C classification")
-    common(p)
+    common(p, order, bound, box)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("exp", help="exponential of an LND applied to a polynomial")
-    common(p)
+    common(p, order, bound)
     p.add_argument("name")
     p.add_argument("poly")
     p.add_argument("parameter", help="rational value or 'formal'")
     p.set_defaults(fn=cmd_exp)
 
     p = sub.add_parser("decompose", help="graded decomposition of a derivation")
-    common(p)
+    common(p, order)
     p.add_argument("name")
     p.add_argument("grading")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("roots", help="Demazure roots of the dossier's cone")
-    common(p)
+    common(p, box)
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser(
         "hdstar-member",
         help="membership in the conjectured invariant subalgebra",
     )
-    common(p)
+    common(p, order, bound)
     p.add_argument("poly")
     p.set_defaults(fn=cmd_hdstar_member)
     return parser

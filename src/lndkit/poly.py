@@ -151,9 +151,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.coeffs)
 
-    def constant_value(self) -> Fraction:
-        return self.coeffs.get((0,) * self.arity, Fraction(0))
-
     def leading(self, order=None) -> tuple[Monomial, Fraction]:
         """Leading term under `order` (grevlex when None), memoised per order.
 
@@ -174,11 +171,6 @@ class Polynomial:
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.coeffs.get(tuple(mono), Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("degree of zero polynomial is undefined")
-        return max(map(sum, self.coeffs))
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.terms)

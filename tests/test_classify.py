@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from lndkit.poly import Polynomial, parse_poly
 from helpers import w1_algebra, w1_canonical
 
 XYZ = ["x", "y", "z"]
+DATA = Path(__file__).parent / "data"
 
 
 def quadric_cone():
@@ -110,6 +113,13 @@ def test_type_a_no_certificate_for_quadric_cone(cone_dossier):
     assert type_a_certificate(cone_dossier) is None
 
 
+def test_type_a_no_certificate_for_zero_ideal():
+    algebra = PresentedAlgebra(["x"])
+    V = VarietyDossier.create(algebra, [Derivation(algebra, [Polynomial.zero(1)])])
+    assert fixed_locus(V).generators == ()
+    assert type_a_certificate(V) is None
+
+
 # ---- fixed loci -------------------------------------------------------------
 
 
@@ -125,6 +135,13 @@ def test_fixed_locus_quadric_cone(cone_dossier):
 
 def test_fixed_locus_empty_for_w1(w1_dossier):
     assert contains_one(fixed_locus(w1_dossier))
+
+
+def test_fixed_locus_lists_images_before_relations(cone_dossier):
+    # test_type_a runs Buchberger on this list, so its order fixes the pairs
+    images = combined_image_ideal(cone_dossier).generators
+    relations = cone_dossier.algebra.relations
+    assert fixed_locus(cone_dossier).generators == images + relations
 
 
 # ---- conjectured graded-piece membership ------------------------------------
@@ -239,3 +256,55 @@ def test_classify_rejects_off_locus_invariant_line():
     report = classify(V)
     assert report.verdict == "Inconclusive"
     assert any("not in the fixed locus" in e.criterion for e in report.evidence)
+
+
+# ---- dossier documents ------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.name)
+def test_from_json_loads_every_data_file(path):
+    doc = json.loads(path.read_text())
+    V = VarietyDossier.from_json(doc)
+    assert V.names == tuple(doc.get("derivations", {}))
+    for name in V.names:
+        assert V.derivation(name).algebra is V.algebra
+    assert (V.algebra is None) == ("vars" not in doc)
+    assert ("toric" in V.tags) == ("toric" in doc)
+    assert ("trinomial" in V.tags) == ("trinomial" in doc)
+
+
+def test_from_json_reads_tags_and_gradings():
+    V = VarietyDossier.from_json(json.loads((DATA / "quadric.json").read_text()))
+    assert V.tags == {"invariant_line": [0, 0, 0]}
+    assert V.algebra.relations == (parse_poly("x*y - z^2", XYZ),)
+    W = VarietyDossier.from_json(json.loads((DATA / "w1.json").read_text()))
+    assert W.algebra.gradings == {"halfspin": (2, -2, 0)}
+    assert W.lnds == (W.derivation("canonical"),)
+    T = VarietyDossier.from_json(
+        {"trinomial": {"type": 1, "l": [[2], [2]], "a": [0, 1]},
+         "assertions": {"rigid": True}}
+    )
+    assert T.tags == {
+        "trinomial": TrinomialData.type1([[2], [2]], [0, 1]),
+        "rigid_asserted": True,
+    }
+
+
+def test_from_json_keeps_unverified_derivations():
+    V = VarietyDossier.from_json(
+        {"vars": ["x"], "derivations": {"euler": {"x": "x"}}}
+    )
+    assert not V.derivation("euler").nilpotency_check().verified
+    with pytest.raises(ValueError, match="failed verification"):
+        VarietyDossier.create(V.algebra, V.lnds, V.tags)
+
+
+def test_from_json_derivations_require_vars():
+    with pytest.raises(ValueError, match="require vars"):
+        VarietyDossier.from_json({"derivations": {"d": {"x": "1"}}})
+
+
+def test_from_json_unknown_derivation_name():
+    V = VarietyDossier.from_json(json.loads((DATA / "w1.json").read_text()))
+    with pytest.raises(KeyError, match="no derivation named 'nope'"):
+        V.derivation("nope")

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,49 @@ def test_exp_rejects_non_lnd(tmp_path, capsys):
     assert code == EXIT_FAILED
 
 
+def test_exp_honours_bound(tmp_path, capsys):
+    # D(x) = y^70 is nilpotent of order 72, past the default bound of 64
+    doc = {"vars": ["x", "y"], "derivations": {"d": {"x": "y^70", "y": "1"}}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_main(capsys, "check-lnd", str(path), "d", "--bound", "100")
+    assert code == EXIT_OK
+    assert "VerifiedLND(max_order=72)" in out
+    code, out, _ = run_main(capsys, "exp", str(path), "d", "x", "1", "--bound", "100")
+    assert code == EXIT_OK
+    assert out.startswith("y^70 + 35*y^69")
+    code, _, err = run_main(capsys, "exp", str(path), "d", "x", "1")
+    assert code == EXIT_FAILED
+    assert "Inconclusive(bound=64)" in err
+
+
+W1 = str(DATA / "w1.json")
+QUADRIC = str(DATA / "quadric.json")
+
+
+@pytest.mark.parametrize(
+    "argv, after_dashes",
+    [
+        (
+            ["exp", W1, "canonical", "y^3", "-1/3"],
+            ["exp", W1, "canonical", "y^3", "--", "-1/3"],
+        ),
+        (
+            ["exp", W1, "canonical", "-y", "2", "--json"],
+            ["exp", W1, "canonical", "--json", "--", "-y", "2"],
+        ),
+        (["hdstar-member", QUADRIC, "-y"], ["hdstar-member", QUADRIC, "--", "-y"]),
+        (
+            ["hdstar-member", QUADRIC, "-x*u", "--json"],
+            ["hdstar-member", QUADRIC, "--json", "--", "-x*u"],
+        ),
+    ],
+)
+def test_leading_minus_is_positional(capsys, argv, after_dashes):
+    code, out, _ = run_main(capsys, *argv)
+    assert out and run_main(capsys, *after_dashes)[:2] == (code, out)
+
+
 # ---- decompose ------------------------------------------------------------
 
 
@@ -189,6 +233,31 @@ def test_hdstar_member_accepts_weighted_image(capsys):
 
 
 # ---- error handling and determinism -----------------------------------------
+
+
+OPTIONS = {
+    "check-lnd": {"--order", "--bound"},
+    "classify": {"--order", "--bound", "--box"},
+    "exp": {"--order", "--bound"},
+    "decompose": {"--order"},
+    "roots": {"--box"},
+    "hdstar-member": {"--order", "--bound"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_lists_only_its_options(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert listed == OPTIONS[command] | {"--help", "--json"}
+
+
+def test_option_of_another_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", str(DATA / "toric_plane.json"), "--bound", "3"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
 
 
 def test_missing_file(capsys):

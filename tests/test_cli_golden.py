@@ -1,0 +1,91 @@
+"""CLI stdout and exit codes, pinned byte for byte against a recorded file.
+
+Every subcommand runs in-process on every `tests/data` dossier, with and
+without `--json`. After an intended output change, re-record the file with
+`PYTHONPATH=src python tests/test_cli_golden.py` and say in CHANGES.md
+which outputs changed and why.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from lndkit.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.json"
+
+# dossiers with derivations: (name, polynomial for exp, grading, polynomial
+# for hdstar-member); the others take the fallback and so hit the errors
+WITH_DERIVATIONS = {
+    "quadric.json": ("canonical", "y^3", "nope", "x*u + y"),
+    "w1.json": ("canonical", "y^3", "halfspin", "x*u + u^2"),
+    "w1_cylinder.json": ("mixed", "u*z", "uweight", "x*u1 + u"),
+}
+FALLBACK = ("canonical", "x", "nope", "x*u")
+
+
+def invocations():
+    for file in sorted(p.name for p in DATA.glob("*.json")):
+        name, poly, grading, member = WITH_DERIVATIONS.get(file, FALLBACK)
+        cases = [
+            ["classify", file],
+            ["roots", file],
+            ["check-lnd", file, name],
+            ["exp", file, name, poly, "formal"],
+            ["decompose", file, name, grading],
+            ["hdstar-member", file, member],
+        ]
+        if file in WITH_DERIVATIONS:
+            cases += [
+                ["check-lnd", file, "nope"],
+                ["check-lnd", file, name, "--order", "lex", "--bound", "8"],
+                ["exp", file, name, poly, "1/2"],
+                ["decompose", file, name, "nope"],
+            ]
+        if file.startswith("toric"):
+            cases += [
+                ["classify", file, "--box", "3"],
+                ["roots", file, "--box", "3"],
+            ]
+        # dict.fromkeys drops repeats, such as quadric.json's unknown grading
+        for argv in dict.fromkeys(map(tuple, cases)):
+            yield list(argv)
+            yield [*argv, "--json"]
+
+
+def run(argv):
+    """Exit code and stdout of the CLI; argv[1] names a tests/data file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([argv[0], str(DATA / argv[1]), *argv[2:]])
+    return code, out.getvalue()
+
+
+def _golden():
+    rows = json.loads(GOLDEN.read_text())
+    return {tuple(row["argv"]): (row["code"], row["stdout"]) for row in rows}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return _golden()
+
+
+@pytest.mark.parametrize("argv", list(invocations()), ids=" ".join)
+def test_cli_stdout_matches_golden(golden, argv):
+    assert tuple(argv) in golden, "no recorded output; re-record the golden file"
+    assert run(argv) == golden[tuple(argv)]
+
+
+if __name__ == "__main__":
+    rows = []
+    for argv in invocations():
+        code, stdout = run(argv)
+        rows.append({"argv": argv, "code": code, "stdout": stdout})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
+    print(f"recorded {len(rows)} invocations in {GOLDEN}")
