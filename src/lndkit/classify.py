@@ -53,7 +53,13 @@ class VarietyDossier:
         tags: dict = {}
         if "trinomial" in doc:
             tri = doc["trinomial"]
-            variant, m, l = int(tri["type"]), int(tri.get("m", 0)), tri["l"]
+            variant, m, l = tri["type"], tri.get("m", 0), tri["l"]
+            try:
+                variant, m = int(variant), int(m)
+            except TypeError:
+                raise ValueError(
+                    f"trinomial type and m must be integers, not {variant!r}, {m!r}"
+                ) from None
             if variant == 1:
                 a = [Fraction(x) for x in tri["a"]]
                 tags["trinomial"] = TrinomialData.type1(l, a, m)

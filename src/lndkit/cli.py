@@ -92,7 +92,7 @@ def cmd_classify(args) -> int:
 def cmd_exp(args) -> int:
     D = _load(args.file, _order(args)).derivation(args.name)
     f = D.algebra.parse(args.poly)
-    s = None if args.parameter == "formal" else Fraction(args.parameter)
+    s = _parameter(args.parameter)
     verdict = D.nilpotency_check(args.bound)  # exp_action reuses it
     if not verdict.verified:
         raise NotVerifiedLND(verdict.describe())
@@ -103,6 +103,16 @@ def cmd_exp(args) -> int:
         text = D.algebra.format(D.exp_action(f, s))
     _emit({"command": "exp", "result": text}, args.json, [text])
     return EXIT_OK
+
+
+def _parameter(text: str) -> Fraction | None:
+    """The `exp` parameter: None for "formal", else a rational number."""
+    if text == "formal":
+        return None
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"parameter {text!r} has denominator 0") from None
 
 
 def cmd_decompose(args) -> int:

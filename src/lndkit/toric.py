@@ -1,15 +1,17 @@
 """Lattice-cone combinatorics: dual cones, Demazure roots, line factors.
 
 Everything works on exact lattice data. Root enumeration is box-bounded
-(root sets can be infinite); line-factor detection is exact linear
-algebra over Z, so it needs no box.
+(root sets can be infinite). It is a depth-first search over the box,
+one coordinate at a time, that prunes a prefix as soon as no completion
+can be a root and solves for the last coordinate; its output, order
+included, is that of testing every point of the box with `root_of`.
+Line-factor detection is exact linear algebra over Z, so it needs no box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from typing import Sequence
 
@@ -26,7 +28,10 @@ class Cone:
 
     @staticmethod
     def of(rays: Sequence[Sequence[int]]) -> "Cone":
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        try:
+            rays = tuple(tuple(int(x) for x in r) for r in rays)
+        except TypeError:
+            raise ValueError(f"rays must be integer lists, not {rays!r}") from None
         if not rays:
             raise ValueError("a cone needs at least one ray")
         dim = len(rays[0])
@@ -93,27 +98,101 @@ def root_of(e: Sequence[int], cone: Cone) -> DemazureRoot | None:
 
 
 def enumerate_roots(cone: Cone, box: int) -> list[DemazureRoot]:
-    """All roots of max-norm <= box, in lexicographic vector order."""
+    """All roots of max-norm <= box, in lexicographic vector order.
+
+    A depth-first search fixes the coordinates before the last one in
+    increasing value, which is lexicographic order, and carries every
+    ray's partial pairing along the path. It drops a prefix as soon as
+    some ray can no longer come back up to -1, or two rays would both
+    have to end negative, and it solves for the last coordinate instead
+    of scanning it. The list is the one a scan of every point of the box
+    with `root_of` gives, in the same order.
+    """
     if box < 1:
         raise ValueError("box must be >= 1")
-    found = []
-    for e in product(range(-box, box + 1), repeat=cone.dim):
-        root = root_of(e, cone)
-        if root is not None:
-            found.append(root)
+    columns = list(zip(*cone.rays))
+    last = cone.dim - 1
+    # reach[k][i]: the most that coordinates k.. can add to ray i's pairing
+    reach = [
+        [box * sum(abs(x) for x in v[k:]) for v in cone.rays]
+        for k in range(cone.dim + 1)
+    ]
+    found: list[DemazureRoot] = []
+    prefix: list[int] = []
+
+    def walk(partial: list[int], k: int):
+        column, slack = columns[k], reach[k + 1]
+        window = _window(partial, column, slack, box)
+        if window is None:
+            return
+        if k == last:
+            for x, ray in _last_coordinate_roots(partial, column, window):
+                found.append(DemazureRoot((*prefix, x), ray))
+            return
+        for x in range(window[0], window[1] + 1):
+            nxt = [s + x * c for s, c in zip(partial, column)]
+            # a ray whose best is -1 must end at -1; two such cannot both
+            if sum(s + r == -1 for s, r in zip(nxt, slack)) > 1:
+                continue
+            prefix.append(x)
+            walk(nxt, k + 1)
+            prefix.pop()
+
+    walk([0] * len(cone.rays), 0)
     return found
+
+
+def _window(partial, column, slack, box: int) -> tuple[int, int] | None:
+    """The x in [-box, box] with s + x*c + r >= -1 for every ray's
+    partial pairing s, next entry c and remaining reach r; None if empty."""
+    lo, hi = -box, box
+    for s, c, r in zip(partial, column, slack):
+        need = -1 - s - r  # x*c must be at least this
+        if c > 0:
+            lo = max(lo, -(-need // c))
+        elif c < 0:
+            hi = min(hi, need // c)
+        elif need > 0:
+            return None
+    return (lo, hi) if lo <= hi else None
+
+
+def _last_coordinate_roots(partial, column, window: tuple[int, int]):
+    """The (x, distinguished ray) in the window that complete a prefix.
+
+    In the window every pairing s + x*c is >= -1, so x gives a root iff
+    exactly one pairing is -1 there. The candidates are the x where some
+    ray pairs to exactly -1, or the whole window when a ray with last
+    entry 0 already pairs to -1.
+    """
+    lo, hi = window
+    if any(c == 0 and s == -1 for s, c in zip(partial, column)):
+        candidates = range(lo, hi + 1)
+    else:
+        candidates = sorted(
+            {
+                (-1 - s) // c
+                for s, c in zip(partial, column)
+                if c and (-1 - s) % c == 0 and lo <= (-1 - s) // c <= hi
+            }
+        )
+    for x in candidates:
+        hits = [i for i, (s, c) in enumerate(zip(partial, column)) if s + x * c == -1]
+        if len(hits) == 1:
+            yield x, hits[0]
 
 
 def detect_line_factor(cone: Cone) -> DemazureRoot | None:
     """Exact search for a root pairing to 0 on every non-distinguished ray.
 
     Solves, per ray, the integer linear system <p, v_i> = -1,
-    <p, v_j> = 0 (j != i); such a root splits off a line factor.
+    <p, v_j> = 0 (j != i); such a root splits off a line factor. All
+    the systems share one matrix, so one Smith normal form serves them.
     """
+    snf = smith_normal_form([list(v) for v in cone.rays])
     for i in range(len(cone.rays)):
-        rows = [list(v) for v in cone.rays]
         rhs = [-1 if j == i else 0 for j in range(len(cone.rays))]
-        p = solve_integer_system(rows, rhs)
+        p = _solve_smith(snf, rhs)
         if p is not None:
             return DemazureRoot(tuple(p), i)
     return None
@@ -290,9 +369,14 @@ def smith_normal_form(A: list[list[int]]):
 
 def solve_integer_system(A: list[list[int]], b: list[int]):
     """One integer solution of A x = b, or None if none exists."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D, U, V = smith_normal_form(A)
+    return _solve_smith(smith_normal_form(A), b)
+
+
+def _solve_smith(snf, b: list[int]):
+    """`solve_integer_system` for the matrix whose (D, U, V) is `snf`."""
+    D, U, V = snf
+    m = len(D)
+    n = len(V)
     Ub = [sum(U[i][k] * b[k] for k in range(m)) for i in range(m)]
     y = [0] * n
     for i in range(m):

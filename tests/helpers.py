@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import lndkit
 from lndkit import (
     Derivation,
     PresentedAlgebra,
@@ -15,6 +18,14 @@ from lndkit import (
     type1_lnd,
 )
 from lndkit.poly import Polynomial
+
+
+def cli_env() -> dict:
+    """The environment for a `python -m lndkit` child process, with the
+    lndkit this test process imported first on its import path."""
+    src = str(Path(lndkit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def plane_algebra() -> PresentedAlgebra:

@@ -38,6 +38,7 @@ from lndkit.groebner import Ideal
 from lndkit.poly import Polynomial, parse_poly
 
 from helpers import (
+    cli_env,
     corpus,
     rand_poly,
     rand_rational,
@@ -330,6 +331,7 @@ def test_criterion_10_cli_determinism():
             subprocess.run(
                 [sys.executable, "-m", "lndkit", *argv, "--json"],
                 capture_output=True,
+                env=cli_env(),
             ).stdout
             for _ in range(2)
         ]

@@ -8,6 +8,8 @@ import pytest
 
 from lndkit.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
 
+from helpers import cli_env
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -272,11 +274,38 @@ def test_malformed_json(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_exp_zero_denominator_is_an_input_error(capsys):
+    code, _, err = run_main(
+        capsys, "exp", str(DATA / "w1.json"), "canonical", "y", "1/0"
+    )
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ")
+
+
+def test_trinomial_type_null_is_an_input_error(tmp_path, capsys):
+    doc = json.loads((DATA / "trinomial_type1.json").read_text())
+    doc["trinomial"]["type"] = None
+    path = tmp_path / "typeless.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_main(capsys, "classify", str(path))
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ")
+
+
+def test_rays_not_lists_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"toric": {"rays": [1, 2]}}))
+    code, _, err = run_main(capsys, "roots", str(path))
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ")
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "lndkit", "classify", str(DATA / "w1.json"), "--json"],
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
     assert result.returncode == EXIT_OK
     assert json.loads(result.stdout)["verdict"] == "A"
@@ -295,7 +324,8 @@ def test_json_output_is_deterministic():
             subprocess.run(
                 [sys.executable, "-m", "lndkit", *argv, "--json"],
                 capture_output=True,
+                env=cli_env(),
             ).stdout
             for _ in range(2)
         ]
-        assert runs[0] == runs[1]
+        assert runs[0] and runs[0] == runs[1]

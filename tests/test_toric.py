@@ -3,10 +3,13 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lndkit.errors import DegenerateCone, DimensionMismatch
 from lndkit.toric import (
     Cone,
+    DemazureRoot,
     classify_toric,
     detect_line_factor,
     dual_membership,
@@ -81,6 +84,9 @@ def test_cone_rejects_bad_rays():
         Cone.of([[1, 0], [-1, 0]])
     with pytest.raises(DimensionMismatch):
         Cone.of([[1, 0], [1, 0, 1]])
+    for rays in ([1, 2], [[1, None]], None):
+        with pytest.raises(ValueError):
+            Cone.of(rays)
 
 
 # ---- pairing helpers ------------------------------------------------------
@@ -138,6 +144,76 @@ def test_enumerate_matches_naive_oracle():
             cone = rand_pointed_cone(rng, dim)
             ours = {r.vector for r in enumerate_roots(cone, 4)}
             assert ours == set(naive_roots(cone, 4))
+
+
+def scan_roots(cone, box):
+    """The box scan the pruned search replaced: every point in
+    itertools.product order, kept when exactly one ray pairs negative
+    and that pairing is -1 (the distinguished ray)."""
+    found = []
+    for e in product(range(-box, box + 1), repeat=cone.dim):
+        pairings = [sum(a * b for a, b in zip(e, v)) for v in cone.rays]
+        negative = [i for i, p in enumerate(pairings) if p < 0]
+        if len(negative) == 1 and pairings[negative[0]] == -1:
+            found.append(DemazureRoot(e, negative[0]))
+    return found
+
+
+# largest box per dimension at which the scan stays fast
+SCAN_BOX = {1: 30, 2: 12, 3: 5, 4: 3, 5: 2}
+
+
+@st.composite
+def cones_and_boxes(draw):
+    """Any input Cone.of accepts: pointed or not, full-dimensional or not,
+    with or without redundant generators; and a box for it."""
+    dim = draw(st.integers(1, 5))
+    vectors = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+            min_size=1,
+            max_size=dim + 3,
+        )
+    )
+    rays = []
+    for v in vectors:
+        if not any(v):
+            continue
+        g = gcd(*[abs(x) for x in v])
+        v = tuple(x // g for x in v)
+        if all(not _prop(v, r) for r in rays):
+            rays.append(v)
+    if not rays:
+        rays = [(1,) + (0,) * (dim - 1)]
+    return Cone.of(rays), draw(st.integers(1, SCAN_BOX[dim]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones_and_boxes())
+def test_enumerate_roots_is_the_box_scan(cone_box):
+    cone, box = cone_box
+    assert enumerate_roots(cone, box) == scan_roots(cone, box)
+
+
+def test_enumerate_roots_is_the_box_scan_on_examples():
+    # pointed, lower-dimensional, with a redundant ray, non-pointed, and
+    # dim 4: the list, its order and the distinguished rays
+    for rays, box in [
+        ([[1, 0], [1, 2]], 6),
+        ([[1, 0, 0], [0, 1, 0]], 3),
+        ([[1, 0], [0, 1], [1, 1]], 4),
+        ([[1, 0], [0, 1], [-1, -1]], 5),
+        ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], 3),
+    ]:
+        cone = Cone.of(rays)
+        assert enumerate_roots(cone, box) == scan_roots(cone, box)
+
+
+def test_enumerate_roots_rejects_empty_box():
+    cone = Cone.of([[1, 0], [0, 1]])
+    for box in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_roots(cone, box)
 
 
 def test_root_distinguished_ray_pairs_to_minus_one():
