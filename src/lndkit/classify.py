@@ -60,14 +60,22 @@ class VarietyDossier:
                 raise ValueError(
                     f"trinomial type and m must be integers, not {variant!r}, {m!r}"
                 ) from None
+            if variant not in (1, 2):
+                raise ValueError(f"trinomial type must be 1 or 2, not {variant}")
+            for block in _list(l, "trinomial l", list):
+                _list(block, "a trinomial l block", int)
             if variant == 1:
-                a = [Fraction(x) for x in tri["a"]]
+                a = [Fraction(x) for x in _list(tri["a"], "trinomial a")]
                 tags["trinomial"] = TrinomialData.type1(l, a, m)
             else:
-                A = [[Fraction(x) for x in row] for row in tri["A"]]
+                rows = _list(tri["A"], "trinomial A", list)
+                A = [[Fraction(x) for x in row] for row in rows]
                 tags["trinomial"] = TrinomialData.type2(l, A, m)
         if "toric" in doc:
-            tags["toric"] = Cone.of(doc["toric"]["rays"])
+            toric = doc["toric"]
+            if not isinstance(toric, dict):
+                raise ValueError(f"toric must be an object, not {toric!r}")
+            tags["toric"] = Cone.of(_list(toric.get("rays"), "toric rays"))
         assertions = doc.get("assertions", {})
         if assertions.get("rigid"):
             tags["rigid_asserted"] = True
@@ -114,6 +122,14 @@ class VarietyDossier:
                     f"derivation {D!r} failed verification: {verdict.describe()}"
                 )
         return VarietyDossier(algebra, lnds, dict(tags or {}))
+
+
+def _list(value, what: str, item=object) -> list:
+    """value if it is a JSON list of `item`s, else a ValueError naming what."""
+    if isinstance(value, list) and all(isinstance(x, item) for x in value):
+        return value
+    kind = "a list" if item is object else f"a list of {item.__name__}s"
+    raise ValueError(f"{what} must be {kind}, not {value!r}")
 
 
 def combined_image_ideal(V: VarietyDossier) -> Ideal:
@@ -230,8 +246,13 @@ def ji_lower_bound_check(
     return JiCertificate(i, tuple(entries), degenerate=(i == 0))
 
 
-def classify(V: VarietyDossier, box: int = 10) -> ClassificationReport:
-    """Trichotomy dispatch; honest Inconclusive when evidence runs out."""
+def classify(V: VarietyDossier) -> ClassificationReport:
+    """Trichotomy dispatch; honest Inconclusive when evidence runs out.
+
+    A trinomial or toric tag decides absolutely; a toric cone is always
+    A or B (`classify_toric`). Otherwise the verdict rests on the
+    supplied LNDs and assertions, and may be Inconclusive.
+    """
     if "trinomial" in V.tags:
         T: TrinomialData = V.tags["trinomial"]
         return classify_trinomial(T).with_evidence(
@@ -239,7 +260,7 @@ def classify(V: VarietyDossier, box: int = 10) -> ClassificationReport:
         )
     if "toric" in V.tags:
         cone: Cone = V.tags["toric"]
-        return classify_toric(cone, box).with_evidence(
+        return classify_toric(cone).with_evidence(
             Evidence("structural tag: toric cone", {})
         )
     evidence = [

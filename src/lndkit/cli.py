@@ -81,7 +81,7 @@ def cmd_check_lnd(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    report = classify(_verified(args), box=args.box)
+    report = classify(_verified(args))
     lines = [f"verdict: {report.verdict}"]
     for ev in report.evidence:
         lines.append(f"  - {ev.criterion}" + (f" {ev.data}" if ev.data else ""))
@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_lnd)
 
     p = sub.add_parser("classify", help="type A/B/C classification")
-    common(p, order, bound, box)
+    common(p, order, bound)
+    p.add_argument("--box", type=int, help="ignored: toric verdicts need no search box")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("exp", help="exponential of an LND applied to a polynomial")

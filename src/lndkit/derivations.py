@@ -83,7 +83,10 @@ class PresentedAlgebra:
 
 
 def cylinder(algebra: PresentedAlgebra, name: str = "u") -> PresentedAlgebra:
-    """Adjoin one free variable: K[Y] -> K[Y][u], no new relations."""
+    """Adjoin one free variable: K[Y] -> K[Y][u], no new relations.
+
+    A weighted order gives u weight 0 (ties still break by grevlex).
+    """
     fresh = name
     k = 0
     while fresh in algebra.vars:
@@ -91,11 +94,14 @@ def cylinder(algebra: PresentedAlgebra, name: str = "u") -> PresentedAlgebra:
         fresh = f"{name}{k}"
     gradings = {g: w + (0,) for g, w in algebra.gradings.items()}
     gradings[fresh] = (0,) * algebra.arity + (1,)
+    order = algebra.order
+    if order.kind == "weighted":
+        order = MonomialOrder("weighted", (*order.weights, 0))
     return PresentedAlgebra(
         algebra.vars + (fresh,),
         [r.extend(1) for r in algebra.relations],
         gradings,
-        algebra.order,
+        order,
     )
 
 

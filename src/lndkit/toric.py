@@ -1,18 +1,20 @@
 """Lattice-cone combinatorics: dual cones, Demazure roots, line factors.
 
-Everything works on exact lattice data. Root enumeration is box-bounded
-(root sets can be infinite). It is a depth-first search over the box,
-one coordinate at a time, that prunes a prefix as soon as no completion
-can be a root and solves for the last coordinate; its output, order
-included, is that of testing every point of the box with `root_of`.
-Line-factor detection is exact linear algebra over Z, so it needs no box.
+Everything works on exact lattice data. `Cone.of` reduces its generators
+to the extremal rays. The toric verdict needs no search: a pointed
+full-dimensional cone has a line factor (type A) or else a Demazure root
+built on its first ray (type B). Root enumeration, for listing roots, is
+box-bounded (root sets can be infinite). It is a depth-first search over
+the box, one coordinate at a time, that prunes a prefix as soon as no
+completion can be a root and solves for the last coordinate; its output,
+order included, is that of testing every point of the box with `root_of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd, lcm
 from typing import Sequence
 
 from .errors import DegenerateCone, DimensionMismatch
@@ -21,7 +23,12 @@ from .report import ClassificationReport, Evidence
 
 @dataclass(frozen=True)
 class Cone:
-    """Pointed-or-not polyhedral cone given by primitive ray generators."""
+    """Pointed-or-not polyhedral cone given by primitive ray generators.
+
+    `Cone.of` drops, in input order, each generator that lies in the cone
+    of the generators it still keeps, so the rays of a pointed cone are
+    its extremal rays, in input order.
+    """
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
@@ -46,7 +53,15 @@ class Cone:
             for j in range(i + 1, len(rays)):
                 if _proportional(rays[i], rays[j]):
                     raise ValueError(f"rays {rays[i]} and {rays[j]} are proportional")
-        return Cone(dim, rays)
+        kept = list(rays)
+        if matrix_rank(rays) < len(rays):
+            for r in rays:
+                others = [v for v in kept if v != r]
+                # r lies in cone(others) iff no m has <m, others> >= 0 > <m, r>
+                rows = [(v, 0) for v in others] + [([-x for x in r], 1)]
+                if not _fourier_motzkin(rows, dim):
+                    kept = others
+        return Cone(dim, tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -198,89 +213,87 @@ def detect_line_factor(cone: Cone) -> DemazureRoot | None:
     return None
 
 
-def classify_toric(cone: Cone, box: int = 10) -> ClassificationReport:
-    """Type A on a line factor, B on a visible root, else Inconclusive.
+def classify_toric(cone: Cone) -> ClassificationReport:
+    """Type A on a line factor, else type B; both with a Demazure root.
 
-    Requires a pointed full-dimensional cone. Emptiness of the root box
-    is evidence for type C, never proof.
+    Requires a pointed full-dimensional cone. Every extremal ray of such
+    a cone is the distinguished ray of some root (Demazure), so without
+    a line factor the verdict is B, with a root built on the first ray.
     """
     if matrix_rank(cone.rays) != cone.dim:
         raise DegenerateCone("rays do not span; cone is not full-dimensional")
-    if not _is_pointed(cone):
-        raise DegenerateCone("cone contains a line; not pointed")
-    line = detect_line_factor(cone)
-    if line is not None:
-        return ClassificationReport(
-            "A",
-            (
-                Evidence(
-                    "line factor: root vanishing on all other rays",
-                    {
-                        "root": list(line.vector),
-                        "distinguished_ray": line.distinguished,
-                    },
-                ),
-            ),
-        )
-    roots = enumerate_roots(cone, box)
-    if roots:
-        return ClassificationReport(
-            "B",
-            (
-                Evidence(
-                    "no line factor, but Demazure roots exist (non-rigid)",
-                    {
-                        "box": box,
-                        "root_count": len(roots),
-                        "sample_root": list(roots[0].vector),
-                    },
-                ),
-            ),
-        )
-    return ClassificationReport(
-        "Inconclusive",
-        (
-            Evidence(
-                "no roots within the search box; candidate for type C",
-                {"box": box},
-            ),
-        ),
-    )
-
-
-def _is_pointed(cone: Cone) -> bool:
     # pointed iff some m pairs >= 1 with every ray (dual full-dimensional)
-    constraints = [
-        ([Fraction(x) for x in v], Fraction(1)) for v in cone.rays
-    ]
-    return _fourier_motzkin_feasible(constraints, cone.dim)
+    if not _fourier_motzkin([(v, 1) for v in cone.rays], cone.dim):
+        raise DegenerateCone("cone contains a line; not pointed")
+    root = detect_line_factor(cone)
+    verdict, criterion = "A", "line factor: root vanishing on all other rays"
+    if root is None:
+        root = _witness_root(cone)
+        verdict, criterion = "B", "no line factor, but Demazure roots exist (non-rigid)"
+    data = {"root": list(root.vector), "distinguished_ray": root.distinguished}
+    return ClassificationReport(verdict, (Evidence(criterion, data),))
 
 
-def _fourier_motzkin_feasible(
-    constraints: list[tuple[list[Fraction], Fraction]], nvars: int
-) -> bool:
-    """Feasibility of {a.x >= c} by exact Fourier-Motzkin elimination."""
-    for var in reversed(range(nvars)):
-        pos, neg, rest = [], [], []
-        for coeffs, c in constraints:
-            if coeffs[var] > 0:
-                pos.append((coeffs, c))
-            elif coeffs[var] < 0:
-                neg.append((coeffs, c))
-            else:
-                rest.append((coeffs, c))
-        new = rest
-        for pc, pk in pos:
-            for nc, nk in neg:
-                # scale so the var cancels: pos gives lower, neg gives upper bound
-                scale_p = -nc[var]
-                scale_n = pc[var]
-                coeffs = [
-                    scale_p * a + scale_n * b for a, b in zip(pc, nc)
-                ]
-                new.append((coeffs, scale_p * pk + scale_n * nk))
-        constraints = new
-    return all(c <= 0 for _, c in constraints)
+def _witness_root(cone: Cone) -> DemazureRoot:
+    """The root e0 + k*m on ray rho = rays[0]: <rho, e0> = -1, and m pairs
+    to 0 with rho and >= 1 with every other ray v (m exists as rho is
+    extremal), so k = max(0, ceil(-<v, e0> / <v, m>)) lifts each <v, .>
+    to >= 0."""
+    rho, others = cone.rays[0], cone.rays[1:]
+    e0 = solve_integer_system([list(rho)], [-1])
+    rows = [(rho, 0), ([-x for x in rho], 0)] + [(v, 1) for v in others]
+    m = _fourier_motzkin(rows, cone.dim, point=True)
+    if m is None:
+        raise DegenerateCone(f"ray {rho} is not extremal; build cones with Cone.of")
+    scale = lcm(*(x.denominator for x in m))
+    m = [int(x * scale) for x in m]
+    k = max([0] + [-(_pair(e0, v) // _pair(m, v)) for v in others])
+    root = root_of([a + k * b for a, b in zip(e0, m)], cone)
+    if root is None:
+        raise AssertionError(f"constructed witness is not a root of {cone}")
+    return root
+
+
+def _fourier_motzkin(rows, nvars: int, point: bool = False):
+    """Feasibility over Q of {a.x >= c for (a, c) in rows}, integer rows.
+
+    Fourier-Motzkin elimination with Chernikov's rule: after k
+    eliminations, a combined row built from more than k+1 input rows is
+    implied by the others and is dropped. With `point`, returns a
+    rational solution by back-substitution, or None if there is none.
+    """
+    system = [(tuple(a), c, 1 << i) for i, (a, c) in enumerate(rows)]
+    stages = []
+    for k, var in enumerate(reversed(range(nvars)), start=1):
+        stages.append(system)
+        pos = [r for r in system if r[0][var] > 0]
+        neg = [r for r in system if r[0][var] < 0]
+        system = [r for r in system if r[0][var] == 0]
+        for pa, pc, ph in pos:
+            for na, nc, nh in neg:
+                if (ph | nh).bit_count() > k + 1:
+                    continue
+                # scale so the var cancels: pos gives lower, neg upper bound
+                sp, sn = -na[var], pa[var]
+                a = [sp * x + sn * y for x, y in zip(pa, na)]
+                c = sp * pc + sn * nc
+                g = gcd(*a, c) or 1
+                system.append((tuple(x // g for x in a), c // g, ph | nh))
+    if any(c > 0 for _, c, _ in system):
+        return None if point else False
+    if not point:
+        return True
+    x = [0] * nvars
+    for var, rows in enumerate(reversed(stages)):
+        lo, hi = [], []  # bounds on x[var] once x[:var] is fixed
+        for a, c, _ in rows:
+            if a[var]:
+                rest = c - sum(p * q for p, q in zip(a, x[:var]))
+                (lo if a[var] > 0 else hi).append(Fraction(rest, a[var]))
+        # the integer nearest 0 in [max lo, min hi], if there is one
+        t = min([max([0, *map(ceil, lo)]), *map(floor, hi)])
+        x[var] = t if all(t >= b for b in lo) else max(lo)
+    return x
 
 
 # ---- exact linear algebra ------------------------------------------------

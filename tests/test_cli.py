@@ -300,6 +300,56 @@ def test_rays_not_lists_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"trinomial": {"type": 3, "l": [[1, 1], [2], [3]], "A": [[1, 1, 1], [0, 1, 2]]}},
+        {"trinomial": {"type": 0, "l": [[2], [2]], "a": [0, 1]}},
+    ],
+    ids=["type 3", "type 0"],
+)
+def test_trinomial_type_other_than_1_or_2_is_an_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "typeless.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(capsys, "classify", str(path))
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: trinomial type must be 1 or 2")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"toric": [[1, 0]]},
+        {"toric": {"cone": [[1, 0]]}},
+        {"toric": {"rays": None}},
+        {"trinomial": {"type": 1, "l": None, "a": [0, 1]}},
+        {"trinomial": {"type": 1, "l": [2, 2], "a": [0, 1]}},
+        {"trinomial": {"type": 1, "l": [[2], ["2"]], "a": [0, 1]}},
+        {"trinomial": {"type": 1, "l": [[2], [2]], "a": None}},
+        {"trinomial": {"type": 2, "l": [[2], [2], [2]], "A": 1}},
+        {"trinomial": {"type": 2, "l": [[2], [2], [2]], "A": [1, 0]}},
+    ],
+    ids=[
+        "toric list",
+        "toric without rays",
+        "rays null",
+        "l null",
+        "l flat",
+        "l block of strings",
+        "a null",
+        "A number",
+        "A flat",
+    ],
+)
+def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    for command in ("classify", "roots"):
+        code, _, err = run_main(capsys, command, str(path))
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ")
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "lndkit", "classify", str(DATA / "w1.json"), "--json"],

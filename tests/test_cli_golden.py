@@ -2,8 +2,9 @@
 
 Every subcommand runs in-process on every `tests/data` dossier, with and
 without `--json`. After an intended output change, re-record the file with
-`PYTHONPATH=src python tests/test_cli_golden.py` and say in CHANGES.md
-which outputs changed and why.
+`PYTHONPATH=src python tests/test_cli_golden.py`, which first prints the
+argv of every row whose exit code or stdout changed and of every row added
+or dropped, and say in CHANGES.md which outputs changed and why.
 """
 
 import contextlib
@@ -82,10 +83,17 @@ def test_cli_stdout_matches_golden(golden, argv):
 
 
 if __name__ == "__main__":
+    old = _golden() if GOLDEN.exists() else {}
     rows = []
     for argv in invocations():
         code, stdout = run(argv)
         rows.append({"argv": argv, "code": code, "stdout": stdout})
+        if tuple(argv) not in old:
+            print("added:  ", " ".join(argv))
+        elif old.pop(tuple(argv)) != (code, stdout):
+            print("changed:", " ".join(argv))
+    for argv in old:
+        print("dropped:", " ".join(argv))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
     print(f"recorded {len(rows)} invocations in {GOLDEN}")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lndkit import Derivation, PresentedAlgebra, cylinder, lift
+from lndkit import Derivation, MonomialOrder, PresentedAlgebra, cylinder, lift
 from lndkit.errors import NotASlice, NotVerifiedLND, ReservedVariable
 from lndkit.poly import Polynomial, parse_poly
 
@@ -291,6 +291,30 @@ def test_cylinder_appends_fresh_variable():
     assert cz.relations == ()
     again = cylinder(cz)
     assert again.vars == ("z", "u", "u1")
+
+
+def weighted_w1():
+    """W_1 (x*y = z^2 - 1) under a weighted order, with its canonical LND."""
+    vars = ["x", "y", "z"]
+    order = MonomialOrder("weighted", (1, 2, 3))
+    algebra = PresentedAlgebra(vars, [parse_poly("x*y - z^2 + 1", vars)], {}, order)
+    return algebra, w1_canonical(algebra)
+
+
+def test_cylinder_of_weighted_algebra_weighs_u_zero():
+    algebra, _ = weighted_w1()
+    cyl = cylinder(algebra)
+    assert cyl.order == MonomialOrder("weighted", (1, 2, 3, 0))
+    assert cyl.relations == (algebra.relations[0].extend(1),)
+    # z^2 leads the relation under these weights, so it rewrites to x*y + 1
+    assert cyl.normal(cyl.parse("z^2*u")) == cyl.parse("x*y*u + u")
+
+
+def test_exp_formal_on_weighted_algebra():
+    algebra, D = weighted_w1()
+    result, ext = D.exp_action(algebra.parse("y"), None)
+    assert ext.order == MonomialOrder("weighted", (1, 2, 3, 0))
+    assert result == parse_poly("y + 2*_s*z + _s^2*x", ["x", "y", "z", "_s"])
 
 
 def test_lift_multiplies_by_u_power():

@@ -1,19 +1,26 @@
+import inspect
 import random
-from itertools import product
+import time
+from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lndkit.toric
+from lndkit import VarietyDossier, classify
 from lndkit.errors import DegenerateCone, DimensionMismatch
 from lndkit.toric import (
+    _fourier_motzkin,
     Cone,
     DemazureRoot,
     classify_toric,
     detect_line_factor,
     dual_membership,
     enumerate_roots,
+    matrix_rank,
     phi_degree,
     root_of,
     smith_normal_form,
@@ -53,7 +60,7 @@ def rand_pointed_cone(rng, dim):
             continue
         cone = Cone.of(rays)
         try:
-            classify_toric(cone, box=1)
+            classify_toric(cone)
         except DegenerateCone:
             continue
         return cone
@@ -265,9 +272,66 @@ def test_classify_plane_is_a():
 
 
 def test_classify_quadric_cone_is_b():
-    report = classify_toric(Cone.of([[1, 0], [1, 2]]))
+    cone = Cone.of([[1, 0], [1, 2]])
+    report = classify_toric(cone)
     assert report.verdict == "B"
-    assert report.evidence[0].data["root_count"] > 0
+    assert root_of(report.evidence[0].data["root"], cone) is not None
+
+
+def test_classify_redundant_quadrant_is_a():
+    cone = Cone.of([[1, 0], [0, 1], [1, 1]])
+    assert cone.rays == ((1, 0), (0, 1))
+    assert classify_toric(cone) == classify_toric(Cone.of([[1, 0], [0, 1]]))
+    assert classify_toric(cone).verdict == "A"
+
+
+def test_classify_needs_no_box():
+    # no root has max-norm <= 2, so a small root box holds none
+    cone = Cone.of([[9, -8, -9], [2, -1, 5], [0, 9, 1]])
+    assert enumerate_roots(cone, 2) == []
+    report = classify_toric(cone)
+    assert report.verdict == "B"
+    data = report.evidence[0].data
+    assert set(data) == {"root", "distinguished_ray"}
+    root = root_of(data["root"], cone)
+    assert root is not None and root.distinguished == data["distinguished_ray"]
+
+
+def test_classify_non_pointed_eight_rays_is_fast():
+    start = time.perf_counter()
+    cone = Cone.of(
+        [[-3, 1, 1, -3, 2], [0, 1, -2, -3, 0], [-3, -1, 2, 1, 0],
+         [0, -1, 2, -1, -3], [-2, 2, -1, -2, 1], [2, 2, 1, -1, 1],
+         [1, 1, -2, -1, -3], [1, -2, -1, 3, 3]]
+    )
+    with pytest.raises(DegenerateCone, match="not pointed"):
+        classify_toric(cone)
+    assert time.perf_counter() - start < 2
+
+
+def test_classify_builds_a_witness_far_outside_small_boxes():
+    N = 31
+    rays = [[0] * 5 for _ in range(5)]
+    for i in range(5):
+        rays[i][i], rays[i][(i + 1) % 5] = N, 1
+    start = time.perf_counter()
+    cone = Cone.of(rays)
+    report = classify_toric(cone)
+    assert time.perf_counter() - start < 1
+    assert report.verdict == "B"
+    assert root_of(report.evidence[0].data["root"], cone) is not None
+
+
+def test_classify_never_searches_a_box(monkeypatch):
+    def refuse(cone, box):
+        raise AssertionError("classify searched a root box")
+
+    monkeypatch.setattr(lndkit.toric, "enumerate_roots", refuse)
+    for rays, verdict in [([[1, 0], [0, 1]], "A"), ([[1, 0], [1, 2]], "B")]:
+        V = VarietyDossier(None, tags={"toric": Cone.of(rays)})
+        assert classify(V).verdict == verdict
+    for fn in (classify, classify_toric):
+        assert "box" not in inspect.signature(fn).parameters
 
 
 def test_classify_degenerate_cones():
@@ -275,6 +339,141 @@ def test_classify_degenerate_cones():
         classify_toric(Cone.of([[1, 0]]))  # not full-dimensional
     with pytest.raises(DegenerateCone):
         classify_toric(Cone.of([[1, 0], [0, 1], [-1, -1]]))  # not pointed
+
+
+# ---- exact verdicts on random cones -----------------------------------------
+
+
+def _solve(columns, target):
+    """The exact solution of sum(l_i * columns[i]) = target, or None if
+    the columns are dependent or target is not in their span."""
+    n = len(columns)
+    rows = [[Fraction(c[r]) for c in columns] + [Fraction(target[r])]
+            for r in range(len(target))]
+    for col in range(n):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(len(rows)):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    if any(row[n] for row in rows[n:]):
+        return None
+    return [rows[i][n] for i in range(n)]
+
+
+def caratheodory_redundant(g, others):
+    """g lies in cone(others) iff it is a nonnegative combination of some
+    linearly independent subset of others (Caratheodory); such a subset
+    extends, with zero coefficients, to a basis of span(others) drawn from
+    others, so only subsets of that size are tried."""
+    rank = matrix_rank(others) if others else 0
+    for subset in combinations(others, rank):
+        coeffs = _solve(subset, g)
+        if coeffs is not None and min(coeffs) >= 0:
+            return True
+    return False
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+@st.composite
+def pointed_cones(draw):
+    """Distinct primitive generators of a pointed full-dimensional cone
+    of dimension 2-5: every generator pairs positively with w."""
+    dim = draw(st.integers(2, 5))
+    w = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+    vectors = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+            min_size=dim,
+            max_size=dim + 3,
+        )
+    )
+    rays = []
+    for v in vectors:
+        side = sum(a * b for a, b in zip(v, w))
+        if side:
+            v = _primitive([x if side > 0 else -x for x in v])
+            if all(not _prop(v, r) for r in rays):
+                rays.append(v)
+    assume(len(rays) >= dim and matrix_rank(rays) == dim)
+    return rays
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_cones(), st.randoms(use_true_random=False))
+def test_cone_verdicts_are_exact(rays, rng):
+    cone = Cone.of(rays)
+    # the kept rays are exactly the generators not in the cone of the others
+    assert cone.rays == tuple(
+        g for g in rays
+        if not caratheodory_redundant(g, [v for v in rays if v != g])
+    )
+    report = classify_toric(cone)
+    assert report.verdict in ("A", "B")
+    data = report.evidence[0].data
+    root = root_of(data["root"], cone)
+    assert root is not None and root.distinguished == data["distinguished_ray"]
+    # permuting the generators or adding positive combinations of them
+    # changes neither the cone nor the verdict
+    more = list(rays)
+    for _ in range(rng.randint(0, 3)):
+        coeffs = [rng.randint(0, 2) for _ in rays]
+        coeffs[rng.randrange(len(rays))] += 1
+        v = _primitive([sum(c * r[k] for c, r in zip(coeffs, rays))
+                        for k in range(cone.dim)])
+        if all(not _prop(v, r) for r in more):
+            more.append(v)
+    rng.shuffle(more)
+    other = Cone.of(more)
+    assert set(other.rays) == set(cone.rays)
+    assert classify_toric(other).verdict == report.verdict
+
+
+def plain_fourier_motzkin(rows, nvars):
+    """Fourier-Motzkin elimination that keeps every distinct combined row
+    (divided by the gcd of its entries)."""
+    system = {(tuple(a), c) for a, c in rows}
+    for var in range(nvars):
+        pos = [r for r in system if r[0][var] > 0]
+        neg = [r for r in system if r[0][var] < 0]
+        system = {r for r in system if r[0][var] == 0}
+        for pa, pc in pos:
+            for na, nc in neg:
+                s, t = -na[var], pa[var]
+                a = [s * x + t * y for x, y in zip(pa, na)]
+                g = gcd(*a, s * pc + t * nc) or 1
+                system.add((tuple(x // g for x in a), (s * pc + t * nc) // g))
+    return all(c <= 0 for _, c in system)
+
+
+@st.composite
+def inequality_systems(draw):
+    nvars = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars),
+        st.integers(-2, 2),
+    )
+    return draw(st.lists(row, min_size=1, max_size=6)), nvars
+
+
+@settings(max_examples=200, deadline=None)
+@given(inequality_systems())
+def test_fourier_motzkin_matches_unpruned_elimination(system):
+    rows, nvars = system
+    feasible = plain_fourier_motzkin(rows, nvars)
+    assert _fourier_motzkin(rows, nvars) == feasible
+    x = _fourier_motzkin(rows, nvars, point=True)
+    assert (x is not None) == feasible
+    if feasible:
+        assert all(sum(p * q for p, q in zip(a, x)) >= c for a, c in rows)
 
 
 # ---- integer linear algebra ------------------------------------------------
