@@ -45,14 +45,15 @@ class VarietyDossier:
         checked to be LNDs, so pass the result through `create` to
         classify it.
         """
+        doc = _shape(doc, "a dossier", dict)
         gradings = {
-            name: [int(x) for x in w]
-            for name, w in doc.get("gradings", {}).items()
+            name: _shape(w, f"grading {name!r}", list, int)
+            for name, w in _shape(doc.get("gradings", {}), "gradings", dict).items()
         }
         algebra = None
         tags: dict = {}
         if "trinomial" in doc:
-            tri = doc["trinomial"]
+            tri = _shape(doc["trinomial"], "trinomial", dict)
             variant, m, l = tri["type"], tri.get("m", 0), tri["l"]
             try:
                 variant, m = int(variant), int(m)
@@ -62,39 +63,40 @@ class VarietyDossier:
                 ) from None
             if variant not in (1, 2):
                 raise ValueError(f"trinomial type must be 1 or 2, not {variant}")
-            for block in _list(l, "trinomial l", list):
-                _list(block, "a trinomial l block", int)
+            for block in _shape(l, "trinomial l", list, list):
+                _shape(block, "a trinomial l block", list, int)
             if variant == 1:
-                a = [Fraction(x) for x in _list(tri["a"], "trinomial a")]
+                a = _rationals(tri["a"], "trinomial a")
                 tags["trinomial"] = TrinomialData.type1(l, a, m)
             else:
-                rows = _list(tri["A"], "trinomial A", list)
-                A = [[Fraction(x) for x in row] for row in rows]
+                rows = _shape(tri["A"], "trinomial A", list, list)
+                A = [_rationals(row, "a trinomial A row") for row in rows]
                 tags["trinomial"] = TrinomialData.type2(l, A, m)
         if "toric" in doc:
-            toric = doc["toric"]
-            if not isinstance(toric, dict):
-                raise ValueError(f"toric must be an object, not {toric!r}")
-            tags["toric"] = Cone.of(_list(toric.get("rays"), "toric rays"))
-        assertions = doc.get("assertions", {})
+            toric = _shape(doc["toric"], "toric", dict)
+            tags["toric"] = Cone.of(_shape(toric.get("rays"), "toric rays"))
+        assertions = _shape(doc.get("assertions", {}), "assertions", dict)
         if assertions.get("rigid"):
             tags["rigid_asserted"] = True
         if "invariant_line" in assertions:
-            tags["invariant_line"] = [
-                Fraction(x) for x in assertions["invariant_line"]
-            ]
+            tags["invariant_line"] = _rationals(
+                assertions["invariant_line"], "invariant_line"
+            )
         if "vars" in doc:
-            vars = list(doc["vars"])
+            vars = _shape(doc["vars"], "vars", list, str)
             relations = [
-                parse_poly(text, vars) for text in doc.get("relations", [])
+                parse_poly(text, vars)
+                for text in _shape(doc.get("relations", []), "relations", list, str)
             ]
             algebra = PresentedAlgebra(vars, relations, gradings, order)
-        derivations = doc.get("derivations") or {}
+        derivations = _shape(doc.get("derivations") or {}, "derivations", dict, dict)
         if derivations and algebra is None:
             raise ValueError("derivations require vars/relations")
         lnds = [
-            Derivation.from_strings(algebra, images)
-            for images in derivations.values()
+            Derivation.from_strings(
+                algebra, _shape(images, f"derivation {name!r}", dict, str)
+            )
+            for name, images in derivations.items()
         ]
         return VarietyDossier(algebra, tuple(lnds), tags, tuple(derivations))
 
@@ -111,25 +113,36 @@ class VarietyDossier:
         tags: dict | None = None,
         bound: int = DEFAULT_NILPOTENCY_BOUND,
     ) -> "VarietyDossier":
+        """A dossier whose every derivation passed `Derivation.require_lnd`.
+
+        Raises NotVerifiedLND for the first one that fails verification.
+        """
         lnds = tuple(lnds)
         for D in lnds:
-            ok, cert = D.is_well_defined()
-            if not ok:
-                raise ValueError(f"derivation {D!r} is not well-defined")
-            verdict = D.nilpotency_check(bound)
-            if not verdict.verified:
-                raise ValueError(
-                    f"derivation {D!r} failed verification: {verdict.describe()}"
-                )
+            D.require_lnd(bound)
         return VarietyDossier(algebra, lnds, dict(tags or {}))
 
 
-def _list(value, what: str, item=object) -> list:
-    """value if it is a JSON list of `item`s, else a ValueError naming what."""
-    if isinstance(value, list) and all(isinstance(x, item) for x in value):
+def _shape(value, what: str, kind: type = list, item: type = object):
+    """value if it is a JSON list (kind list) or object (kind dict) whose
+    entries are `item`s, else a ValueError naming what."""
+    entries = value.values() if isinstance(value, dict) else value
+    if isinstance(value, kind) and all(isinstance(x, item) for x in entries):
         return value
-    kind = "a list" if item is object else f"a list of {item.__name__}s"
-    raise ValueError(f"{what} must be {kind}, not {value!r}")
+    noun = "a list" if kind is list else "an object"
+    if item is not object:
+        noun += f" of {item.__name__}s"
+    raise ValueError(f"{what} must be {noun}, not {value!r}")
+
+
+def _rationals(value, what: str) -> list[Fraction]:
+    """The entries of a JSON list as Fractions, else a ValueError naming what."""
+    try:
+        return [Fraction(x) for x in _shape(value, what)]
+    except (TypeError, OverflowError):
+        raise ValueError(
+            f"{what} must be a list of rationals, not {value!r}"
+        ) from None
 
 
 def combined_image_ideal(V: VarietyDossier) -> Ideal:
@@ -219,12 +232,7 @@ def ji_lower_bound_check(
         if D.is_zero():
             continue
         lifted = lift(D, i, cyl)
-        verdict = lifted.nilpotency_check(bound)
-        if not verdict.verified:
-            raise ValueError(
-                f"lift of derivation {idx} failed verification:"
-                f" {verdict.describe()}"
-            )
+        verdict = lifted.require_lnd(bound)
         u_power = Polynomial.monomial(cyl.arity, (0,) * base + (i,))
         for j, g in enumerate(D.images):
             if g.is_zero():

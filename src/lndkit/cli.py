@@ -3,8 +3,8 @@
 Each subcommand reads a dossier file with `VarietyDossier.from_json`,
 calls the library and prints the result as text, or with `--json` as one
 JSON object with sorted keys. Exit codes: 0 success/verified/member,
-1 semantic failure (failed verification, non-membership), 2 usage or
-input error.
+1 semantic failure (failed verification, from every subcommand that
+verifies, or non-membership), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -93,9 +93,7 @@ def cmd_exp(args) -> int:
     D = _load(args.file, _order(args)).derivation(args.name)
     f = D.algebra.parse(args.poly)
     s = _parameter(args.parameter)
-    verdict = D.nilpotency_check(args.bound)  # exp_action reuses it
-    if not verdict.verified:
-        raise NotVerifiedLND(verdict.describe())
+    D.require_lnd(args.bound)  # exp_action reuses the verified verdict
     if s is None:
         result, ext = D.exp_action(f, None)
         text = result.format(ext.vars)

@@ -139,7 +139,7 @@ class Derivation:
         self.algebra = algebra
         self.images = tuple(algebra.normal(f) for f in images)
         self._well_defined: tuple[bool, tuple] | None = None
-        self._verdict: NilpotencyVerdict | None = None
+        self._verdict: NilpotencyVerdict | None = None  # only a verified one
 
     @staticmethod
     def from_strings(
@@ -190,13 +190,17 @@ class Derivation:
         A chain entry proportional to an earlier one certifies
         non-nilpotency; exhausting the bound is Inconclusive. Raises
         NotVerifiedLND if D does not preserve the relations, since no
-        verdict about such a D is a verdict about an LND.
+        verdict about such a D is a verdict about an LND. A verified
+        verdict is kept and reused at any bound.
         """
         if bound < 1:
             raise ValueError("bound must be >= 1")
         if not self.is_well_defined()[0]:
-            raise NotVerifiedLND("derivation does not preserve the relations")
-        if self._verdict is not None and self._verdict.verified:
+            raise NotVerifiedLND(
+                f"derivation {self!r} failed verification:"
+                " it does not preserve the relations"
+            )
+        if self._verdict is not None:
             return self._verdict
         max_order = 0
         for j, name in enumerate(self.algebra.vars):
@@ -207,36 +211,36 @@ class Derivation:
                 if current.is_zero():
                     order = len(chain)
                     break
-                repeat = _proportional_index(chain[:-1], current)
-                if repeat is not None:
-                    verdict = NilpotencyVerdict(
+                if _proportional_index(chain[:-1], current) is not None:
+                    return NilpotencyVerdict(
                         "not_nilpotent",
                         witness_var=name,
                         witness_order=len(chain),
                         bound=bound,
                     )
-                    self._verdict = verdict
-                    return verdict
                 chain.append(self.apply(current))
             if order is None:
-                verdict = NilpotencyVerdict("inconclusive", bound=bound)
-                self._verdict = verdict
-                return verdict
+                return NilpotencyVerdict("inconclusive", bound=bound)
             max_order = max(max_order, order)
         verdict = NilpotencyVerdict("verified", max_order=max_order, bound=bound)
         self._verdict = verdict
         return verdict
 
-    def _require_verified(self):
-        """Verified verdict at the default bound, for exp and projection.
+    def require_lnd(
+        self, bound: int = DEFAULT_NILPOTENCY_BOUND
+    ) -> NilpotencyVerdict:
+        """The verified verdict that D is an LND, else NotVerifiedLND.
 
-        Raises NotVerifiedLND unless D is well-defined and verified. Only
-        a verified cached verdict is reused, so an earlier check at a
-        smaller bound does not decide here.
+        The one gate for "D is an LND": D preserves the relations and is
+        nilpotent on every generator within `bound` applications, which
+        makes it locally nilpotent. An earlier verified verdict decides,
+        at whatever bound it was reached.
         """
-        verdict = self.nilpotency_check()
+        verdict = self.nilpotency_check(bound)
         if not verdict.verified:
-            raise NotVerifiedLND(verdict.describe())
+            raise NotVerifiedLND(
+                f"derivation {self!r} failed verification: {verdict.describe()}"
+            )
         return verdict
 
     def iterate(self, f: Polynomial):
@@ -256,7 +260,7 @@ class Derivation:
         algebra extended by the reserved variable `_s` and is returned
         together with that extended algebra.
         """
-        self._require_verified()
+        self.require_lnd()
         if s is None:
             if FORMAL_PARAMETER in self.algebra.vars:
                 raise ReservedVariable(
@@ -285,7 +289,7 @@ class Derivation:
         rho(f) = sum_i (-s)^i D^i(f) / i!; fixes the kernel pointwise and
         sends s to 0.
         """
-        self._require_verified()
+        self.require_lnd()
         if not self.check_slice(s):
             raise NotASlice(f"D({self.algebra.format(s)}) != 1")
         total = {}

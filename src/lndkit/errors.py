@@ -21,10 +21,6 @@ class IndexOutOfRange(LndkitError):
     """Variable index outside the ring's arity."""
 
 
-class ExponentOverflow(LndkitError):
-    """Monomial exponent exceeded the machine-width cap."""
-
-
 class ResourceLimit(LndkitError):
     """Configurable computation budget exceeded (e.g. S-pair cap)."""
 

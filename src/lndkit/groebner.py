@@ -57,11 +57,6 @@ class MonomialOrder:
             raise ArityMismatch(f"weights length {len(w)} vs monomial {len(m)}")
         return (sum(e * wi for e, wi in zip(m, w)), grevlex_key(m))
 
-    def describe(self) -> str:
-        if self.kind == "weighted":
-            return f"weighted{list(self.weights)}"
-        return self.kind
-
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")

@@ -1,6 +1,7 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Monomials are exponent tuples, coefficients are ``fractions.Fraction``.
+Monomials are tuples of Python ``int`` exponents, so no exponent can
+overflow; coefficients are ``fractions.Fraction``.
 A polynomial stores its terms in one dict, ``coeffs``, from monomial to
 nonzero coefficient, in no particular order; equality and hashing look
 only at that mapping. The public constructor checks its input; the ring
@@ -18,7 +19,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
-    ExponentOverflow,
     IndexOutOfRange,
     ParseError,
     UnknownVariable,
@@ -26,20 +26,9 @@ from .errors import (
 
 Monomial = tuple[int, ...]
 
-# exponents stay within a signed 64-bit machine word
-EXPONENT_CAP = 2**63 - 1
-
-
 def grevlex_key(m: Monomial):
     """Sort key realizing grevlex: higher keys are larger monomials."""
     return (sum(m), tuple(map(neg, reversed(m))))
-
-
-def _check_exponents(m: Monomial) -> Monomial:
-    for e in m:
-        if e > EXPONENT_CAP:
-            raise ExponentOverflow(f"exponent {e} exceeds {EXPONENT_CAP}")
-    return m
 
 
 _set = object.__setattr__
@@ -56,8 +45,8 @@ def _fill(p: "Polynomial", arity: int, coeffs: dict[Monomial, Fraction]) -> None
 def _from_coeffs(arity: int, coeffs: dict[Monomial, Fraction]) -> "Polynomial":
     """Trusted constructor: takes ownership of `coeffs` without checks.
 
-    Every key must be a tuple of `arity` non-negative exponents within
-    EXPONENT_CAP and every value a nonzero Fraction.
+    Every key must be a tuple of `arity` non-negative exponents and every
+    value a nonzero Fraction.
     """
     p = object.__new__(Polynomial)
     _fill(p, arity, coeffs)
@@ -95,7 +84,6 @@ class Polynomial:
                 )
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
-            _check_exponents(mono)
             c = collected.get(mono, Fraction(0)) + Fraction(coeff)
             if c:
                 collected[mono] = c
@@ -222,7 +210,7 @@ class Polynomial:
         right = other.coeffs.items()
         for m1, c1 in self.coeffs.items():
             for m2, c2 in right:
-                m = _check_exponents(tuple(map(add, m1, m2)))
+                m = tuple(map(add, m1, m2))
                 v = acc.get(m)
                 if v is None:
                     acc[m] = c1 * c2

@@ -49,10 +49,12 @@ class Cone:
                 raise ValueError("zero vector is not a ray")
             if gcd(*[abs(x) for x in r]) != 1:
                 raise ValueError(f"ray {r} is not primitive")
-        for i in range(len(rays)):
-            for j in range(i + 1, len(rays)):
-                if _proportional(rays[i], rays[j]):
-                    raise ValueError(f"rays {rays[i]} and {rays[j]} are proportional")
+        # primitive vectors are proportional iff they are equal up to sign
+        for i, r in enumerate(rays):
+            negated = tuple(-x for x in r)
+            for s in rays[:i]:
+                if s == r or s == negated:
+                    raise ValueError(f"rays {s} and {r} are proportional")
         kept = list(rays)
         if matrix_rank(rays) < len(rays):
             for r in rays:
@@ -70,12 +72,6 @@ class DemazureRoot:
 
     vector: tuple[int, ...]
     distinguished: int
-
-
-def _proportional(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(
-        a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(len(a))
-    )
 
 
 def _pair(m: Sequence[int], v: Sequence[int]) -> int:
@@ -300,27 +296,29 @@ def _fourier_motzkin(rows, nvars: int, point: bool = False):
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank over Q of a matrix with integer or rational entries."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank, col = 0, 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Exact rank over Q of a matrix with integer or rational entries.
+
+    Scaling a row by a nonzero integer keeps the rank, so each row is
+    cleared of denominators and the rank is read off the diagonal of the
+    Smith normal form.
+    """
+    integral = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        integral.append([int(x * scale) for x in row])
+    D = smith_normal_form(integral)[0]
+    return sum(1 for i, row in enumerate(D) if i < len(row) and row[i])
 
 
 def smith_normal_form(A: list[list[int]]):
-    """Return (D, U, V) with U*A*V = D diagonal, U and V unimodular."""
+    """Return (D, U, V) with U*A*V = D diagonal, U and V unimodular, and
+    each nonzero diagonal entry dividing the next.
+
+    Each pivot is the least nonzero entry of the remaining block, and its
+    row and column are cleared with remainders of at most half the pivot,
+    which keeps the entries of U, V and the block small.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [row[:] for row in A]
@@ -349,34 +347,32 @@ def smith_normal_form(A: list[list[int]]):
 
     t = 0
     while t < min(m, n):
-        # find a nonzero pivot with minimal absolute value
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        # the entry of least absolute value in the remaining block
+        block = [
+            (abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n) if D[i][j]
+        ]
+        if not block:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    add_row(t, i, -q)
-                    if D[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    add_col(t, j, -q)
-                    if D[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        t += 1
+        _, i, j = min(block)
+        swap_rows(t, i)
+        swap_cols(t, j)
+        p = D[t][t]
+        below, right = range(t + 1, m), range(t + 1, n)
+        # remainders rounded to the nearest multiple of p: at most |p|/2
+        for i in below:
+            if D[i][t]:
+                add_row(t, i, -((2 * D[i][t] + p) // (2 * p)))
+        for j in right:
+            if D[t][j]:
+                add_col(t, j, -((2 * D[t][j] + p) // (2 * p)))
+        if any(D[i][t] for i in below) or any(D[t][j] for j in right):
+            continue  # a nonzero remainder is the next, smaller pivot
+        # p must divide the rest; else row t takes a row it does not divide
+        bad = next((i for i in below if any(D[i][j] % p for j in right)), None)
+        if bad is None:
+            t += 1
+        else:
+            add_row(bad, t, 1)
     return D, U, V
 
 

@@ -22,7 +22,7 @@ from lndkit import (
     normal_form,
 )
 from lndkit import test_type_a as type_a_certificate
-from lndkit.errors import ArityMismatch, NoLNDs
+from lndkit.errors import ArityMismatch, NoLNDs, NotVerifiedLND
 from lndkit.poly import Polynomial, parse_poly
 
 from helpers import w1_algebra, w1_canonical
@@ -58,14 +58,14 @@ def cone_dossier():
 def test_create_rejects_unverified_derivation():
     algebra = PresentedAlgebra(["x"])
     euler = Derivation.from_strings(algebra, {"x": "x"})
-    with pytest.raises(ValueError):
+    with pytest.raises(NotVerifiedLND, match="failed verification"):
         VarietyDossier.create(algebra, [euler])
 
 
 def test_create_rejects_ill_defined_derivation():
     algebra = PresentedAlgebra(["x", "y"], [parse_poly("x^2", ["x", "y"])])
     D = Derivation.from_strings(algebra, {"x": "1", "y": "0"})
-    with pytest.raises(ValueError):
+    with pytest.raises(NotVerifiedLND, match="does not preserve the relations"):
         VarietyDossier.create(algebra, [D])
 
 
@@ -207,6 +207,11 @@ def test_ji_zero_is_degenerate(w1_dossier):
     assert ji_lower_bound_check(w1_dossier, 0).degenerate
 
 
+def test_ji_lift_not_verified_within_bound(w1_dossier):
+    with pytest.raises(NotVerifiedLND, match="failed verification: Inconclusive"):
+        ji_lower_bound_check(w1_dossier, 1, bound=1)
+
+
 def test_ji_requires_lnds():
     with pytest.raises(NoLNDs):
         ji_lower_bound_check(VarietyDossier(w1_algebra()), 1)
@@ -296,7 +301,7 @@ def test_from_json_keeps_unverified_derivations():
         {"vars": ["x"], "derivations": {"euler": {"x": "x"}}}
     )
     assert not V.derivation("euler").nilpotency_check().verified
-    with pytest.raises(ValueError, match="failed verification"):
+    with pytest.raises(NotVerifiedLND, match="failed verification"):
         VarietyDossier.create(V.algebra, V.lnds, V.tags)
 
 

@@ -110,16 +110,33 @@ def test_exp_rational(capsys):
     assert out.strip() == "1/2*x + z"
 
 
-def test_exp_rejects_non_lnd(tmp_path, capsys):
-    doc = {
-        "vars": ["x"],
-        "relations": [],
-        "derivations": {"euler": {"x": "x"}},
-    }
-    path = tmp_path / "euler.json"
+# dossiers whose derivation d is not an LND verified within the default bound
+NOT_VERIFIED = {
+    "not nilpotent": {"vars": ["x"], "derivations": {"d": {"x": "x"}}},
+    "not well-defined": {
+        "vars": ["x", "y", "z"],
+        "relations": ["x*y - z^2 + 1"],
+        "derivations": {"d": {"x": "1", "y": "0", "z": "0"}},
+    },
+    "inconclusive": {"vars": ["x", "y"], "derivations": {"d": {"x": "y^70", "y": "1"}}},
+}
+VERIFYING = [
+    ["check-lnd", "d"],
+    ["classify"],
+    ["exp", "d", "x", "1"],
+    ["hdstar-member", "x*u"],
+]
+
+
+@pytest.mark.parametrize("doc", NOT_VERIFIED.values(), ids=NOT_VERIFIED)
+@pytest.mark.parametrize("argv", VERIFYING, ids=lambda argv: argv[0])
+def test_failed_verification_exits_1(tmp_path, capsys, doc, argv):
+    path = tmp_path / "dossier.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run_main(capsys, "exp", str(path), "euler", "x", "1")
+    code, out, err = run_main(capsys, argv[0], str(path), *argv[1:])
     assert code == EXIT_FAILED
+    if argv[0] != "check-lnd":
+        assert out == "" and "failed verification" in err
 
 
 def test_exp_honours_bound(tmp_path, capsys):
@@ -328,6 +345,15 @@ def test_trinomial_type_other_than_1_or_2_is_an_input_error(tmp_path, capsys, do
         {"trinomial": {"type": 1, "l": [[2], [2]], "a": None}},
         {"trinomial": {"type": 2, "l": [[2], [2], [2]], "A": 1}},
         {"trinomial": {"type": 2, "l": [[2], [2], [2]], "A": [1, 0]}},
+        [1],
+        {"assertions": []},
+        {"trinomial": {"type": 1, "l": [[2], [2]], "a": [None, 1]}},
+        {"vars": ["x"], "gradings": {"g": None}},
+        {"vars": 3},
+        {"vars": "xy"},
+        {"vars": ["x"], "derivations": {"d": "x"}},
+        {"vars": ["x"], "relations": [1]},
+        {"vars": ["x"], "relations": "x"},
     ],
     ids=[
         "toric list",
@@ -339,6 +365,15 @@ def test_trinomial_type_other_than_1_or_2_is_an_input_error(tmp_path, capsys, do
         "a null",
         "A number",
         "A flat",
+        "top-level list",
+        "assertions list",
+        "a entry null",
+        "grading null",
+        "vars number",
+        "vars string",
+        "derivation string",
+        "relation number",
+        "relations string",
     ],
 )
 def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):

@@ -177,6 +177,21 @@ def test_exp_requires_verified_lnd():
         euler.exp_action(algebra.parse("x"), Fraction(1))
 
 
+def test_require_lnd_is_the_gate():
+    algebra = PresentedAlgebra(["x", "y"])
+    D = Derivation.from_strings(algebra, {"x": "y^5", "y": "1"})
+    message = r"x -> y\^5.*failed verification: Inconclusive\(bound=3\)"
+    with pytest.raises(NotVerifiedLND, match=message):
+        D.require_lnd(3)
+    verdict = D.require_lnd()
+    assert verdict.verified and verdict is D.nilpotency_check()
+    # a verified verdict decides at any bound, even one it needed more than
+    assert D.require_lnd(3) is verdict
+    euler = Derivation.from_strings(PresentedAlgebra(["x"]), {"x": "x"})
+    with pytest.raises(NotVerifiedLND, match="failed verification: NotNilpotent"):
+        euler.require_lnd()
+
+
 def test_exp_rechecks_after_weaker_verdict():
     # a small explicit bound is inconclusive; exp must not reuse that verdict
     algebra = PresentedAlgebra(["x", "y"])

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from lndkit.errors import (
     ArityMismatch,
-    ExponentOverflow,
     IndexOutOfRange,
     ParseError,
     UnknownVariable,
 )
 from lndkit.groebner import GREVLEX, LEX, MonomialOrder
-from lndkit.poly import EXPONENT_CAP, Polynomial, grevlex_key, parse_poly
+from lndkit.poly import Polynomial, grevlex_key, parse_poly
 
 from helpers import rand_poly
 
@@ -95,10 +94,10 @@ def test_arity_mismatch():
         parse_poly("x", ["x"]) + parse_poly("x", ["x", "y"])
 
 
-def test_exponent_overflow_reported():
-    p = Polynomial.monomial(1, [EXPONENT_CAP])
-    with pytest.raises(ExponentOverflow):
-        p * p
+def test_exponents_past_64_bits_stay_exact():
+    big = Polynomial.monomial(1, [2**63])
+    assert (big * Polynomial.variable(1, 0)).coeffs == {(2**63 + 1,): 1}
+    assert parse_poly("x^9223372036854775808", ["x"]) == big
 
 
 small_polys = st.builds(
@@ -239,11 +238,11 @@ def test_public_constructor_checks(terms, data):
     negative = negative[:1] + (-1,) + negative[2:]
     with pytest.raises(ValueError):
         Polynomial(ARITY, [*terms[:at], (negative, 1), *terms[at:]])
-    with pytest.raises(ExponentOverflow):
-        Polynomial(ARITY, [*terms[:at], ((EXPONENT_CAP + 1, 0, 0), 1), *terms[at:]])
-    big = Polynomial.monomial(ARITY, (0, EXPONENT_CAP, 0))
-    with pytest.raises(ExponentOverflow):
-        big * big
+    # exponents are unbounded: 2^63 is taken as given, not capped
+    huge = Polynomial(ARITY, [*terms[:at], ((2**63, 0, 0), 1), *terms[at:]])
+    assert huge.coeffs[(2**63, 0, 0)] == 1
+    big = Polynomial.monomial(ARITY, (0, 2**63, 0))
+    assert (big * big).coeffs == {(0, 2**64, 0): 1}
 
 
 # ---- partial derivatives -------------------------------------------------

@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lndkit.toric
@@ -365,12 +365,58 @@ def _solve(columns, target):
     return [rows[i][n] for i in range(n)]
 
 
+def _rank(rows):
+    """Rank over Q by Gaussian elimination on Fractions, independent of
+    `matrix_rank`, which reads it off a Smith normal form."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # its entries once grew without bound in the Smith normal form
+    [[Fraction(x, d) for x, d in row] for row in [
+        [(3, 1), (6, 1), (-1, 3), (17, 4), (3, 1)],
+        [(17, 1), (5, 1), (5, 4), (-3, 1), (5, 1)],
+        [(-15, 4), (12, 1), (-5, 2), (3, 4), (-19, 4)],
+        [(-6, 1), (19, 4), (-5, 1), (6, 1), (-10, 1)],
+        [(7, 1), (5, 3), (16, 3), (3, 1), (15, 1)],
+    ]]
+)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                min_size=n,
+                max_size=n,
+            ),
+            max_size=5,
+        )
+    )
+)
+def test_matrix_rank_matches_elimination(rows):
+    assert matrix_rank(rows) == _rank(rows)
+    if rows:  # a combination of two rows leaves the rank as it is
+        dependent = rows + [[a - 2 * b for a, b in zip(rows[0], rows[-1])]]
+        assert matrix_rank(dependent) == _rank(dependent) == _rank(rows)
+
+
 def caratheodory_redundant(g, others):
     """g lies in cone(others) iff it is a nonnegative combination of some
     linearly independent subset of others (Caratheodory); such a subset
     extends, with zero coefficients, to a basis of span(others) drawn from
     others, so only subsets of that size are tried."""
-    rank = matrix_rank(others) if others else 0
+    rank = _rank(others)
     for subset in combinations(others, rank):
         coeffs = _solve(subset, g)
         if coeffs is not None and min(coeffs) >= 0:

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lndkit.errors import (
     BadChoiceFunction,
@@ -20,7 +23,8 @@ from lndkit.trinomial import (
     type1_lnd,
     variable_layout,
 )
-from lndkit import Derivation, PresentedAlgebra
+from lndkit import Derivation, PresentedAlgebra, VarietyDossier
+from lndkit import test_type_a as type_a_certificate
 
 A_STD = [[1, 0, 1], [0, 1, 1]]  # pairwise independent columns
 
@@ -280,6 +284,38 @@ def test_type1_lnd_random_nonrigid():
         assert D.is_well_defined()[0]
         assert D.nilpotency_check(32).verified
         built += 1
+
+
+@st.composite
+def nonrigid_type1(draw):
+    """Variant-1 data with m = 0, 2-3 blocks of 1-2 exponents in 1..4, and
+    an exponent 1 in every block but at most one: non-rigid."""
+    nblocks = draw(st.integers(2, 3))
+    block = st.lists(st.integers(1, 4), min_size=1, max_size=2)
+    l = [draw(block) for _ in range(nblocks)]
+    for li in l[1:]:
+        if 1 not in li:
+            li[draw(st.integers(0, len(li) - 1))] = 1
+    a = draw(st.lists(st.integers(-4, 4), min_size=nblocks, max_size=nblocks, unique=True))
+    return TrinomialData.type1(draw(st.permutations(l)), a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonrigid_type1())
+def test_type1_lnds_certify_type_a(T):
+    # the structural verdict A is backed by every canonical derivation
+    assert classify_trinomial(T).verdict == "A"
+    columns = [range(1, len(T.block(i)) + 1) for i in T.block_indices]
+    tried = 0
+    for js in product(*columns):
+        choice = dict(zip(T.block_indices, js))
+        if sum(T.block(i)[choice[i] - 1] != 1 for i in T.block_indices) > 1:
+            continue
+        D = type1_lnd(T, choice)
+        V = VarietyDossier.create(D.algebra, [D])
+        assert type_a_certificate(V) is not None, choice
+        tried += 1
+    assert tried
 
 
 # ---- suspensions -----------------------------------------------------------
