@@ -26,6 +26,7 @@ from .errors import (
 
 Monomial = tuple[int, ...]
 
+
 def grevlex_key(m: Monomial):
     """Sort key realizing grevlex: higher keys are larger monomials."""
     return (sum(m), tuple(map(neg, reversed(m))))

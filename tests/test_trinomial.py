@@ -296,7 +296,9 @@ def nonrigid_type1(draw):
     for li in l[1:]:
         if 1 not in li:
             li[draw(st.integers(0, len(li) - 1))] = 1
-    a = draw(st.lists(st.integers(-4, 4), min_size=nblocks, max_size=nblocks, unique=True))
+    a = draw(
+        st.lists(st.integers(-4, 4), min_size=nblocks, max_size=nblocks, unique=True)
+    )
     return TrinomialData.type1(draw(st.permutations(l)), a)
 
 
