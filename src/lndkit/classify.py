@@ -54,13 +54,8 @@ class VarietyDossier:
         tags: dict = {}
         if "trinomial" in doc:
             tri = _shape(doc["trinomial"], "trinomial", dict)
-            variant, m, l = tri["type"], tri.get("m", 0), tri["l"]
-            try:
-                variant, m = int(variant), int(m)
-            except TypeError:
-                raise ValueError(
-                    f"trinomial type and m must be integers, not {variant!r}, {m!r}"
-                ) from None
+            variant = _shape(tri["type"], "trinomial type", int)
+            m, l = _shape(tri.get("m", 0), "trinomial m", int), tri["l"]
             if variant not in (1, 2):
                 raise ValueError(f"trinomial type must be 1 or 2, not {variant}")
             for block in _shape(l, "trinomial l", list, list):
@@ -74,7 +69,8 @@ class VarietyDossier:
                 tags["trinomial"] = TrinomialData.type2(l, A, m)
         if "toric" in doc:
             toric = _shape(doc["toric"], "toric", dict)
-            tags["toric"] = Cone.of(_shape(toric.get("rays"), "toric rays"))
+            rays = _shape(toric.get("rays"), "toric rays", list, list)
+            tags["toric"] = Cone.of([_shape(r, "a toric ray", list, int) for r in rays])
         assertions = _shape(doc.get("assertions", {}), "assertions", dict)
         if assertions.get("rigid"):
             tags["rigid_asserted"] = True
@@ -89,6 +85,8 @@ class VarietyDossier:
                 for text in _shape(doc.get("relations", []), "relations", list, str)
             ]
             algebra = PresentedAlgebra(vars, relations, gradings, order)
+        elif "relations" in doc:
+            raise ValueError("relations require vars")
         derivations = _shape(doc.get("derivations") or {}, "derivations", dict, dict)
         if derivations and algebra is None:
             raise ValueError("derivations require vars/relations")
@@ -124,12 +122,17 @@ class VarietyDossier:
 
 
 def _shape(value, what: str, kind: type = list, item: type = object):
-    """value if it is a JSON list (kind list) or object (kind dict) whose
-    entries are `item`s, else a ValueError naming what."""
+    """value if it is a JSON integer (kind int), or a list (kind list) or
+    object (kind dict) whose entries are `item`s, else a ValueError naming
+    what. A boolean is not an integer here."""
+
+    def fits(x, t: type) -> bool:
+        return isinstance(x, t) and not (t is int and isinstance(x, bool))
+
     entries = value.values() if isinstance(value, dict) else value
-    if isinstance(value, kind) and all(isinstance(x, item) for x in entries):
+    if fits(value, kind) and (kind is int or all(fits(x, item) for x in entries)):
         return value
-    noun = "a list" if kind is list else "an object"
+    noun = {list: "a list", dict: "an object", int: "an integer"}[kind]
     if item is not object:
         noun += f" of {item.__name__}s"
     raise ValueError(f"{what} must be {noun}, not {value!r}")

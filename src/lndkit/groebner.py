@@ -1,12 +1,19 @@
 """Gröbner-basis kernel: Buchberger, normal forms, ideal membership.
 
-Leading terms come from `Polynomial.leading(order)`, which memoises
-them on each polynomial, so a basis element's leading term is found
-once however many S-pairs and reductions use it. Buchberger keeps the
-pending S-pairs in a heap, each keyed once on insertion by its lcm's
-order key and its indices. S-polynomials and remainders are built as
-one coefficient dict each and handed to the trusted polynomial
-constructor.
+`reduce_poly`, `normal_form` and `s_polynomial` work on `Fraction`
+polynomials, with leading terms memoised by `Polynomial.leading(order)`.
+Buchberger works on integers. At entry each generator's denominators
+are cleared and its content divided out: an element is then a primitive
+integer coefficient dict, keyed by the same exponent tuples, with a
+positive leading coefficient, held as (leading monomial, leading
+coefficient, tail). S-polynomials are cross-multiplied by the cofactors
+of the gcd of the two leading coefficients, and remainders come from
+primitive pseudo-division. Each integer remainder is a nonzero multiple
+of the remainder over Q, so the leading monomials, and with them the
+pair sequence, are those of division over Q. Only at exit does the
+inter-reduced basis go back to `Fraction`, each element made monic.
+Pending S-pairs sit in a heap, each keyed once on insertion by its
+lcm's order key and its indices.
 
 Deterministic throughout: for fixed generators and order, the reduced
 basis and every normal form are reproducible bit for bit.
@@ -16,7 +23,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le
 from typing import Sequence
 
@@ -188,6 +197,41 @@ class GroebnerBasis:
         return len(self.basis) == 1 and self.basis[0].is_constant()
 
 
+def _primitive(coeffs: dict[Monomial, int]) -> dict[Monomial, int]:
+    """coeffs over their content, signed so the first (leading) one is > 0."""
+    g = gcd(*coeffs.values())
+    g = -g if next(iter(coeffs.values())) < 0 else g
+    return {m: c // g for m, c in coeffs.items()}
+
+
+def _pseudo_reduce(acc: dict, divisors: list, key) -> dict[Monomial, int]:
+    """Primitive pseudo-remainder of the integer dict `acc` by `divisors`.
+
+    Each divisor is an (lm, lc, tail) triple. The steps and the choice of
+    divisor are those of `reduce_poly`, but before lc*x^lm is cancelled
+    against glc*x^glm, `acc` and the remainder so far are multiplied by
+    glc/gcd(lc, glc). So the result, made primitive with a positive
+    leading coefficient, is a multiple of `reduce_poly`'s remainder; its
+    terms are in descending order.
+    """
+    remainder: dict[Monomial, int] = {}
+    while acc:
+        lm = max(acc, key=key)
+        lc = acc.pop(lm)
+        for glm, glc, tail in divisors:
+            if _divides(glm, lm):
+                g = gcd(lc, glc)
+                s, c, q = glc // g, -(lc // g), _quotient(lm, glm)
+                if s != 1:
+                    acc = {m: v * s for m, v in acc.items()}
+                    remainder = {m: v * s for m, v in remainder.items()}
+                _add_into(acc, {tuple(map(add, m, q)): c * v for m, v in tail})
+                break
+        else:
+            remainder[lm] = lc
+    return _primitive(remainder) if remainder else remainder
+
+
 def groebner(
     ideal: Ideal,
     order: MonomialOrder = GREVLEX,
@@ -202,23 +246,30 @@ def groebner(
     pairs. Every pair taken from the heap counts against `pair_budget`;
     past it, ResourceLimit is raised.
     """
-    G: list[Polynomial] = []
+    key = lru_cache(maxsize=None)(order.key)
+    G: list[tuple[Monomial, int, list]] = []  # (lm, lc, tail) per element
     lms: list[Monomial] = []  # lms[k] is the leading monomial of G[k]
     heap: list[tuple] = []
     pairs: set[tuple[int, int]] = set()  # the pairs still in the heap
 
-    def enter(g: Polynomial) -> None:
-        lm, lc = g.leading(order)
+    def enter(coeffs: dict[Monomial, int]) -> None:
+        lm, lc = next(iter(coeffs.items()))
         j = len(G)
         for i in range(j):
             heapq.heappush(heap, (order.key(_lcm(lms[i], lm)), i, j))
             pairs.add((i, j))
-        G.append(g.scale(1 / lc))
+        G.append((lm, lc, list(coeffs.items())[1:]))
         lms.append(lm)
 
-    for g in ideal.generators:
-        if not g.is_zero():
-            enter(g)
+    for f in ideal.generators:
+        if f.is_zero():
+            continue
+        # clear denominators; the leading monomial goes first
+        den = lcm(*(c.denominator for c in f.coeffs.values()))
+        ints = {f.leading(order)[0]: 0}
+        for m, c in f.coeffs.items():
+            ints[m] = c.numerator * (den // c.denominator)
+        enter(_primitive(ints))
     processed = 0
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -241,34 +292,39 @@ def groebner(
             for k, lmk in enumerate(lms)
         ):
             continue
-        r = reduce_poly(s_polynomial(G[i], G[j], order), G, order)
-        if not r.is_zero():
+        # (lcj/g)*x^(l-lmi)*f_i - (lci/g)*x^(l-lmj)*f_j: the leading terms
+        # cancel, so the S-polynomial is built from the tails alone
+        (_, lci, taili), (_, lcj, tailj) = G[i], G[j]
+        g = gcd(lci, lcj)
+        ci, cj = lcj // g, -(lci // g)
+        qi, qj = _quotient(l, lmi), _quotient(l, lmj)
+        acc = {tuple(map(add, m, qi)): ci * c for m, c in taili}
+        _add_into(acc, {tuple(map(add, m, qj)): cj * c for m, c in tailj})
+        r = _pseudo_reduce(acc, G, key)
+        if r:
             enter(r)
-    return GroebnerBasis(order, _autoreduce(G, order), ideal.arity)
+    return GroebnerBasis(order, _autoreduce(G, key, ideal.arity), ideal.arity)
 
 
-def _autoreduce(
-    G: list[Polynomial], order: MonomialOrder
-) -> tuple[Polynomial, ...]:
+def _autoreduce(G: list, key, arity: int) -> tuple[Polynomial, ...]:
     # minimalize: drop elements whose leading monomial another one divides
-    lead = sorted(
-        ((g.leading(order)[0], g) for g in G if not g.is_zero()),
-        key=lambda e: order.key(e[0]),
-    )
+    lead = sorted(G, key=lambda e: key(e[0]))
     minimal = [
-        g
-        for idx, (lm, g) in enumerate(lead)
+        e
+        for idx, e in enumerate(lead)
         if not any(
-            jdx != idx and _divides(hlm, lm) and (hlm != lm or jdx < idx)
-            for jdx, (hlm, _) in enumerate(lead)
+            jdx != idx and _divides(h[0], e[0]) and (h[0] != e[0] or jdx < idx)
+            for jdx, h in enumerate(lead)
         )
     ]
-    # inter-reduce tails; no other leading monomial divides an element's
-    # leading term, so it survives: the results stay monic and sorted
-    return tuple(
-        reduce_poly(g, minimal[:idx] + minimal[idx + 1 :], order)
-        for idx, g in enumerate(minimal)
-    )
+    # inter-reduce: no other leading monomial divides an element's leading
+    # term, so it stays first, and the basis stays sorted; then make monic
+    basis = []
+    for idx, (lm, lc, tail) in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        r = _pseudo_reduce(dict([(lm, lc), *tail]), others, key)
+        basis.append(_from_coeffs(arity, {m: Fraction(c, r[lm]) for m, c in r.items()}))
+    return tuple(basis)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -354,6 +354,11 @@ def test_trinomial_type_other_than_1_or_2_is_an_input_error(tmp_path, capsys, do
         {"vars": ["x"], "derivations": {"d": "x"}},
         {"vars": ["x"], "relations": [1]},
         {"vars": ["x"], "relations": "x"},
+        {"toric": {"rays": [[1.5, 0], [0, 1]]}},
+        {"trinomial": {"type": 1, "m": 1.5, "l": [[2], [2]], "a": [0, 1]}},
+        {"trinomial": {"type": 1, "m": True, "l": [[2], [2]], "a": [0, 1]}},
+        {"trinomial": {"type": "1", "l": [[2], [2]], "a": [0, 1]}},
+        {"relations": ["x*y - 1"]},
     ],
     ids=[
         "toric list",
@@ -374,6 +379,11 @@ def test_trinomial_type_other_than_1_or_2_is_an_input_error(tmp_path, capsys, do
         "derivation string",
         "relation number",
         "relations string",
+        "ray float",
+        "m float",
+        "m bool",
+        "type string",
+        "relations without vars",
     ],
 )
 def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -266,3 +267,65 @@ def test_reduce_poly_arity_mismatch():
         for order in ORDERS:
             with pytest.raises(ArityMismatch):
                 reduce_poly(f, basis, order)
+
+
+# ---- the integer kernel against textbook Buchberger over Q ---------------
+
+
+def _reference_groebner(gens, order):
+    """Reduced basis by textbook Buchberger on Fractions: every S-pair,
+    no criteria, then minimalise, inter-reduce and make monic. The pair
+    with the smallest lcm goes first, which keeps the basis small."""
+
+    def lm(g):
+        return g.leading(order)[0]
+
+    def lcm_key(pair):
+        return order.key(tuple(map(max, lm(G[pair[0]]), lm(G[pair[1]]))))
+
+    G = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = pair = min(pairs, key=lcm_key)
+        pairs.remove(pair)
+        r = reduce_poly(s_polynomial(G[i], G[j], order), G, order)
+        if not r.is_zero():
+            pairs += [(k, len(G)) for k in range(len(G))]
+            G.append(r)
+    minimal = []
+    for g in sorted(G, key=lambda g: order.key(lm(g))):
+        if not any(all(a <= b for a, b in zip(lm(h), lm(g))) for h in minimal):
+            minimal.append(g)
+    basis = []
+    for idx, g in enumerate(minimal):
+        r = reduce_poly(g, minimal[:idx] + minimal[idx + 1 :], order)
+        basis.append(r.scale(1 / r.leading(order)[1]))
+    return tuple(basis)
+
+
+# numerators up to 10^6 over denominators up to 9, so clearing
+# denominators, content removal and sign normalisation all happen; with
+# three generators of this size, lex can take more than 20 s
+_big_coeff = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 9))
+_small_term = st.tuples(st.tuples(*[st.integers(0, 2)] * 3), _big_coeff)
+_generator = st.lists(_small_term, min_size=1, max_size=3).map(
+    lambda ts: Polynomial(3, ts)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gens=st.lists(_generator, min_size=1, max_size=2), order=st.sampled_from(ORDERS))
+def test_groebner_matches_textbook_buchberger(gens, order):
+    ideal = Ideal.of(gens, 3)
+    assert groebner(ideal, order).basis == _reference_groebner(ideal.generators, order)
+
+
+@pytest.mark.parametrize(
+    "system, order",
+    [(_cyclic(4), LEX), (_cyclic(4), GREVLEX), (KATSURA3, GREVLEX)],
+    ids=["cyclic4-lex", "cyclic4-grevlex", "katsura3-grevlex"],
+)
+def test_groebner_matches_textbook_buchberger_on_systems(system, order):
+    names, texts = system
+    ideal = Ideal.of([parse_poly(t, names) for t in texts])
+    assert groebner(ideal, order).basis == _reference_groebner(ideal.generators, order)
