@@ -1,19 +1,20 @@
 """Gröbner-basis kernel: Buchberger, normal forms, ideal membership.
 
-`reduce_poly`, `normal_form` and `s_polynomial` work on `Fraction`
-polynomials, with leading terms memoised by `Polynomial.leading(order)`.
-Buchberger works on integers. At entry each generator's denominators
-are cleared and its content divided out: an element is then a primitive
+`reduce_poly` and `normal_form` work on `Fraction` polynomials, with
+leading terms memoised by `Polynomial.leading(order)`. Buchberger's pair
+loop works on integers. At entry each generator's denominators are
+cleared and its content divided out: an element is then a primitive
 integer coefficient dict, keyed by the same exponent tuples, with a
 positive leading coefficient, held as (leading monomial, leading
 coefficient, tail). S-polynomials are cross-multiplied by the cofactors
 of the gcd of the two leading coefficients, and remainders come from
 primitive pseudo-division. Each integer remainder is a nonzero multiple
 of the remainder over Q, so the leading monomials, and with them the
-pair sequence, are those of division over Q. Only at exit does the
-inter-reduced basis go back to `Fraction`, each element made monic.
-Pending S-pairs sit in a heap, each keyed once on insertion by its
-lcm's order key and its indices.
+pair sequence, are those of division over Q. At exit the minimal basis
+goes back to `Fraction`, each element made monic, and `reduce_poly`
+inter-reduces it over Q. Pending S-pairs sit in a heap, each keyed
+once on insertion by its lcm's order key and its indices; one
+`groebner` call reads every order key from one cache.
 
 Deterministic throughout: for fixed generators and order, the reduced
 basis and every normal form are reproducible bit for bit.
@@ -172,18 +173,6 @@ def reduce_poly(
     return _from_coeffs(f.arity, remainder)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """lcm/LT(f) * f - lcm/LT(g) * g, built in one coefficient dict."""
-    flm, flc = f.leading(order)
-    glm, glc = g.leading(order)
-    l = _lcm(flm, glm)
-    qf, cf = _quotient(l, flm), 1 / flc
-    acc = {tuple(map(add, m, qf)): c * cf for m, c in f.coeffs.items()}
-    qg, cg = _quotient(l, glm), -1 / glc
-    _add_into(acc, {tuple(map(add, m, qg)): c * cg for m, c in g.coeffs.items()})
-    return _from_coeffs(f.arity, acc)
-
-
 # ---- Buchberger ----------------------------------------------------------
 
 
@@ -256,7 +245,7 @@ def groebner(
         lm, lc = next(iter(coeffs.items()))
         j = len(G)
         for i in range(j):
-            heapq.heappush(heap, (order.key(_lcm(lms[i], lm)), i, j))
+            heapq.heappush(heap, (key(_lcm(lms[i], lm)), i, j))
             pairs.add((i, j))
         G.append((lm, lc, list(coeffs.items())[1:]))
         lms.append(lm)
@@ -303,10 +292,12 @@ def groebner(
         r = _pseudo_reduce(acc, G, key)
         if r:
             enter(r)
-    return GroebnerBasis(order, _autoreduce(G, key, ideal.arity), ideal.arity)
+    return GroebnerBasis(order, _autoreduce(G, key, order, ideal.arity), ideal.arity)
 
 
-def _autoreduce(G: list, key, arity: int) -> tuple[Polynomial, ...]:
+def _autoreduce(
+    G: list, key, order: MonomialOrder, arity: int
+) -> tuple[Polynomial, ...]:
     # minimalize: drop elements whose leading monomial another one divides
     lead = sorted(G, key=lambda e: key(e[0]))
     minimal = [
@@ -317,14 +308,18 @@ def _autoreduce(G: list, key, arity: int) -> tuple[Polynomial, ...]:
             for jdx, h in enumerate(lead)
         )
     ]
-    # inter-reduce: no other leading monomial divides an element's leading
-    # term, so it stays first, and the basis stays sorted; then make monic
-    basis = []
-    for idx, (lm, lc, tail) in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = _pseudo_reduce(dict([(lm, lc), *tail]), others, key)
-        basis.append(_from_coeffs(arity, {m: Fraction(c, r[lm]) for m, c in r.items()}))
-    return tuple(basis)
+    # back to Fraction, monic; then reduce_poly inter-reduces over Q, the
+    # division a traced benchmark run (perfbench/spans.py) records as
+    # groebner.reduce. No other leading monomial divides an element's
+    # leading term, so it survives: the results stay monic and sorted
+    monic = [
+        _from_coeffs(arity, {lm: Fraction(1), **{m: Fraction(c, lc) for m, c in tail}})
+        for lm, lc, tail in minimal
+    ]
+    return tuple(
+        reduce_poly(g, monic[:idx] + monic[idx + 1 :], order)
+        for idx, g in enumerate(monic)
+    )
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -16,7 +16,6 @@ from lndkit.groebner import (
     jacobian_rank_at_point,
     normal_form,
     reduce_poly,
-    s_polynomial,
 )
 from lndkit.poly import Polynomial, parse_poly
 
@@ -31,6 +30,17 @@ def p(text, names=XYZ):
 
 def gb_of(texts, names=XYZ, order=GREVLEX):
     return groebner(Ideal.of([parse_poly(t, names) for t in texts]), order)
+
+
+def s_polynomial(f, g, order):
+    """lcm/LT(f) * f - lcm/LT(g) * g, from the public Polynomial operations."""
+    (flm, flc), (glm, glc) = f.leading(order), g.leading(order)
+    l = tuple(map(max, flm, glm))
+
+    def cofactor(lm, lc):
+        return Polynomial(f.arity, [(tuple(a - b for a, b in zip(l, lm)), 1 / lc)])
+
+    return cofactor(flm, flc) * f - cofactor(glm, glc) * g
 
 
 def test_two_generator_basis_spolys_reduce():
