@@ -1,20 +1,39 @@
 """Gröbner-basis kernel: Buchberger, normal forms, ideal membership.
 
-`reduce_poly` and `normal_form` work on `Fraction` polynomials, with
-leading terms memoised by `Polynomial.leading(order)`. Buchberger's pair
-loop works on integers. At entry each generator's denominators are
-cleared and its content divided out: an element is then a primitive
-integer coefficient dict, keyed by the same exponent tuples, with a
-positive leading coefficient, held as (leading monomial, leading
-coefficient, tail). S-polynomials are cross-multiplied by the cofactors
-of the gcd of the two leading coefficients, and remainders come from
-primitive pseudo-division. Each integer remainder is a nonzero multiple
-of the remainder over Q, so the leading monomials, and with them the
-pair sequence, are those of division over Q. At exit the minimal basis
-goes back to `Fraction`, each element made monic, and `reduce_poly`
-inter-reduces it over Q. Pending S-pairs sit in a heap, each keyed
-once on insertion by its lcm's order key and its indices; one
-`groebner` call reads every order key from one cache.
+`reduce_poly` and `normal_form` work on `Fraction` polynomials keyed by
+exponent tuples, with leading terms memoised by
+`Polynomial.leading(order)`. Buchberger's pair loop works on integers,
+coefficients and monomials alike.
+
+Coefficients: at entry each generator's denominators are cleared and
+its content divided out: an element is then a primitive integer
+coefficient dict with a positive leading coefficient, held as (leading
+monomial, leading coefficient, tail, tail maximum). S-polynomials are
+cross-multiplied by the cofactors of the gcd of the two leading
+coefficients, and remainders come from primitive pseudo-division. Each
+integer remainder is a nonzero multiple of the remainder over Q, so the
+leading monomials, and with them the pair sequence, are those of
+division over Q.
+
+Monomials (packed exponent vectors, after Monagan & Pearce, "Polynomial
+Division Using Dynamic Arrays, Heaps, and Packed Exponent Vectors"): at
+entry each exponent vector becomes one int of fixed-width fields, most
+significant first lex (e_0, ..., e_{n-1}), grevlex (deg, e_{n-1}, ...,
+e_0) and weighted (w·e, deg, e_{n-1}, ..., e_0). The top bit of every
+field is a guard bit, clear in every packed monomial. XOR with a fixed
+mask that flips the variable fields of grevlex and weighted makes the
+int its order key. A product is one add; a divides b iff (b - a) has no
+guard bit set; the lcm is a masked field-wise maximum of the variable
+fields. The field width comes from the input: two bits more than a
+bound on the largest field value of any generator, at least 8. Each
+element keeps the field-wise maximum of its tail, and before a tail is
+multiplied by x^q the guard bits of that maximum plus q are tested; a
+new pair's lcm is tested the same way. On overflow the call starts over
+with fields twice as wide, so exponents stay unbounded. Pending S-pairs
+sit in a heap keyed by their lcm's packed order key and their indices.
+
+At exit the minimal basis is unpacked, goes back to `Fraction`, each
+element made monic, and `reduce_poly` inter-reduces it over Q.
 
 Deterministic throughout: for fixed generators and order, the reduced
 basis and every normal form are reproducible bit for bit.
@@ -24,10 +43,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le
+from operator import add, le, mul
 from typing import Sequence
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
@@ -45,7 +64,9 @@ class MonomialOrder:
     """Total order on monomials, compatible with multiplication, 1 minimal.
 
     kind is one of "lex", "grevlex", "weighted"; weighted orders break
-    ties by grevlex.
+    ties by grevlex. The weights of a weighted order are non-negative
+    ints, stored as a tuple; a negative weight would make 1 no longer
+    minimal, and division need not terminate.
     """
 
     kind: str
@@ -54,8 +75,20 @@ class MonomialOrder:
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex", "weighted"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "weighted" and self.weights is None:
+        if self.kind != "weighted":
+            if self.weights is not None:
+                raise ValueError(f"{self.kind} order takes no weights")
+            return
+        if self.weights is None:
             raise ValueError("weighted order requires a weight vector")
+        try:
+            weights = tuple(self.weights)
+        except TypeError:
+            raise ValueError(f"weights {self.weights!r} are not a sequence") from None
+        for w in weights:
+            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                raise ValueError(f"weight {w!r} is not a non-negative integer")
+        object.__setattr__(self, "weights", weights)
 
     def key(self, m: Monomial):
         if self.kind == "lex":
@@ -99,10 +132,6 @@ class Ideal:
 
 
 # ---- monomial helpers ----------------------------------------------------
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -173,6 +202,76 @@ def reduce_poly(
     return _from_coeffs(f.arity, remainder)
 
 
+# ---- packed monomials ----------------------------------------------------
+
+
+class _Overflow(Exception):
+    """A packed field would reach its guard bit: repack wider."""
+
+
+class _Packing:
+    """Exponent vectors under `order` packed into `width`-bit fields of an int.
+
+    Fields, most significant first: lex (e_0, ..., e_{n-1}); grevlex
+    (deg, e_{n-1}, ..., e_0); weighted (w·e, deg, e_{n-1}, ..., e_0). The
+    top bit of each field is its guard bit, clear in every packed
+    monomial. `flip` holds the value bits of the variable fields of
+    grevlex and weighted, so that comparing p ^ flip compares order.key.
+    Packing is linear: `units[k]` is the packed k-th unit vector. Every
+    method expects operands and results whose fields stay below the
+    guard bits; the kernel tests that before it relies on it.
+    """
+
+    def __init__(self, order: MonomialOrder, n: int, width: int):
+        derived = {"lex": 0, "grevlex": 1, "weighted": 2}[order.kind]
+        if derived == 2 and len(order.weights) != n:
+            raise ArityMismatch(f"weights length {len(order.weights)} vs arity {n}")
+        self.width, self.value = width, (1 << width - 1) - 1
+        fields = [width * f for f in range(n + derived)]
+        self.guard = sum(1 << s + width - 1 for s in fields)
+        self.var_guard = sum(1 << s + width - 1 for s in fields[:n])
+        # the bit offset of each variable's field
+        self.shifts = fields[:n][::-1] if derived == 0 else fields[:n]
+        self.flip = 0 if derived == 0 else sum(self.value << s for s in fields[:n])
+        deg = 1 << width * n if derived else 0
+        weights = order.weights if derived == 2 else (0,) * n
+        self.units = [
+            (1 << s) + deg + (w << width * (n + 1))
+            for s, w in zip(self.shifts, weights)
+        ]
+
+    def pack(self, m: Monomial) -> int:
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, p: int) -> Monomial:
+        return tuple(p >> s & self.value for s in self.shifts)
+
+    def monus(self, b: int, a: int, guard: int) -> int:
+        """Field-wise max(b - a, 0) in the fields whose guard bits `guard` holds."""
+        d = (b | guard) - a
+        t = d & guard
+        return d & t - (t >> self.width - 1)
+
+    def max(self, a: int, b: int) -> int:
+        """Field-wise maximum over every field."""
+        return a + self.monus(b, a, self.guard)
+
+    def lcm(self, a: int, b: int) -> int:
+        """a times the field-wise max(b - a, 0) of the variable fields,
+        whose degree fields are rebuilt from `units`."""
+        d = self.monus(b, a, self.var_guard)
+        return a + sum(
+            (d >> s & self.value) * u for s, u in zip(self.shifts, self.units)
+        )
+
+
+@lru_cache(maxsize=256)
+def _packing(order: MonomialOrder, n: int, width: int) -> _Packing:
+    """The packing for these parameters, built once: it never changes, and
+    one-relation algebras call `groebner` often on tiny inputs."""
+    return _Packing(order, n, width)
+
+
 # ---- Buchberger ----------------------------------------------------------
 
 
@@ -186,35 +285,45 @@ class GroebnerBasis:
         return len(self.basis) == 1 and self.basis[0].is_constant()
 
 
-def _primitive(coeffs: dict[Monomial, int]) -> dict[Monomial, int]:
+def _primitive(coeffs: dict[int, int]) -> dict[int, int]:
     """coeffs over their content, signed so the first (leading) one is > 0."""
     g = gcd(*coeffs.values())
     g = -g if next(iter(coeffs.values())) < 0 else g
     return {m: c // g for m, c in coeffs.items()}
 
 
-def _pseudo_reduce(acc: dict, divisors: list, key) -> dict[Monomial, int]:
-    """Primitive pseudo-remainder of the integer dict `acc` by `divisors`.
+def _pseudo_reduce(acc: dict, divisors: list, flip: int, guard: int) -> dict[int, int]:
+    """Primitive pseudo-remainder of the packed integer dict `acc`.
 
-    Each divisor is an (lm, lc, tail) triple. The steps and the choice of
-    divisor are those of `reduce_poly`, but before lc*x^lm is cancelled
-    against glc*x^glm, `acc` and the remainder so far are multiplied by
-    glc/gcd(lc, glc). So the result, made primitive with a positive
-    leading coefficient, is a multiple of `reduce_poly`'s remainder; its
-    terms are in descending order.
+    Each divisor is an (lm, lc, tail, tail maximum) tuple. The steps and
+    the choice of divisor are those of `reduce_poly`, but before lc*x^lm
+    is cancelled against glc*x^glm, `acc` and the remainder so far are
+    multiplied by glc/gcd(lc, glc). So the result, made primitive with a
+    positive leading coefficient, is a multiple of `reduce_poly`'s
+    remainder; its terms are in descending order. Raises _Overflow when
+    the tail times x^(lm - glm) could reach a guard bit.
     """
-    remainder: dict[Monomial, int] = {}
+    remainder: dict[int, int] = {}
     while acc:
-        lm = max(acc, key=key)
+        lm = max(acc, key=flip.__xor__)
         lc = acc.pop(lm)
-        for glm, glc, tail in divisors:
-            if _divides(glm, lm):
+        for glm, glc, tail, top in divisors:
+            q = lm - glm
+            if not q & guard:
+                if top + q & guard:
+                    raise _Overflow
                 g = gcd(lc, glc)
-                s, c, q = glc // g, -(lc // g), _quotient(lm, glm)
+                s, c = glc // g, -(lc // g)
                 if s != 1:
                     acc = {m: v * s for m, v in acc.items()}
                     remainder = {m: v * s for m, v in remainder.items()}
-                _add_into(acc, {tuple(map(add, m, q)): c * v for m, v in tail})
+                for m, v in tail:
+                    m += q
+                    v = acc.get(m, 0) + c * v
+                    if v:
+                        acc[m] = v
+                    else:
+                        del acc[m]
                 break
         else:
             remainder[lm] = lc
@@ -228,54 +337,78 @@ def groebner(
 ) -> GroebnerBasis:
     """Reduced Gröbner basis by Buchberger with the normal strategy.
 
-    Pair selection: smallest lcm in the order, ties by index. Each basis
-    element's leading monomial is computed once, when it enters the
-    basis, and each pair is keyed once, when it enters a heap, by
-    (order key of the lcm, i, j). The product and chain criteria prune
-    pairs. Every pair taken from the heap counts against `pair_budget`;
-    past it, ResourceLimit is raised.
+    Pair selection: smallest lcm in the order, ties by index. Each pair
+    is keyed once, when it enters a heap, by (packed order key of the
+    lcm, i, j). The product and chain criteria prune pairs. Every pair
+    taken from the heap counts against `pair_budget`; past it,
+    ResourceLimit is raised. A run restarted at a wider packing counts
+    its pairs afresh.
     """
-    key = lru_cache(maxsize=None)(order.key)
-    G: list[tuple[Monomial, int, list]] = []  # (lm, lc, tail) per element
-    lms: list[Monomial] = []  # lms[k] is the leading monomial of G[k]
-    heap: list[tuple] = []
+    gens = []  # integer coefficients, denominators cleared
+    for f in ideal.generators:
+        if f.coeffs:
+            den = lcm(*(c.denominator for c in f.coeffs.values()))
+            gens.append(
+                {m: c.numerator * (den // c.denominator) for m, c in f.coeffs.items()}
+            )
+    # no field of a packed monomial exceeds deg * (1 + the largest weight)
+    top = max((max(map(sum, g)) for g in gens), default=0)
+    top *= 1 + max(order.weights or (0,))
+    width = max(8, top.bit_length() + 2)
+    while True:
+        packing = _packing(order, ideal.arity, width)
+        try:
+            G = _buchberger(gens, packing, pair_budget)
+        except _Overflow:
+            width *= 2
+            continue
+        basis = _autoreduce(G, packing, order, ideal.arity)
+        return GroebnerBasis(order, basis, ideal.arity)
+
+
+def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[tuple]:
+    """Buchberger's pair loop on primitive packed integer dicts; returns
+    each basis element as (lm, lc, tail, field-wise maximum of the tail)."""
+    flip, guard = packing.flip, packing.guard
+    G: list[tuple[int, int, list, int]] = []
+    lms: list[int] = []  # lms[k] is the leading monomial of G[k]
+    heap: list[tuple[int, int, int]] = []
     pairs: set[tuple[int, int]] = set()  # the pairs still in the heap
 
-    def enter(coeffs: dict[Monomial, int]) -> None:
+    def enter(coeffs: dict[int, int]) -> None:
         lm, lc = next(iter(coeffs.items()))
         j = len(G)
         for i in range(j):
-            heapq.heappush(heap, (key(_lcm(lms[i], lm)), i, j))
+            l = packing.lcm(lms[i], lm)
+            if l & guard:
+                raise _Overflow
+            heapq.heappush(heap, (l ^ flip, i, j))
             pairs.add((i, j))
-        G.append((lm, lc, list(coeffs.items())[1:]))
+        tail = list(coeffs.items())[1:]
+        G.append((lm, lc, tail, reduce(packing.max, (m for m, _ in tail), 0)))
         lms.append(lm)
 
-    for f in ideal.generators:
-        if f.is_zero():
-            continue
-        # clear denominators; the leading monomial goes first
-        den = lcm(*(c.denominator for c in f.coeffs.values()))
-        ints = {f.leading(order)[0]: 0}
-        for m, c in f.coeffs.items():
-            ints[m] = c.numerator * (den // c.denominator)
-        enter(_primitive(ints))
+    for g in gens:
+        ints = {packing.pack(m): c for m, c in g.items()}
+        lm = max(ints, key=flip.__xor__)
+        enter(_primitive({lm: ints.pop(lm), **ints}))
     processed = 0
     while heap:
-        _, i, j = heapq.heappop(heap)
+        key, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
         processed += 1
         if processed > pair_budget:
             raise ResourceLimit(f"S-pair budget {pair_budget} exceeded")
-        lmi, lmj = lms[i], lms[j]
-        l = _lcm(lmi, lmj)
+        l = key ^ flip
+        (lmi, lci, taili, topi), (lmj, lcj, tailj, topj) = G[i], G[j]
         # product criterion: coprime leading monomials
-        if l == tuple(a + b for a, b in zip(lmi, lmj)):
+        if l == lmi + lmj:
             continue
         # chain criterion
         if any(
             k != i
             and k != j
-            and _divides(lmk, l)
+            and not l - lmk & guard
             and (min(i, k), max(i, k)) not in pairs
             and (min(j, k), max(j, k)) not in pairs
             for k, lmk in enumerate(lms)
@@ -283,38 +416,45 @@ def groebner(
             continue
         # (lcj/g)*x^(l-lmi)*f_i - (lci/g)*x^(l-lmj)*f_j: the leading terms
         # cancel, so the S-polynomial is built from the tails alone
-        (_, lci, taili), (_, lcj, tailj) = G[i], G[j]
+        qi, qj = l - lmi, l - lmj
+        if topi + qi & guard or topj + qj & guard:
+            raise _Overflow
         g = gcd(lci, lcj)
         ci, cj = lcj // g, -(lci // g)
-        qi, qj = _quotient(l, lmi), _quotient(l, lmj)
-        acc = {tuple(map(add, m, qi)): ci * c for m, c in taili}
-        _add_into(acc, {tuple(map(add, m, qj)): cj * c for m, c in tailj})
-        r = _pseudo_reduce(acc, G, key)
+        acc = {m + qi: ci * c for m, c in taili}
+        _add_into(acc, {m + qj: cj * c for m, c in tailj})
+        r = _pseudo_reduce(acc, G, flip, guard)
         if r:
             enter(r)
-    return GroebnerBasis(order, _autoreduce(G, key, order, ideal.arity), ideal.arity)
+    return G
 
 
 def _autoreduce(
-    G: list, key, order: MonomialOrder, arity: int
+    G: list, packing: _Packing, order: MonomialOrder, arity: int
 ) -> tuple[Polynomial, ...]:
     # minimalize: drop elements whose leading monomial another one divides
-    lead = sorted(G, key=lambda e: key(e[0]))
+    flip, guard = packing.flip, packing.guard
+    lead = sorted(G, key=lambda e: e[0] ^ flip)
     minimal = [
         e
         for idx, e in enumerate(lead)
         if not any(
-            jdx != idx and _divides(h[0], e[0]) and (h[0] != e[0] or jdx < idx)
+            jdx != idx and not e[0] - h[0] & guard and (h[0] != e[0] or jdx < idx)
             for jdx, h in enumerate(lead)
         )
     ]
-    # back to Fraction, monic; then reduce_poly inter-reduces over Q, the
-    # division a traced benchmark run (perfbench/spans.py) records as
-    # groebner.reduce. No other leading monomial divides an element's
-    # leading term, so it survives: the results stay monic and sorted
+    # unpacked, back to Fraction and monic; then reduce_poly inter-reduces
+    # over Q, the division a traced benchmark run (perfbench/spans.py)
+    # records as groebner.reduce. No other leading monomial divides an
+    # element's leading term, so it survives: the results stay monic and
+    # sorted
+    unpack = packing.unpack
     monic = [
-        _from_coeffs(arity, {lm: Fraction(1), **{m: Fraction(c, lc) for m, c in tail}})
-        for lm, lc, tail in minimal
+        _from_coeffs(
+            arity,
+            {unpack(lm): Fraction(1), **{unpack(m): Fraction(c, lc) for m, c in tail}},
+        )
+        for lm, lc, tail, _ in minimal
     ]
     return tuple(
         reduce_poly(g, monic[:idx] + monic[idx + 1 :], order)

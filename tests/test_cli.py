@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lndkit.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
+from lndkit.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, build_parser, main
 
 from helpers import cli_env
 
@@ -273,10 +273,15 @@ def test_subcommand_lists_only_its_options(capsys, command):
 
 
 def test_option_of_another_subcommand_is_a_usage_error(capsys):
+    path = str(DATA / "toric_plane.json")
+    expected = run_main(capsys, "roots", path, "--box", "2")
     with pytest.raises(SystemExit) as exc:
-        main(["roots", str(DATA / "toric_plane.json"), "--bound", "3"])
+        main(["roots", path, "--bound", "3"])
     assert exc.value.code == EXIT_INPUT
     assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
+    # the parser is built once per process; a usage error leaves it as it was
+    assert build_parser() is build_parser()
+    assert run_main(capsys, "roots", path, "--box", "2") == expected
 
 
 def test_missing_file(capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,15 @@ from lndkit.groebner import (
     jacobian_rank_at_point,
     normal_form,
     reduce_poly,
+    _Packing,
 )
 from lndkit.poly import Polynomial, parse_poly
 
 from helpers import rand_poly
+
+# the module, which `import lndkit.groebner` would not give: the package
+# exports a function of the same name
+groebner_module = sys.modules["lndkit.groebner"]
 
 XYZ = ["x", "y", "z"]
 
@@ -339,3 +345,145 @@ def test_groebner_matches_textbook_buchberger_on_systems(system, order):
     names, texts = system
     ideal = Ideal.of([parse_poly(t, names) for t in texts])
     assert groebner(ideal, order).basis == _reference_groebner(ideal.generators, order)
+
+
+# ---- monomial order validation -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, weights",
+    [
+        ("weighted", (-1,)),  # 1 is no longer minimal: division need not end
+        ("weighted", (1.5, 2)),
+        ("weighted", (True, 1)),
+        ("weighted", ("1", "2")),
+        ("weighted", 3),
+        ("weighted", None),
+        ("lex", (1, 2)),
+        ("grevlex", ()),
+    ],
+)
+def test_monomial_order_rejects_bad_weights(kind, weights):
+    with pytest.raises(ValueError):
+        MonomialOrder(kind, weights)
+
+
+def test_monomial_order_stores_weights_as_a_tuple():
+    order = MonomialOrder("weighted", [1, 2])
+    assert order == MonomialOrder("weighted", (1, 2))
+    assert order.weights == (1, 2)
+    texts = ["x^2 - y", "x*y - 1"]
+    gb = gb_of(texts, ["x", "y"], order)
+    assert gb == gb_of(texts, ["x", "y"], MonomialOrder("weighted", (1, 2)))
+
+
+# ---- packed monomials against their tuple definitions --------------------
+
+PACKED_ORDERS = [
+    LEX,
+    GREVLEX,
+    MonomialOrder("weighted", (3, 1, 2)),
+    MonomialOrder("weighted", (1, 0, 2)),
+]
+
+
+def _fields(m, order):
+    """The values a packing stores for m: its exponents and, outside lex,
+    its degree and weighted degree."""
+    extra = [] if order.kind == "lex" else [sum(m)]
+    if order.kind == "weighted":
+        extra.append(sum(e * w for e, w in zip(m, order.weights)))
+    return [*m, *extra]
+
+
+@st.composite
+def _packed_case(draw, parts=1):
+    """(order, packing, monomials): each field of the sum of `parts`
+    monomials fits below the guard bits, up to the field limit."""
+    order = draw(st.sampled_from(PACKED_ORDERS))
+    width = draw(st.sampled_from([8, 12, 70]))
+    limit = ((1 << width - 1) - 1) // parts
+    monomials = []
+    for _ in range(parts):
+        m = draw(st.tuples(*[st.integers(0, limit)] * 3))
+        top = max(_fields(m, order))
+        if top > limit:  # scale down into range; the largest field meets the limit
+            m = tuple(e * limit // top for e in m)
+        monomials.append(m)
+    return order, _Packing(order, 3, width), monomials
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_case())
+def test_packing_round_trip(case):
+    _, P, (m,) = case
+    assert P.unpack(P.pack(m)) == m
+    assert not P.pack(m) & P.guard
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_case(parts=2))
+def test_packed_product_divisibility_lcm_and_max(case):
+    order, P, (a, b) = case
+    pa, pb = P.pack(a), P.pack(b)
+    assert pa + pb == P.pack(tuple(x + y for x, y in zip(a, b)))
+    c = tuple(map(max, a, b))
+    assert P.lcm(pa, pb) == P.pack(c)
+    for x, y in [(a, b), (a, c), (c, a)]:
+        divides = not (P.pack(y) - P.pack(x)) & P.guard
+        assert divides == all(map(int.__le__, x, y))
+
+    def field(q, f):
+        return q >> P.width * f & P.value
+
+    top = P.max(pa, pb)
+    for f in range(len(_fields(a, order))):
+        assert field(top, f) == max(field(pa, f), field(pb, f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_case(parts=2))
+def test_packed_keys_compare_as_order_keys(case):
+    order, P, (a, b) = case
+    ka, kb = P.pack(a) ^ P.flip, P.pack(b) ^ P.flip
+    assert (ka < kb) == (order.key(a) < order.key(b))
+    assert (ka == kb) == (a == b)
+
+
+# ---- exponents past the first field width and past 2^64 ------------------
+
+N = 2**64 + 3
+
+
+@pytest.mark.parametrize(
+    "texts, order",
+    [
+        (["x^200*y - z", "y^3 - x*z^150"], GREVLEX),
+        (["x^200*y - z", "y^3 - x*z^150"], MonomialOrder("weighted", (1, 0, 2))),
+        (["x^200*y - z", "y^2 - z^3"], LEX),
+        ([f"x^{N}*y^2 - z", f"x^{N}*y - z^3"], LEX),
+        ([f"x^{N}*y^2 - z", f"x^{N}*y - z^3"], GREVLEX),
+        ([f"x^{N}*y^2 - z", f"x^{N}*y - z^3"], MonomialOrder("weighted", (1, 0, 2))),
+        ([f"x^{N}*y - z", "y^2 - z"], LEX),
+    ],
+)
+def test_groebner_with_wide_exponents_matches_textbook_buchberger(texts, order):
+    ideal = Ideal.of([p(t) for t in texts])
+    assert groebner(ideal, order).basis == _reference_groebner(ideal.generators, order)
+
+
+def test_groebner_repacks_wider_on_overflow(monkeypatch):
+    # the input's fields fit in 8 bits, the basis needs more: the first
+    # run overflows, and the second, at twice the width, succeeds
+    widths = []
+    buchberger = groebner_module._buchberger
+
+    def recording(gens, packing, pair_budget):
+        widths.append(packing.width)
+        return buchberger(gens, packing, pair_budget)
+
+    monkeypatch.setattr(groebner_module, "_buchberger", recording)
+    ideal = Ideal.of([p("x^40*y - z"), p("x*y^2 - z^3")])
+    gb = groebner(ideal, GREVLEX)
+    assert widths == [8, 16]
+    assert gb.basis == _reference_groebner(ideal.generators, GREVLEX)
