@@ -10,7 +10,6 @@ verifies, or non-membership), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import asdict
@@ -198,10 +197,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it;
-    parsing leaves it unchanged, and callers must not modify it."""
     parser = _Parser(
         prog="lndkit",
         description="Verify locally nilpotent derivations and classify cylinders",
@@ -256,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (NotVerifiedLND, NotASlice) as exc:
