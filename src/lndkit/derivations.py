@@ -18,7 +18,9 @@ from .errors import (
     NotVerifiedLND,
     ReservedVariable,
 )
-from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
+from .groebner import (
+    GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, integer_weights, normal_form
+)
 from .poly import Polynomial, _add_into, _from_coeffs, parse_poly
 
 FORMAL_PARAMETER = "_s"
@@ -53,7 +55,7 @@ class PresentedAlgebra:
             raise ValueError("relations generate the unit ideal; algebra is zero")
         self.gradings: dict[str, tuple[int, ...]] = {}
         for name, w in (gradings or {}).items():
-            w = tuple(int(x) for x in w)
+            w = integer_weights(w)
             if len(w) != arity:
                 raise ArityMismatch(f"grading {name!r} has wrong length")
             self.gradings[name] = w
@@ -153,7 +155,7 @@ class Derivation:
                 f" extra {sorted(extra)})"
             )
         return Derivation(
-            algebra, [algebra.parse(images[v]) for v in algebra.vars]
+            algebra, [parse_poly(images[v], algebra.vars) for v in algebra.vars]
         )
 
     def is_zero(self) -> bool:
@@ -261,6 +263,9 @@ class Derivation:
         together with that extended algebra.
         """
         self.require_lnd()
+        # Each D^i(f) is a normal form, and reducibility is per monomial,
+        # so both sums are normal forms too: `_s` lies in no relation, and
+        # the cylinder's reduced basis is the base's.
         if s is None:
             if FORMAL_PARAMETER in self.algebra.vars:
                 raise ReservedVariable(
@@ -273,12 +278,12 @@ class Derivation:
                 inv = Fraction(1, factorial(i))
                 for m, c in term.coeffs.items():
                     total[m + (i,)] = c * inv
-            return ext.normal(_from_coeffs(ext.arity, total)), ext
+            return _from_coeffs(ext.arity, total), ext
         s = Fraction(s)
         total = {}
         for i, term in enumerate(self.iterate(f)):
             _add_into(total, term.scale(s**i / factorial(i)).coeffs)
-        return self.algebra.normal(_from_coeffs(self.algebra.arity, total))
+        return _from_coeffs(self.algebra.arity, total)
 
     def kernel_membership(self, f: Polynomial) -> bool:
         return self.apply(f).is_zero()

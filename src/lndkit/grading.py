@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .derivations import Derivation
 from .errors import ArityMismatch, IncompatibleGrading, ZeroDerivation
+from .groebner import integer_weights
 from .poly import Polynomial
 
 
@@ -29,7 +30,7 @@ def decompose(D: Derivation, w: Sequence[int]) -> list[GradedDerivationPart]:
     an empty list.
     """
     algebra = D.algebra
-    w = tuple(int(x) for x in w)
+    w = integer_weights(w)
     if len(w) != algebra.arity:
         raise ArityMismatch(f"weight length {len(w)} vs arity {algebra.arity}")
     if not algebra.is_compatible_grading(w):

@@ -59,6 +59,15 @@ DEFAULT_PAIR_BUDGET = 100_000
 # ---- monomial orders ----------------------------------------------------
 
 
+def integer_weights(w: Sequence[int]) -> tuple[int, ...]:
+    """The weights w as a tuple; ValueError for a non-integer or boolean."""
+    w = tuple(w)
+    for x in w:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"weight {x!r} is not an integer")
+    return w
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total order on monomials, compatible with multiplication, 1 minimal.
@@ -82,11 +91,11 @@ class MonomialOrder:
         if self.weights is None:
             raise ValueError("weighted order requires a weight vector")
         try:
-            weights = tuple(self.weights)
+            weights = integer_weights(self.weights)
         except TypeError:
             raise ValueError(f"weights {self.weights!r} are not a sequence") from None
         for w in weights:
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+            if w < 0:
                 raise ValueError(f"weight {w!r} is not a non-negative integer")
         object.__setattr__(self, "weights", weights)
 

@@ -20,14 +20,16 @@ from .errors import (
     InvalidData,
     UnreducedPresentation,
 )
-from .groebner import jacobian_rank_at_point
 from .poly import Polynomial
 from .report import ClassificationReport, Evidence
 
 
 @dataclass(frozen=True)
 class TrinomialData:
-    """Input datum; blocks are indexed from 1 (variant 1) or 0 (variant 2)."""
+    """Input datum; blocks are indexed from 1 (variant 1) or 0 (variant 2).
+
+    Construction raises InvalidData unless the datum is valid.
+    """
 
     variant: int
     m: int
@@ -64,7 +66,7 @@ class TrinomialData:
     def block(self, i: int) -> tuple[int, ...]:
         return self.l[i - 1] if self.variant == 1 else self.l[i]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.variant not in (1, 2):
             raise InvalidData(f"variant must be 1 or 2, got {self.variant}")
         if self.m < 0:
@@ -128,7 +130,6 @@ def _block_monomial(T: TrinomialData, names: list[str], i: int) -> Polynomial:
 
 def build_relations(T: TrinomialData) -> PresentedAlgebra:
     """The presented coordinate ring of the trinomial variety."""
-    T.validate()
     names = variable_layout(T)
     arity = len(names)
     monomials = {i: _block_monomial(T, names, i) for i in T.block_indices}
@@ -165,7 +166,6 @@ def _even_with_two(li: Sequence[int]) -> bool:
 
 def is_rigid(T: TrinomialData) -> RigidityVerdict:
     """Scan the non-rigidity conditions in order; rigid iff none holds."""
-    T.validate()
     if T.m > 0:
         return RigidityVerdict(False, f"condition 1: m = {T.m} > 0", 1)
     missing = [i for i in T.block_indices if not _has_one(T.block(i))]
@@ -203,7 +203,6 @@ def is_rigid(T: TrinomialData) -> RigidityVerdict:
 
 def classify_trinomial(T: TrinomialData) -> ClassificationReport:
     """C when rigid; A for m > 0 or variant 1; B for variant 2 with m = 0."""
-    T.validate()
     if T.variant == 2 and T.m == 0:
         for i in T.block_indices:
             if len(T.block(i)) == 1 and T.block(i)[0] == 1:
@@ -229,15 +228,13 @@ def classify_trinomial(T: TrinomialData) -> ClassificationReport:
             )
         )
         return ClassificationReport("A", tuple(evidence))
-    # variant 2, m = 0: supporting singular-point evidence at the origin
-    algebra = build_relations(T)
-    rank = jacobian_rank_at_point(
-        list(algebra.relations), [0] * algebra.arity
-    )
+    # variant 2, m = 0: the origin is singular. No block monomial is a
+    # bare variable (checked above), so every relation lies in the square
+    # of the maximal ideal at the origin and the Jacobian there is 0.
     evidence.append(
         Evidence(
             "variant 2 with m = 0: invariant line through the origin",
-            {"jacobian_rank_at_origin": rank},
+            {"jacobian_rank_at_origin": 0},
         )
     )
     return ClassificationReport("B", tuple(evidence))
@@ -251,7 +248,6 @@ def type1_lnd(T: TrinomialData, choice: dict[int, int]) -> Derivation:
     the product over the other blocks of the partial derivative of their
     monomial at the chosen column; everything else maps to 0.
     """
-    T.validate()
     if T.variant != 1:
         raise InvalidData("canonical derivation is defined for variant 1 only")
     if T.m != 0:

@@ -338,6 +338,29 @@ def test_trinomial_type_other_than_1_or_2_is_an_input_error(tmp_path, capsys, do
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-lnd", "canonical"],
+        ["classify"],
+        ["exp", "canonical", "y", "1/2"],
+        ["decompose", "canonical", "halfspin"],
+        ["roots"],
+        ["hdstar-member", "x*u"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_invalid_trinomial_datum_is_an_input_error_everywhere(tmp_path, capsys, argv):
+    # everything else in the dossier is fine; the datum repeats a constant
+    doc = json.loads((DATA / "w1.json").read_text())
+    doc["trinomial"] = {"type": 1, "l": [[1, 1], [2]], "a": [3, 3]}
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(capsys, argv[0], str(path), *argv[1:])
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"toric": [[1, 0]]},

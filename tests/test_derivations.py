@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lndkit import Derivation, MonomialOrder, PresentedAlgebra, cylinder, lift
+from lndkit import LEX, Derivation, MonomialOrder, PresentedAlgebra, cylinder, lift
 from lndkit.errors import NotASlice, NotVerifiedLND, ReservedVariable
 from lndkit.poly import Polynomial, parse_poly
 
@@ -13,6 +16,7 @@ from helpers import (
     plane_ddx,
     rand_poly,
     rand_rational,
+    suspension_surface,
     w1_algebra,
     w1_canonical,
 )
@@ -168,6 +172,57 @@ def test_exp_homomorphism_on_corpus():
             lhs = D.exp_action(algebra.normal(f * g), s)
             rhs = algebra.normal(D.exp_action(f, s) * D.exp_action(g, s))
             assert lhs == rhs, name
+
+
+@cache
+def exp_case(name: str, order_name: str):
+    """An algebra with a verified LND: W_1-W_3 or the suspension surface
+    under grevlex or lex, or W_1 under the weights (1, 2, 3)."""
+    if order_name == "weighted":
+        return weighted_w1()
+    if name == "suspension":
+        algebra, D = suspension_surface()
+    else:
+        n = int(name[1])
+        algebra = w1_algebra(n)
+        D = w1_canonical(algebra, n)
+    if order_name == "lex":
+        algebra = PresentedAlgebra(algebra.vars, algebra.relations, {}, LEX)
+        D = Derivation(algebra, D.images)
+    D.require_lnd()
+    return algebra, D
+
+
+EXP_CASES = [
+    (name, order_name)
+    for name in ("W1", "W2", "W3", "suspension")
+    for order_name in ("grevlex", "lex")
+] + [("W1", "weighted")]
+
+
+@st.composite
+def exp_inputs(draw):
+    """A case, a polynomial of up to three terms of degree <= 3 in each
+    variable, and a small rational parameter."""
+    name, order_name = draw(st.sampled_from(EXP_CASES))
+    algebra, D = exp_case(name, order_name)
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * algebra.arity),
+        st.fractions(-3, 3, max_denominator=3),
+    )
+    f = Polynomial(algebra.arity, draw(st.lists(term, max_size=3)))
+    return algebra, D, f, draw(st.fractions(-2, 2, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exp_inputs())
+def test_exp_returns_normal_forms(case):
+    # both sums are returned as built; reducing them again changes nothing
+    algebra, D, f, s = case
+    numeric = D.exp_action(f, s)
+    assert algebra.normal(numeric) == numeric
+    formal, ext = D.exp_action(f, None)
+    assert ext.normal(formal) == formal
 
 
 def test_exp_requires_verified_lnd():

@@ -131,6 +131,15 @@ def test_weight_arity_checked(w1_lnd):
         decompose(w1_lnd, (1, 1))
 
 
+@pytest.mark.parametrize("w", [(1.5, 0.5), (True, 1), (1, "2")], ids=repr)
+def test_grading_weights_must_be_integers(w):
+    with pytest.raises(ValueError, match="is not an integer"):
+        PresentedAlgebra(["x", "y"], gradings={"g": w})
+    D = Derivation.from_strings(PresentedAlgebra(["x", "y"]), {"x": "y", "y": "0"})
+    with pytest.raises(ValueError, match="is not an integer"):
+        decompose(D, w)
+
+
 def test_free_algebra_grading():
     Kxy = PresentedAlgebra(["x", "y"])
     D = Derivation.from_strings(Kxy, {"x": "y^2", "y": "x + 1"})

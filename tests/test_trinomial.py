@@ -12,6 +12,7 @@ from lndkit.errors import (
     InvalidData,
     UnreducedPresentation,
 )
+from lndkit.groebner import jacobian_rank_at_point
 from lndkit.poly import parse_poly
 from lndkit.trinomial import (
     TrinomialData,
@@ -73,17 +74,17 @@ def rand_datum(rng):
 
 def test_validate_rejects_bad_data():
     with pytest.raises(InvalidData):
-        TrinomialData.type1([[1]], [0]).validate()  # r < 2
+        TrinomialData.type1([[1]], [0])  # r < 2
     with pytest.raises(InvalidData):
-        TrinomialData.type1([[1], [2]], [3, 3]).validate()  # repeated a_i
+        TrinomialData.type1([[1], [2]], [3, 3])  # repeated a_i
     with pytest.raises(InvalidData):
-        TrinomialData.type1([[0], [2]], [0, 1]).validate()  # exponent < 1
+        TrinomialData.type1([[0], [2]], [0, 1])  # exponent < 1
     with pytest.raises(InvalidData):
-        TrinomialData.type1([[1], [2]], [0, 1], m=-1).validate()
+        TrinomialData.type1([[1], [2]], [0, 1], m=-1)
     with pytest.raises(InvalidData):
-        TrinomialData.type2([[2], [2], [2]], [[1, 0, 2], [0, 1, 0]]).validate()
+        TrinomialData.type2([[2], [2], [2]], [[1, 0, 2], [0, 1, 0]])
     with pytest.raises(InvalidData):
-        TrinomialData.type2([[2], [2], [2]], [[1, 2, 1], [2, 4, 1]]).validate()
+        TrinomialData.type2([[2], [2], [2]], [[1, 2, 1], [2, 4, 1]])
 
 
 def test_variable_layout_type1():
@@ -209,6 +210,41 @@ def test_classify_rejects_unreduced_type2():
     T = TrinomialData.type2([[1], [2], [2]], A_STD)
     with pytest.raises(UnreducedPresentation):
         classify_trinomial(T)
+
+
+@st.composite
+def reduced_type2(draw):
+    """Variant-2 data with m = 0 and 3-4 blocks of exponents in 1..3, none
+    of them the bare-variable block (1,). Some blocks get an exponent 1
+    appended, so most data are non-rigid, with verdict B."""
+    nblocks = draw(st.integers(3, 4))
+    block = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(
+        lambda li: [1, 1] if li == [1] else li
+    )
+    l = [draw(block) for _ in range(nblocks)]
+    for li in l:
+        if 1 not in li and draw(st.booleans()):
+            li.append(1)
+    cols = draw(
+        st.permutations([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)])
+    )[:nblocks]
+    return TrinomialData.type2(l, [list(row) for row in zip(*cols)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduced_type2())
+def test_type2_jacobian_rank_at_origin_is_zero(T):
+    # the reported rank is read off the datum; the general routine agrees
+    algebra = build_relations(T)
+    rank = jacobian_rank_at_point(list(algebra.relations), [0] * algebra.arity)
+    assert rank == 0
+    report = classify_trinomial(T)
+    reported = [
+        e.data["jacobian_rank_at_origin"]
+        for e in report.evidence
+        if "jacobian_rank_at_origin" in e.data
+    ]
+    assert reported == ([rank] if report.verdict == "B" else [])
 
 
 def test_classify_consistent_with_rigidity_random():
