@@ -15,7 +15,7 @@ from .derivations import (
 )
 from .errors import ArityMismatch, NoLNDs
 from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
-from .poly import Polynomial, parse_poly
+from .poly import Polynomial, _from_num, parse_poly
 from .report import ClassificationReport, Evidence
 from .toric import Cone, classify_toric
 from .trinomial import TrinomialData, classify_trinomial
@@ -197,9 +197,10 @@ def conjectured_hdstar_member(
     for degree, component in f.weighted_components(w):
         if degree == 0:
             continue
-        cofactor = Polynomial(
+        cofactor = _from_num(
             base.arity,
-            [(m[:-1], c) for m, c in component.coeffs.items()],
+            {m[:-1]: c for m, c in component.num.items()},
+            component.den,
         )
         if not normal_form(cofactor, gb).is_zero():
             return False

@@ -21,7 +21,7 @@ from .errors import (
 from .groebner import (
     GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, integer_weights, normal_form
 )
-from .poly import Polynomial, _add_into, _from_coeffs, parse_poly
+from .poly import Polynomial, _mul, _sum, parse_poly
 
 FORMAL_PARAMETER = "_s"
 
@@ -38,6 +38,11 @@ class PresentedAlgebra:
         gradings: dict[str, Sequence[int]] | None = None,
         order: MonomialOrder = GREVLEX,
     ):
+        self._build(vars, relations, gradings, order, None)
+
+    def _build(self, vars, relations, gradings, order, basis) -> None:
+        """The constructor's work; `basis`, when not None, is the reduced
+        Gröbner basis of the relations under `order`, taken unchecked."""
         self.vars = tuple(vars)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable names")
@@ -47,10 +52,9 @@ class PresentedAlgebra:
             if r.arity != arity:
                 raise ArityMismatch("relation arity differs from variable count")
         self.order = order
-        if self.relations:
-            self.gb = groebner(Ideal.of(self.relations, arity), order)
-        else:
-            self.gb = GroebnerBasis(order, (), arity)
+        if basis is None and self.relations:
+            basis = groebner(Ideal.of(self.relations, arity), order).basis
+        self.gb = GroebnerBasis(order, tuple(basis or ()), arity)
         if self.gb.is_trivial():
             raise ValueError("relations generate the unit ideal; algebra is zero")
         self.gradings: dict[str, tuple[int, ...]] = {}
@@ -88,6 +92,9 @@ def cylinder(algebra: PresentedAlgebra, name: str = "u") -> PresentedAlgebra:
     """Adjoin one free variable: K[Y] -> K[Y][u], no new relations.
 
     A weighted order gives u weight 0 (ties still break by grevlex).
+    u is last in lex and grevlex and has weight 0, so the order restricted
+    to K[Y] is Y's, every S-pair of the extended basis is one of Y's, and
+    the base's reduced basis, extended, is the cylinder's.
     """
     fresh = name
     k = 0
@@ -99,12 +106,15 @@ def cylinder(algebra: PresentedAlgebra, name: str = "u") -> PresentedAlgebra:
     order = algebra.order
     if order.kind == "weighted":
         order = MonomialOrder("weighted", (*order.weights, 0))
-    return PresentedAlgebra(
+    cyl = object.__new__(PresentedAlgebra)
+    cyl._build(
         algebra.vars + (fresh,),
         [r.extend(1) for r in algebra.relations],
         gradings,
         order,
+        [g.extend(1) for g in algebra.gb.basis],
     )
+    return cyl
 
 
 @dataclass(frozen=True)
@@ -165,14 +175,13 @@ class Derivation:
         """D(f) = sum_j (df/dx_j) D(x_j), reduced modulo relations."""
         if f.arity != self.algebra.arity:
             raise ArityMismatch("polynomial arity differs from algebra arity")
-        total = {}
+        parts = []
         for j, image in enumerate(self.images):
-            if image.is_zero():
-                continue
-            df = f.partial_derivative(j)
-            if not df.is_zero():
-                _add_into(total, (df * image).coeffs)
-        return self.algebra.normal(_from_coeffs(f.arity, total))
+            if image.num:
+                df = f.partial_derivative(j)
+                if df.num:
+                    parts.append((_mul(df.num, image.num), df.den * image.den))
+        return self.algebra.normal(_sum(f.arity, parts))
 
     def is_well_defined(self) -> tuple[bool, tuple]:
         """Check D kills every relation; certificate lists the reductions."""
@@ -273,17 +282,20 @@ class Derivation:
                 )
             ext = cylinder(self.algebra, FORMAL_PARAMETER)
             # the terms of s^i D^i(f) / i! are the only ones with _s-degree i
-            total = {}
-            for i, term in enumerate(self.iterate(f)):
-                inv = Fraction(1, factorial(i))
-                for m, c in term.coeffs.items():
-                    total[m + (i,)] = c * inv
-            return _from_coeffs(ext.arity, total), ext
+            parts = [
+                ({m + (i,): c for m, c in term.num.items()}, term.den * factorial(i))
+                for i, term in enumerate(self.iterate(f))
+            ]
+            return _sum(ext.arity, parts), ext
         s = Fraction(s)
-        total = {}
-        for i, term in enumerate(self.iterate(f)):
-            _add_into(total, term.scale(s**i / factorial(i)).coeffs)
-        return _from_coeffs(self.algebra.arity, total)
+        p, q = s.numerator, s.denominator
+        # s^i D^i(f) / i! over its denominator; for s = 0 only i = 0 counts
+        parts = [
+            ({m: c * p**i for m, c in term.num.items()}, term.den * q**i * factorial(i))
+            for i, term in enumerate(self.iterate(f))
+            if p or not i
+        ]
+        return _sum(self.algebra.arity, parts)
 
     def kernel_membership(self, f: Polynomial) -> bool:
         return self.apply(f).is_zero()
@@ -297,14 +309,16 @@ class Derivation:
         self.require_lnd()
         if not self.check_slice(s):
             raise NotASlice(f"D({self.algebra.format(s)}) != 1")
-        total = {}
-        neg_s = -s
-        weight = Polynomial.constant(self.algebra.arity, 1)  # (-s)^i / i!
+        neg_s = {m: -c for m, c in s.num.items()}
+        weight = {(0,) * self.algebra.arity: 1}  # the numerator of (-s)^i
+        parts = []
         for i, term in enumerate(self.iterate(f)):
             if i:
-                weight = (weight * neg_s).scale(Fraction(1, i))
-            _add_into(total, (term * weight).coeffs)
-        return self.algebra.normal(_from_coeffs(self.algebra.arity, total))
+                weight = _mul(weight, neg_s)
+            parts.append(
+                (_mul(term.num, weight), term.den * s.den**i * factorial(i))
+            )
+        return self.algebra.normal(_sum(self.algebra.arity, parts))
 
     def image_ideal(self) -> Ideal:
         """Ideal generated by the images of the generators."""
@@ -320,14 +334,15 @@ class Derivation:
 
 def _proportional_index(chain: list[Polynomial], current: Polynomial):
     """Index of an earlier chain entry that current is a multiple of."""
-    cur = current.coeffs
+    cur = current.num
     for idx, earlier in enumerate(chain):
-        ear = earlier.coeffs
+        ear = earlier.num
         if not ear or ear.keys() != cur.keys():
             continue
         m0 = next(iter(cur))
-        ratio = cur[m0] / ear[m0]
-        if all(cur[m] == ratio * e for m, e in ear.items()):
+        a, b = cur[m0], ear[m0]
+        # cur[m] / e == a / b for every monomial m
+        if all(cur[m] * b == e * a for m, e in ear.items()):
             return idx
     return None
 

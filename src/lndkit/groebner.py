@@ -1,19 +1,18 @@
 """Gröbner-basis kernel: Buchberger, normal forms, ideal membership.
 
-`reduce_poly` and `normal_form` work on `Fraction` polynomials keyed by
-exponent tuples, with leading terms memoised by
-`Polynomial.leading(order)`. Buchberger's pair loop works on integers,
-coefficients and monomials alike.
+`reduce_poly` and `normal_form` divide the integer numerators of
+`Polynomial`s keyed by exponent tuples, fraction-free, with leading
+terms memoised by `Polynomial.leading(order)`. Buchberger's pair loop
+works on integers, coefficients and monomials alike.
 
-Coefficients: at entry each generator's denominators are cleared and
-its content divided out: an element is then a primitive integer
-coefficient dict with a positive leading coefficient, held as (leading
-monomial, leading coefficient, tail, tail maximum). S-polynomials are
-cross-multiplied by the cofactors of the gcd of the two leading
-coefficients, and remainders come from primitive pseudo-division. Each
-integer remainder is a nonzero multiple of the remainder over Q, so the
-leading monomials, and with them the pair sequence, are those of
-division over Q.
+Coefficients: at entry each generator's numerator has its content
+divided out: an element is then a primitive integer coefficient dict
+with a positive leading coefficient, held as (leading monomial, leading
+coefficient, tail, tail maximum). S-polynomials are cross-multiplied by
+the cofactors of the gcd of the two leading coefficients, and remainders
+come from primitive pseudo-division. Each integer remainder is a nonzero
+multiple of the remainder over Q, so the leading monomials, and with
+them the pair sequence, are those of division over Q.
 
 Monomials (packed exponent vectors, after Monagan & Pearce, "Polynomial
 Division Using Dynamic Arrays, Heaps, and Packed Exponent Vectors"): at
@@ -32,8 +31,9 @@ new pair's lcm is tested the same way. On overflow the call starts over
 with fields twice as wide, so exponents stay unbounded. Pending S-pairs
 sit in a heap keyed by their lcm's packed order key and their indices.
 
-At exit the minimal basis is unpacked, goes back to `Fraction`, each
-element made monic, and `reduce_poly` inter-reduces it over Q.
+At exit the minimal basis is unpacked, each element made monic by
+taking its leading coefficient as the denominator, and `reduce_poly`
+inter-reduces it.
 
 Deterministic throughout: for fixed generators and order, the reduced
 basis and every normal form are reproducible bit for bit.
@@ -45,12 +45,12 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, mul
 from typing import Sequence
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
-from .poly import Monomial, Polynomial, _add_into, _from_coeffs, grevlex_key
+from .poly import Monomial, Polynomial, _add_into, _from_num, grevlex_key
 from .toric import matrix_rank
 
 DEFAULT_PAIR_BUDGET = 100_000
@@ -140,7 +140,7 @@ class Ideal:
         return Ideal(gens, arity)
 
 
-# ---- monomial helpers ----------------------------------------------------
+# ---- division -------------------------------------------------------------
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -151,18 +151,31 @@ def _quotient(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _primitive(coeffs: dict) -> dict:
+    """coeffs over their content, signed so the first (leading) one is > 0;
+    `coeffs` itself when that divisor is 1."""
+    g = gcd(*coeffs.values())
+    g = -g if next(iter(coeffs.values())) < 0 else g
+    return coeffs if g == 1 else {m: c // g for m, c in coeffs.items()}
+
+
 def reduce_poly(
     f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 ) -> Polynomial:
     """Full remainder of f under multivariate division by `basis`.
 
-    Each step cancels the leading term of what is left against the first
-    basis element whose leading monomial divides it, or moves that term
-    to the remainder. The work happens on a copy of `f.coeffs`, with each
-    monomial's order key computed once per call; basis leading terms come
-    from `Polynomial.leading`, memoised on the basis elements. The
-    remainder goes to the trusted constructor. Raises ArityMismatch if a
-    basis element's arity differs from f's.
+    Fraction-free: each basis element is taken as its primitive integer
+    numerator, with a positive leading coefficient glc (`_primitive`).
+    Each step cancels the leading term lc*x^lm of what is left against
+    the first element whose leading monomial divides lm, or moves that
+    term to the remainder. Before the cancellation, what is left and the
+    remainder so far are multiplied by glc/gcd(lc, glc), and so is the
+    denominator, which starts at f.den: the result is the exact remainder
+    over Q, with the steps of division over Q. The work happens on a copy
+    of `f.num`, with each monomial's order key computed once per call;
+    leading monomials come from `Polynomial.leading`, memoised on the
+    basis elements. Raises ArityMismatch if a basis element's arity
+    differs from f's.
     """
     if not basis:
         return f
@@ -179,12 +192,14 @@ def reduce_poly(
 
     divisors = []
     for g in basis:
-        glm, glc = g.leading(order)
-        divisors.append((glm, glc, [t for t in g.coeffs.items() if t[0] != glm]))
-    acc = dict(f.coeffs)
+        glm = g.leading(order)[0]
+        prim = _primitive({glm: g.num[glm], **g.num})  # leading term first
+        divisors.append((glm, prim[glm], [t for t in prim.items() if t[0] != glm]))
+    acc = dict(f.num)
     for m in acc:
         key(m)
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[Monomial, int] = {}
+    den = f.den
     while acc:
         # every monomial that enters acc has its key in `keys`
         lm = max(acc, key=keys.__getitem__)
@@ -192,7 +207,12 @@ def reduce_poly(
         for glm, glc, tail in divisors:
             if _divides(glm, lm):
                 q = _quotient(lm, glm)
-                c = -lc / glc
+                g = gcd(lc, glc)
+                s, c = glc // g, -(lc // g)
+                if s != 1:
+                    acc = {m: v * s for m, v in acc.items()}
+                    remainder = {m: v * s for m, v in remainder.items()}
+                    den *= s
                 for m, gc in tail:
                     m = tuple(map(add, m, q))
                     v = acc.get(m)
@@ -208,7 +228,7 @@ def reduce_poly(
                 break
         else:
             remainder[lm] = lc
-    return _from_coeffs(f.arity, remainder)
+    return _from_num(f.arity, remainder, den)
 
 
 # ---- packed monomials ----------------------------------------------------
@@ -294,23 +314,16 @@ class GroebnerBasis:
         return len(self.basis) == 1 and self.basis[0].is_constant()
 
 
-def _primitive(coeffs: dict[int, int]) -> dict[int, int]:
-    """coeffs over their content, signed so the first (leading) one is > 0."""
-    g = gcd(*coeffs.values())
-    g = -g if next(iter(coeffs.values())) < 0 else g
-    return {m: c // g for m, c in coeffs.items()}
-
-
 def _pseudo_reduce(acc: dict, divisors: list, flip: int, guard: int) -> dict[int, int]:
     """Primitive pseudo-remainder of the packed integer dict `acc`.
 
-    Each divisor is an (lm, lc, tail, tail maximum) tuple. The steps and
-    the choice of divisor are those of `reduce_poly`, but before lc*x^lm
-    is cancelled against glc*x^glm, `acc` and the remainder so far are
-    multiplied by glc/gcd(lc, glc). So the result, made primitive with a
-    positive leading coefficient, is a multiple of `reduce_poly`'s
-    remainder; its terms are in descending order. Raises _Overflow when
-    the tail times x^(lm - glm) could reach a guard bit.
+    Each divisor is an (lm, lc, tail, tail maximum) tuple. This is the
+    pseudo-division of `reduce_poly` on packed monomials: the same steps,
+    the same choice of divisor, and the same scaling by glc/gcd(lc, glc)
+    before lc*x^lm is cancelled against glc*x^glm. So the result, made
+    primitive with a positive leading coefficient, is a multiple of
+    `reduce_poly`'s remainder; its terms are in descending order. Raises
+    _Overflow when the tail times x^(lm - glm) could reach a guard bit.
     """
     remainder: dict[int, int] = {}
     while acc:
@@ -353,13 +366,8 @@ def groebner(
     ResourceLimit is raised. A run restarted at a wider packing counts
     its pairs afresh.
     """
-    gens = []  # integer coefficients, denominators cleared
-    for f in ideal.generators:
-        if f.coeffs:
-            den = lcm(*(c.denominator for c in f.coeffs.values()))
-            gens.append(
-                {m: c.numerator * (den // c.denominator) for m, c in f.coeffs.items()}
-            )
+    # the numerators: a generator's denominator does not change its ideal
+    gens = [f.num for f in ideal.generators if f.num]
     # no field of a packed monomial exceeds deg * (1 + the largest weight)
     top = max((max(map(sum, g)) for g in gens), default=0)
     top *= 1 + max(order.weights or (0,))
@@ -452,17 +460,14 @@ def _autoreduce(
             for jdx, h in enumerate(lead)
         )
     ]
-    # unpacked, back to Fraction and monic; then reduce_poly inter-reduces
-    # over Q, the division a traced benchmark run (perfbench/spans.py)
-    # records as groebner.reduce. No other leading monomial divides an
-    # element's leading term, so it survives: the results stay monic and
-    # sorted
+    # unpacked and monic: a primitive element over its positive leading
+    # coefficient is in lowest terms. Then reduce_poly inter-reduces,
+    # the division a traced benchmark run (perfbench/spans.py) records as
+    # groebner.reduce. No other leading monomial divides an element's
+    # leading term, so it survives: the results stay monic and sorted
     unpack = packing.unpack
     monic = [
-        _from_coeffs(
-            arity,
-            {unpack(lm): Fraction(1), **{unpack(m): Fraction(c, lc) for m, c in tail}},
-        )
+        _from_num(arity, {unpack(lm): lc, **{unpack(m): c for m, c in tail}}, lc)
         for lm, lc, tail, _ in minimal
     ]
     return tuple(

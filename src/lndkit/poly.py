@@ -1,19 +1,28 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Monomials are tuples of Python ``int`` exponents, so no exponent can
-overflow; coefficients are ``fractions.Fraction``.
-A polynomial stores its terms in one dict, ``coeffs``, from monomial to
-nonzero coefficient, in no particular order; equality and hashing look
-only at that mapping. The public constructor checks its input; the ring
-operations build their result dicts directly and hand them to the
-trusted ``_from_coeffs``. Term order appears only where it is asked
-for: ``terms`` (grevlex-descending, built on first use and cached),
-``format`` and ``leading(order)`` (memoised per order).
+overflow. A polynomial is a positive ``int`` denominator ``den`` under a
+dict ``num`` from monomial to nonzero ``int`` numerator, in no
+particular order. The pair is kept canonical: gcd(den, every numerator)
+= 1, and the zero polynomial has den 1. So equal polynomials have equal
+``(arity, den, num)``, and equality and hashing look only at those.
+The ring operations, the derivative and the parser work on the
+numerators and look for a common factor only when ``den`` is not 1, so
+arithmetic on integer polynomials builds no ``Fraction`` and takes no
+gcd.
+
+The public constructor checks its input; the operations build their
+result dicts directly and hand them to the trusted ``_from_num``.
+Rational views are built on first use and cached: ``coeffs`` (monomial
+to ``Fraction``) and ``terms`` (grevlex-descending pairs). Term order
+appears only where it is asked for: ``terms``, ``format`` and
+``leading(order)`` (memoised per order).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
@@ -35,45 +44,67 @@ def grevlex_key(m: Monomial):
 _set = object.__setattr__
 
 
-def _fill(p: "Polynomial", arity: int, coeffs: dict[Monomial, Fraction]) -> None:
-    _set(p, "arity", arity)
-    _set(p, "coeffs", coeffs)
-    _set(p, "_terms", None)
-    _set(p, "_leads", None)
-    _set(p, "_hash", None)
-
-
-def _from_coeffs(arity: int, coeffs: dict[Monomial, Fraction]) -> "Polynomial":
-    """Trusted constructor: takes ownership of `coeffs` without checks.
+def _from_num(arity: int, num: dict[Monomial, int], den: int = 1) -> "Polynomial":
+    """Trusted constructor for num/den: takes ownership of `num` without checks.
 
     Every key must be a tuple of `arity` non-negative exponents and every
-    value a nonzero Fraction.
+    value a nonzero int; `den` is a positive int. When `den` is not 1, the
+    gcd of den and the numerators is divided out.
     """
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
     p = object.__new__(Polynomial)
-    _fill(p, arity, coeffs)
+    _set(p, "arity", arity)
+    _set(p, "num", num)
+    _set(p, "den", den)
     return p
 
 
-def _add_into(
-    acc: dict[Monomial, Fraction], coeffs: dict[Monomial, Fraction]
-) -> None:
-    """acc += coeffs in place, dropping the monomials that cancel."""
-    for m, c in coeffs.items():
-        v = acc.get(m)
-        if v is None:
+def _add_into(acc: dict[Monomial, int], num: dict[Monomial, int]) -> None:
+    """acc += num in place, dropping the monomials that cancel."""
+    for m, c in num.items():
+        c += acc.get(m, 0)
+        if c:
             acc[m] = c
         else:
-            v += c
-            if v:
-                acc[m] = v
+            del acc[m]
+
+
+def _mul(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The product of two numerator dicts."""
+    acc: dict[Monomial, int] = {}
+    right = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in right:
+            m = tuple(map(add, m1, m2))
+            c = acc.get(m, 0) + c1 * c2
+            if c:
+                acc[m] = c
             else:
                 del acc[m]
+    return acc
+
+
+def _sum(arity: int, parts: Sequence[tuple[dict[Monomial, int], int]]) -> "Polynomial":
+    """The sum of num/den over the (num, den) pairs of `parts`, each den > 0,
+    brought to the lcm of the denominators."""
+    den = lcm(*[d for _, d in parts])
+    acc: dict[Monomial, int] = {}
+    for num, d in parts:
+        k = den // d
+        _add_into(acc, num if k == 1 else {m: c * k for m, c in num.items()})
+    return _from_num(arity, acc, den)
 
 
 class Polynomial:
-    """Immutable polynomial: a dict from monomial to nonzero Fraction."""
+    """Immutable polynomial num/den: an int denominator under a dict from
+    monomial to nonzero int numerator."""
 
-    __slots__ = ("arity", "coeffs", "_terms", "_leads", "_hash")
+    # the slots after den are set on first use
+    __slots__ = ("arity", "num", "den", "_coeffs", "_terms", "_leads", "_hash")
 
     def __init__(self, arity: int, terms: Iterable[tuple[Monomial, Fraction]]):
         collected: dict[Monomial, Fraction] = {}
@@ -90,7 +121,13 @@ class Polynomial:
                 collected[mono] = c
             elif mono in collected:
                 del collected[mono]
-        _fill(self, arity, collected)
+        # each coefficient is in lowest terms, so over the lcm of their
+        # denominators the numerators and den are coprime
+        den = lcm(*[c.denominator for c in collected.values()])
+        _set(self, "arity", arity)
+        num = {m: c.numerator * (den // c.denominator) for m, c in collected.items()}
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -99,19 +136,21 @@ class Polynomial:
 
     @staticmethod
     def zero(arity: int) -> "Polynomial":
-        return _from_coeffs(arity, {})
+        return _from_num(arity, {})
 
     @staticmethod
     def constant(arity: int, c) -> "Polynomial":
         c = Fraction(c)
-        return _from_coeffs(arity, {(0,) * arity: c} if c else {})
+        return _from_num(
+            arity, {(0,) * arity: c.numerator} if c else {}, c.denominator
+        )
 
     @staticmethod
     def variable(arity: int, index: int) -> "Polynomial":
         if not 0 <= index < arity:
             raise IndexOutOfRange(f"variable index {index} in arity {arity}")
         mono = tuple(1 if i == index else 0 for i in range(arity))
-        return _from_coeffs(arity, {mono: Fraction(1)})
+        return _from_num(arity, {mono: 1})
 
     @staticmethod
     def monomial(arity: int, exponents: Sequence[int], coeff=1) -> "Polynomial":
@@ -120,10 +159,22 @@ class Polynomial:
     # ---- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> dict[Monomial, Fraction]:
+        """The coefficients as a dict from monomial to nonzero Fraction."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            coeffs = {m: Fraction(c, den) for m, c in self.num.items()}
+            _set(self, "_coeffs", coeffs)
+            return coeffs
+
+    @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         """(monomial, coefficient) pairs, grevlex-descending."""
-        terms = self._terms
-        if terms is None:
+        try:
+            return self._terms
+        except AttributeError:
             terms = tuple(
                 sorted(
                     self.coeffs.items(),
@@ -132,13 +183,13 @@ class Polynomial:
                 )
             )
             _set(self, "_terms", terms)
-        return terms
+            return terms
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(not any(m) for m in self.coeffs)
+        return all(not any(m) for m in self.num)
 
     def leading(self, order=None) -> tuple[Monomial, Fraction]:
         """Leading term under `order` (grevlex when None), memoised per order.
@@ -146,38 +197,43 @@ class Polynomial:
         `order` is anything with a `key(monomial)` method, such as a
         `groebner.MonomialOrder`.
         """
-        leads = self._leads
-        if leads is None:
+        try:
+            leads = self._leads
+        except AttributeError:
             leads = {}
             _set(self, "_leads", leads)
         lt = leads.get(order)
         if lt is None:
-            if not self.coeffs:
+            if not self.num:
                 raise ValueError("zero polynomial has no leading term")
-            lm = max(self.coeffs, key=grevlex_key if order is None else order.key)
-            lt = leads[order] = (lm, self.coeffs[lm])
+            lm = max(self.num, key=grevlex_key if order is None else order.key)
+            lt = leads[order] = (lm, Fraction(self.num[lm], self.den))
         return lt
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.coeffs.get(tuple(mono), Fraction(0))
+        return Fraction(self.num.get(tuple(mono), 0), self.den)
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.terms)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.arity == other.arity
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            _set(self, "_hash", hash((self.arity, frozenset(self.coeffs.items()))))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.arity, self.den, frozenset(self.num.items())))
+            _set(self, "_hash", h)
+            return h
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -190,14 +246,12 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        acc = dict(self.coeffs)
-        _add_into(acc, other.coeffs)
-        return _from_coeffs(self.arity, acc)
+        return _sum(self.arity, [(self.num, self.den), (other.num, other.den)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _from_coeffs(self.arity, {m: -c for m, c in self.coeffs.items()})
+        return _from_num(self.arity, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -207,43 +261,37 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        acc: dict[Monomial, Fraction] = {}
-        right = other.coeffs.items()
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in right:
-                m = tuple(map(add, m1, m2))
-                v = acc.get(m)
-                if v is None:
-                    acc[m] = c1 * c2
-                else:
-                    v += c1 * c2
-                    if v:
-                        acc[m] = v
-                    else:
-                        del acc[m]
-        return _from_coeffs(self.arity, acc)
+        return _from_num(self.arity, _mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        # (num/den)^n = num^n / den^n, whose content is coprime to den^n
+        den = self.den**n
+        if n and len(self.num) <= 1:  # a term or zero: no products needed
+            return _from_num(
+                self.arity,
+                {tuple(e * n for e in m): c**n for m, c in self.num.items()},
+                den,
+            )
+        # n products by the base: for a base of several terms that takes
+        # far fewer term products than repeated squaring, as for sparse
+        # polynomials in general (Fateman, "On the computation of powers
+        # of sparse polynomials", 1974)
+        result = {(0,) * self.arity: 1}
+        for _ in range(n):
+            result = _mul(result, self.num)
+        return _from_num(self.arity, result, den)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         if not c:
             return Polynomial.zero(self.arity)
-        return _from_coeffs(self.arity, {m: v * c for m, v in self.coeffs.items()})
+        k = c.numerator
+        num = {m: v * k for m, v in self.num.items()}
+        return _from_num(self.arity, num, self.den * c.denominator)
 
     # ---- calculus / grading -------------------------------------------------
 
@@ -252,19 +300,19 @@ class Polynomial:
         if not 0 <= var_index < self.arity:
             raise IndexOutOfRange(f"index {var_index} in arity {self.arity}")
         out = {}
-        for m, c in self.coeffs.items():
+        for m, c in self.num.items():
             e = m[var_index]
             if e:
                 dm = m[:var_index] + (e - 1,) + m[var_index + 1 :]
                 out[dm] = c * e
-        return _from_coeffs(self.arity, out)
+        return _from_num(self.arity, out, self.den)
 
     def weighted_degree(self, w: Sequence[int]) -> int:
         if len(w) != self.arity:
             raise ArityMismatch(f"weight length {len(w)} vs arity {self.arity}")
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("weighted degree of zero polynomial is undefined")
-        degs = {sum(e * wi for e, wi in zip(m, w)) for m in self.coeffs}
+        degs = {sum(e * wi for e, wi in zip(m, w)) for m in self.num}
         if len(degs) != 1:
             raise ValueError("polynomial is not homogeneous for these weights")
         return degs.pop()
@@ -275,12 +323,12 @@ class Polynomial:
         """Split into w-homogeneous pieces, sorted by increasing degree."""
         if len(w) != self.arity:
             raise ArityMismatch(f"weight length {len(w)} vs arity {self.arity}")
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.coeffs.items():
+        buckets: dict[int, dict[Monomial, int]] = {}
+        for m, c in self.num.items():
             d = sum(e * wi for e, wi in zip(m, w))
             buckets.setdefault(d, {})[m] = c
         return [
-            (d, _from_coeffs(self.arity, buckets[d])) for d in sorted(buckets)
+            (d, _from_num(self.arity, buckets[d], self.den)) for d in sorted(buckets)
         ]
 
     def is_homogeneous(self, w: Sequence[int]) -> bool:
@@ -291,13 +339,13 @@ class Polynomial:
             raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
         pt = [Fraction(x) for x in point]
         total = Fraction(0)
-        for m, c in self.coeffs.items():
+        for m, c in self.num.items():
             v = c
             for e, x in zip(m, pt):
                 if e:
                     v *= x**e
             total += v
-        return total
+        return total / self.den
 
     # ---- ring embeddings -------------------------------------------------
 
@@ -306,8 +354,8 @@ class Polynomial:
         if extra < 0:
             raise ValueError("extra must be >= 0")
         pad = (0,) * extra
-        return _from_coeffs(
-            self.arity + extra, {m + pad: c for m, c in self.coeffs.items()}
+        return _from_num(
+            self.arity + extra, {m + pad: c for m, c in self.num.items()}, self.den
         )
 
     # ---- formatting -------------------------------------------------
@@ -315,7 +363,7 @@ class Polynomial:
     def format(self, vars: Sequence[str]) -> str:
         if len(vars) != self.arity:
             raise ArityMismatch(f"{len(vars)} names for arity {self.arity}")
-        if not self.coeffs:
+        if not self.num:
             return "0"
         pieces = []
         for i, (m, c) in enumerate(self.terms):

@@ -24,6 +24,11 @@ from .poly import Polynomial
 from .report import ClassificationReport, Evidence
 
 
+def _is_int(x) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TrinomialData:
     """Input datum; blocks are indexed from 1 (variant 1) or 0 (variant 2).
@@ -42,7 +47,7 @@ class TrinomialData:
         return TrinomialData(
             1,
             m,
-            tuple(tuple(int(x) for x in li) for li in l),
+            tuple(tuple(li) for li in l),
             a=tuple(Fraction(x) for x in a),
         )
 
@@ -51,7 +56,7 @@ class TrinomialData:
         return TrinomialData(
             2,
             m,
-            tuple(tuple(int(x) for x in li) for li in l),
+            tuple(tuple(li) for li in l),
             A=tuple(tuple(Fraction(x) for x in row) for row in A),
         )
 
@@ -76,6 +81,8 @@ class TrinomialData:
         for li in self.l:
             if not li:
                 raise InvalidData("empty exponent tuple")
+            if not all(_is_int(e) for e in li):
+                raise InvalidData(f"exponents must be integers, got {li}")
             if any(e < 1 for e in li):
                 raise InvalidData("exponents must be positive")
         if self.variant == 1:
@@ -288,8 +295,8 @@ def suspension_lnd(
     Requires k_1 = 1. Base generators h map to D(h) * y_2^{k_2}...y_m^{k_m},
     y_1 maps to D(f), the remaining y_i map to 0.
     """
-    k = [int(x) for x in k]
-    if not k or any(x < 1 for x in k):
+    k = list(k)
+    if not k or not all(_is_int(x) and x >= 1 for x in k):
         raise BadWeights("weights must be positive integers")
     if k[0] != 1:
         raise BadWeights(f"first weight must be 1, got {k[0]}")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from math import gcd
+from operator import add, le
 from pathlib import Path
 
 import lndkit
@@ -105,3 +107,48 @@ def rand_poly(
 
 def rand_rational(rng: random.Random, span: int = 5) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, 4))
+
+
+def assert_reduced_form(p: Polynomial) -> None:
+    """p.num/p.den is in lowest terms: den > 0, every numerator a nonzero
+    int, gcd(den, content) = 1, and the zero polynomial over 1."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    assert p.num or p.den == 1
+
+
+def fraction_reduce(f: Polynomial, basis, order) -> Polynomial:
+    """Remainder of f under multivariate division by `basis`, over Q.
+
+    The division on Fraction coefficient dicts that `reduce_poly` did
+    before it became fraction-free: each step cancels the leading term
+    of what is left against the first basis element whose leading
+    monomial divides it, or moves that term to the remainder.
+    """
+    if not basis:
+        return f
+    divisors = []
+    for g in basis:
+        glm, glc = g.leading(order)
+        divisors.append((glm, glc, [t for t in g.coeffs.items() if t[0] != glm]))
+    acc = dict(f.coeffs)
+    remainder: dict = {}
+    while acc:
+        lm = max(acc, key=order.key)
+        lc = acc.pop(lm)
+        for glm, glc, tail in divisors:
+            if all(map(le, glm, lm)):
+                q = tuple(x - y for x, y in zip(lm, glm))
+                c = -lc / glc
+                for m, gc in tail:
+                    m = tuple(map(add, m, q))
+                    v = acc.get(m, 0) + c * gc
+                    if v:
+                        acc[m] = v
+                    else:
+                        del acc[m]
+                break
+        else:
+            remainder[lm] = lc
+    return Polynomial(f.arity, remainder.items())

@@ -6,11 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lndkit import LEX, Derivation, MonomialOrder, PresentedAlgebra, cylinder, lift
+from lndkit import (
+    LEX,
+    Derivation,
+    Ideal,
+    MonomialOrder,
+    PresentedAlgebra,
+    cylinder,
+    groebner,
+    lift,
+)
 from lndkit.errors import NotASlice, NotVerifiedLND, ReservedVariable
 from lndkit.poly import Polynomial, parse_poly
 
 from helpers import (
+    assert_reduced_form,
     corpus,
     plane_algebra,
     plane_ddx,
@@ -225,6 +235,15 @@ def test_exp_returns_normal_forms(case):
     assert ext.normal(formal) == formal
 
 
+@settings(max_examples=60, deadline=None)
+@given(exp_inputs())
+def test_derivation_results_are_in_lowest_terms(case):
+    algebra, D, f, s = case
+    assert_reduced_form(D.apply(f))
+    assert_reduced_form(D.exp_action(f, s))
+    assert_reduced_form(D.exp_action(f, None)[0])
+
+
 def test_exp_requires_verified_lnd():
     algebra = PresentedAlgebra(["x"])
     euler = Derivation.from_strings(algebra, {"x": "x"})
@@ -361,6 +380,21 @@ def test_cylinder_appends_fresh_variable():
     assert cz.relations == ()
     again = cylinder(cz)
     assert again.vars == ("z", "u", "u1")
+
+
+@pytest.mark.parametrize(
+    "order",
+    [LEX, MonomialOrder("grevlex"), MonomialOrder("weighted", (2, 1, 3))],
+)
+def test_cylinder_basis_is_the_extended_base_basis(order):
+    vars = ["x", "y", "z"]
+    texts = ("x^2*y - z^2 + 1", "y^2*z - 1/2*x*z - y", "x*z^3 - y")
+    relations = [parse_poly(t, vars) for t in texts]
+    base = PresentedAlgebra(vars, relations, {}, order)
+    cyl = cylinder(base)
+    fresh = groebner(Ideal.of([r.extend(1) for r in relations]), cyl.order)
+    assert len(fresh.basis) > 1
+    assert cyl.gb == fresh
 
 
 def weighted_w1():

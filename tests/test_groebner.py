@@ -21,7 +21,7 @@ from lndkit.groebner import (
 )
 from lndkit.poly import Polynomial, parse_poly
 
-from helpers import rand_poly
+from helpers import assert_reduced_form, fraction_reduce, rand_poly
 
 # the module, which `import lndkit.groebner` would not give: the package
 # exports a function of the same name
@@ -275,6 +275,26 @@ _poly = st.lists(_term, min_size=0, max_size=6).map(lambda ts: Polynomial(3, ts)
 )
 def test_reduce_poly_matches_reference_division(f, basis, order):
     assert reduce_poly(f, basis, order) == _reference_reduce(f, basis, order)
+
+
+# leading coefficients of either sign with common factors, so the
+# fraction-free division scales what is left and divides the scale out
+_wide_coeff = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+_wide_poly = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 3)] * 3), _wide_coeff), max_size=6
+).map(lambda ts: Polynomial(3, ts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=_wide_poly,
+    basis=st.lists(_wide_poly.filter(lambda g: not g.is_zero()), max_size=4),
+    order=st.sampled_from(ORDERS),
+)
+def test_reduce_poly_matches_fraction_division(f, basis, order):
+    r = reduce_poly(f, basis, order)
+    assert_reduced_form(r)
+    assert r == fraction_reduce(f, basis, order)
 
 
 def test_reduce_poly_arity_mismatch():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from lndkit.errors import (
 from lndkit.groebner import GREVLEX, LEX, MonomialOrder
 from lndkit.poly import Polynomial, grevlex_key, parse_poly
 
-from helpers import rand_poly
+from helpers import assert_reduced_form, rand_poly
 
 
 # ---- parsing -------------------------------------------------------------
@@ -326,3 +327,72 @@ def test_evaluate_examples():
 def test_evaluate_arity():
     with pytest.raises(ArityMismatch):
         parse_poly("x", ["x", "y"]).evaluate([1])
+
+
+# ---- integer numerators over one denominator ------------------------------
+
+# denominators with common factors, so sums and products cancel some of them
+wide_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+wide_term_lists = st.lists(st.tuples(monomials, wide_coeffs), max_size=6)
+
+
+def fraction_view(p: Polynomial) -> dict:
+    """p as {monomial: Fraction}, read off num and den."""
+    return {m: Fraction(c, p.den) for m, c in p.num.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_term_lists, wide_term_lists, wide_coeffs, st.integers(0, ARITY - 1),
+       st.integers(0, 4))
+def test_operations_keep_numerators_over_one_denominator(ta, tb, k, j, n):
+    a, b = Polynomial(ARITY, ta), Polynomial(ARITY, tb)
+    oa, ob = oracle(ta), oracle(tb)
+    power = {(0,) * ARITY: Fraction(1)}
+    for _ in range(n):
+        power = oracle_mul(power, oa)
+    expected = [
+        (a, oa),
+        (a + b, oracle([*oa.items(), *ob.items()])),
+        (a - b, oracle([*oa.items(), *((m, -c) for m, c in ob.items())])),
+        (-a, oracle((m, -c) for m, c in oa.items())),
+        (a * b, oracle_mul(oa, ob)),
+        (a.scale(k), oracle((m, c * k) for m, c in oa.items())),
+        (a**n, power),
+        (
+            a.partial_derivative(j),
+            oracle(
+                (m[:j] + (m[j] - 1,) + m[j + 1 :], c * m[j])
+                for m, c in oa.items()
+                if m[j]
+            ),
+        ),
+        (a.extend(1).partial_derivative(ARITY), {}),
+    ]
+    for got, want in expected:
+        assert_reduced_form(got)
+        assert fraction_view(got) == want
+        assert got.coeffs == want
+    for _, part in (a + b).weighted_components((1, 2, 0)):
+        assert_reduced_form(part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_term_lists)
+def test_equal_polynomials_have_equal_numerators_and_denominator(terms):
+    p = Polynomial(ARITY, terms)
+    # the same polynomial by another route: scaled up and back down
+    q = p.scale(Fraction(7, 3)).scale(Fraction(3, 7))
+    assert (q.den, q.num) == (p.den, p.num)
+    assert q == p and hash(q) == hash(p)
+
+
+def test_power_of_a_trinomial_has_the_multinomial_coefficients():
+    n = 30
+    p = parse_poly(f"(x+y+z)^{n}", ["x", "y", "z"])
+    assert p.den == 1
+    f = factorial
+    assert p.num == {
+        (i, j, n - i - j): f(n) // (f(i) * f(j) * f(n - i - j))
+        for i in range(n + 1)
+        for j in range(n + 1 - i)
+    }

@@ -395,3 +395,15 @@ def test_suspension_rejects_bad_weights():
         suspension_lnd(Z, dz, Z.parse("z^2 - 1"), [])
     with pytest.raises(BadWeights):
         suspension_lnd(Z, dz, Z.parse("z^2 - 1"), [1, 0])
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.9, True])
+def test_non_integer_exponents_and_weights_are_rejected(bad):
+    with pytest.raises(InvalidData):
+        TrinomialData.type1([[bad, 1], [2]], [1, 0])
+    with pytest.raises(InvalidData):
+        TrinomialData.type2([[2], [bad], [2]], A_STD)
+    Z = PresentedAlgebra(["z"])
+    dz = Derivation.from_strings(Z, {"z": "1"})
+    with pytest.raises(BadWeights):
+        suspension_lnd(Z, dz, Z.parse("z^2 - 1"), [1, bad])
