@@ -178,9 +178,14 @@ class Derivation:
         parts = []
         for j, image in enumerate(self.images):
             if image.num:
-                df = f.partial_derivative(j)
-                if df.num:
-                    parts.append((_mul(df.num, image.num), df.den * image.den))
+                # the numerator of df/dx_j, over f.den
+                df = {
+                    m[:j] + (m[j] - 1,) + m[j + 1 :]: c * m[j]
+                    for m, c in f.num.items()
+                    if m[j]
+                }
+                if df:
+                    parts.append((_mul(df, image.num), f.den * image.den))
         return self.algebra.normal(_sum(f.arity, parts))
 
     def is_well_defined(self) -> tuple[bool, tuple]:

@@ -1,9 +1,11 @@
 """Gröbner-basis kernel: Buchberger, normal forms, ideal membership.
 
-`reduce_poly` and `normal_form` divide the integer numerators of
-`Polynomial`s keyed by exponent tuples, fraction-free, with leading
-terms memoised by `Polynomial.leading(order)`. Buchberger's pair loop
-works on integers, coefficients and monomials alike.
+`reduce_poly` and `normal_form` share one fraction-free division,
+`_divide`, on integer numerators keyed by exponent tuples. A
+`GroebnerBasis` builds its divisors once, for every `normal_form` by it;
+an input with no monomial divisible by a leading monomial comes back
+untouched. Buchberger's pair loop works on integers, coefficients and
+monomials alike.
 
 Coefficients: at entry each generator's numerator has its content
 divided out: an element is then a primitive integer coefficient dict
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
 from math import gcd
 from operator import add, le, mul
@@ -159,45 +161,49 @@ def _primitive(coeffs: dict) -> dict:
     return coeffs if g == 1 else {m: c // g for m, c in coeffs.items()}
 
 
-def reduce_poly(
-    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
-) -> Polynomial:
-    """Full remainder of f under multivariate division by `basis`.
-
-    Fraction-free: each basis element is taken as its primitive integer
-    numerator, with a positive leading coefficient glc (`_primitive`).
-    Each step cancels the leading term lc*x^lm of what is left against
-    the first element whose leading monomial divides lm, or moves that
-    term to the remainder. Before the cancellation, what is left and the
-    remainder so far are multiplied by glc/gcd(lc, glc), and so is the
-    denominator, which starts at f.den: the result is the exact remainder
-    over Q, with the steps of division over Q. The work happens on a copy
-    of `f.num`, with each monomial's order key computed once per call;
-    leading monomials come from `Polynomial.leading`, memoised on the
-    basis elements. Raises ArityMismatch if a basis element's arity
-    differs from f's.
-    """
-    if not basis:
-        return f
-    for g in basis:
-        if g.arity != f.arity:
-            raise ArityMismatch(f"arity {f.arity} vs basis arity {g.arity}")
-    keys: dict[Monomial, object] = {}
-
-    def key(m: Monomial):
-        k = keys.get(m)
-        if k is None:
-            k = keys[m] = order.key(m)
-        return k
-
+def _divisor_forms(
+    basis: Sequence[Polynomial], order: MonomialOrder, arity: int
+) -> list[tuple[Monomial, int, list]]:
+    """Each basis element as a divisor (glm, glc, tail): its primitive
+    integer numerator (`_primitive`), whose leading coefficient glc at
+    glm is positive. Raises ArityMismatch if an element's arity is not
+    `arity`."""
     divisors = []
     for g in basis:
+        if g.arity != arity:
+            raise ArityMismatch(f"arity {arity} vs basis arity {g.arity}")
         glm = g.leading(order)[0]
         prim = _primitive({glm: g.num[glm], **g.num})  # leading term first
         divisors.append((glm, prim[glm], [t for t in prim.items() if t[0] != glm]))
+    return divisors
+
+
+def reduce_poly(
+    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
+) -> Polynomial:
+    """Full remainder of f under multivariate division by `basis`: builds
+    the divisors, then divides. Raises ArityMismatch if a basis element's
+    arity differs from f's."""
+    return _divide(f, _divisor_forms(basis, order, f.arity), order)
+
+
+def _divide(f: Polynomial, divisors: list, order: MonomialOrder) -> Polynomial:
+    """Full remainder of f under division by `divisors`, fraction-free.
+
+    When no leading monomial divides a monomial of f, f is its own
+    remainder and is returned as is. Otherwise each step cancels the
+    leading term lc*x^lm of what is left against the first divisor whose
+    glm divides lm, or moves that term to the remainder. Before the
+    cancellation, what is left and the remainder so far are multiplied by
+    glc/gcd(lc, glc), and so is the denominator, which starts at f.den:
+    the result is the exact remainder over Q, with the steps of division
+    over Q. The work happens on a copy of `f.num`, with each monomial's
+    order key computed once per call.
+    """
+    if not any(_divides(d[0], m) for m in f.num for d in divisors):
+        return f
     acc = dict(f.num)
-    for m in acc:
-        key(m)
+    keys = {m: order.key(m) for m in acc}
     remainder: dict[Monomial, int] = {}
     den = f.den
     while acc:
@@ -218,7 +224,8 @@ def reduce_poly(
                     v = acc.get(m)
                     if v is None:
                         acc[m] = c * gc
-                        key(m)
+                        if m not in keys:
+                            keys[m] = order.key(m)
                     else:
                         v += c * gc
                         if v:
@@ -312,6 +319,12 @@ class GroebnerBasis:
 
     def is_trivial(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant()
+
+    @cached_property
+    def _divisors(self) -> list[tuple[Monomial, int, list]]:
+        """The basis as `_divisor_forms`, built on first use; equality
+        and hashing see only the three fields."""
+        return _divisor_forms(self.basis, self.order, self.arity)
 
 
 def _pseudo_reduce(acc: dict, divisors: list, flip: int, guard: int) -> dict[int, int]:
@@ -477,10 +490,12 @@ def _autoreduce(
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Unique remainder of f under full reduction by the basis."""
+    """Unique remainder of f under full reduction by the basis: `_divide`
+    by the basis's cached divisors, so f comes back as is when no leading
+    monomial divides any of its monomials."""
     if f.arity != gb.arity:
         raise ArityMismatch(f"arity {f.arity} vs basis arity {gb.arity}")
-    return reduce_poly(f, gb.basis, gb.order)
+    return _divide(f, gb._divisors, gb.order)
 
 
 def contains_one(

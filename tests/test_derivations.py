@@ -79,6 +79,30 @@ def test_leibniz_on_corpus():
             assert lhs == rhs, name
 
 
+def test_apply_with_denominators_is_the_reduced_leibniz_sum():
+    # f and the images over denominators other than 1, against the sum of
+    # Polynomial products; D need not preserve the relations for this
+    rng = random.Random(23)
+    for name, algebra, _ in corpus():
+        n = algebra.arity
+        for _ in range(20):
+            images = [
+                rand_poly(rng, n).scale(Fraction(1, rng.randint(2, 6)))
+                for _ in range(n)
+            ]
+            D = Derivation(algebra, images)
+            assert any(image.den != 1 for image in D.images), name
+            f = algebra.normal(rand_poly(rng, n, max_deg=4, max_terms=5))
+            f = f.scale(Fraction(rng.randint(1, 9), rng.randint(2, 12)))
+            expected = sum(
+                (f.partial_derivative(j) * image for j, image in enumerate(D.images)),
+                Polynomial.zero(n),
+            )
+            result = D.apply(f)
+            assert result == algebra.normal(expected), name
+            assert_reduced_form(result)
+
+
 # ---- well-definedness -------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from lndkit.errors import ArityMismatch, PointNotOnVariety, ResourceLimit
 from lndkit.groebner import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
     Ideal,
     MonomialOrder,
     contains_one,
@@ -17,6 +19,7 @@ from lndkit.groebner import (
     jacobian_rank_at_point,
     normal_form,
     reduce_poly,
+    _divides,
     _Packing,
 )
 from lndkit.poly import Polynomial, parse_poly
@@ -303,6 +306,67 @@ def test_reduce_poly_arity_mismatch():
         for order in ORDERS:
             with pytest.raises(ArityMismatch):
                 reduce_poly(f, basis, order)
+
+
+def test_normal_form_rejects_a_basis_element_of_another_arity():
+    # built by hand, not by groebner(): an arity-1 element in arity 2
+    gb = GroebnerBasis(GREVLEX, (p("x", ["x"]),), 2)
+    for f in (p("x", ["x", "y"]), p("y", ["x", "y"])):
+        with pytest.raises(ArityMismatch):
+            normal_form(f, gb)
+
+
+# ---- normal forms by one reused basis ------------------------------------
+
+
+# one GroebnerBasis per (ideal, order): every normal form after the first
+# divides by the divisors that basis built on its first use
+REUSED_BASES = [
+    gb_of(texts, order=order)
+    for texts in (["x^2 - y"], ["x^2*y - 3*z", "x*z^2 - 1/2*y"])
+    for order in ORDERS
+]
+
+
+def _reused_basis_inputs(gb):
+    """Zero, an already-reduced f, an f whose leading term is irreducible
+    but whose tail is reducible (lex by {x^2 - y} has none), each basis
+    element plus one, and seeded random inputs."""
+    rng = random.Random(12)
+    key, lms = gb.order.key, [g.leading(gb.order)[0] for g in gb.basis]
+    monos = list(itertools.product(range(6), repeat=3))
+    reducible = [m for m in monos if any(_divides(lm, m) for lm in lms)]
+    tail = min(reducible, key=key)
+    leads = [m for m in monos if key(m) > key(tail) and m not in reducible]
+    fs = [Polynomial.zero(3), normal_form(p("x^3*y*z + 2/3*x*z^2 - 1"), gb)]
+    fs += [p("z^3 + x^2")]  # z^3 + y by {x^2 - y} in grevlex
+    fs += [
+        Polynomial(3, [(m, Fraction(-7, 3)), (tail, Fraction(5, 2))])
+        for m in leads[:3]
+    ]
+    fs += [g + 1 for g in gb.basis]
+    fs += [rand_poly(rng, 3, max_deg=5, max_terms=6, coeff_range=9) for _ in range(40)]
+    return fs
+
+
+@pytest.mark.parametrize("gb", REUSED_BASES, ids=lambda gb: gb.order.kind)
+def test_normal_forms_by_one_reused_basis_match_fraction_division(gb):
+    for f in _reused_basis_inputs(gb):
+        r = normal_form(f, gb)
+        assert_reduced_form(r)
+        assert r == fraction_reduce(f, gb.basis, gb.order)
+        if r == f:
+            # already reduced: returned as is
+            assert r is f
+
+
+def test_groebner_bases_stay_equal_after_one_builds_its_divisors():
+    a, b = gb_of(["x^2 - y", "y*z - 1"]), gb_of(["x^2 - y", "y*z - 1"])
+    assert a is not b and a == b and hash(a) == hash(b)
+    normal_form(p("x^3*z"), a)
+    assert "_divisors" in vars(a) and "_divisors" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "a"}[b] == "a"
 
 
 # ---- the integer kernel against textbook Buchberger over Q ---------------
