@@ -2,14 +2,22 @@
 
 A PresentedAlgebra is K[vars]/(relations); computation happens on normal
 forms modulo a cached Gröbner basis of the relation ideal. A Derivation
-is given by generator images and extended by the Leibniz rule.
+is given by generator images and extended by the Leibniz rule. Each
+Derivation builds its Leibniz table once, on first use: for every
+generator x_j with D(x_j) != 0, the monomials of D(x_j) shifted by -e_j
+with their numerators over one common image denominator, so applying D
+is one pass over the terms of f. It also keeps the last chain f, D(f),
+D^2(f), ... that reached zero, keyed by the normal form of f, and
+exp(sD) and the Dixmier projection read their chains through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -21,7 +29,7 @@ from .errors import (
 from .groebner import (
     GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, integer_weights, normal_form
 )
-from .poly import Polynomial, _mul, _sum, parse_poly
+from .poly import Polynomial, _from_num, _mul, _sum, parse_poly
 
 FORMAL_PARAMETER = "_s"
 
@@ -152,6 +160,8 @@ class Derivation:
         self.images = tuple(algebra.normal(f) for f in images)
         self._well_defined: tuple[bool, tuple] | None = None
         self._verdict: NilpotencyVerdict | None = None  # only a verified one
+        # (normal form of f, chain of f) for the last chain that reached zero
+        self._last_chain: tuple[Polynomial, tuple[Polynomial, ...]] | None = None
 
     @staticmethod
     def from_strings(
@@ -171,22 +181,49 @@ class Derivation:
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.images)
 
+    @cached_property
+    def _leibniz(self) -> tuple[tuple, int]:
+        """The Leibniz table and its denominator L, the lcm of the image
+        denominators: for each j with D(x_j) != 0 the pair (j, rows), with
+        one row (m - e_j, c * L / den) per term c*m/den of D(x_j)."""
+        images = self.images
+        common = lcm(*[image.den for image in images if image.num])
+        table = []
+        for j, image in enumerate(images):
+            if image.num:
+                k = common // image.den
+                rows = tuple(
+                    (m[:j] + (m[j] - 1,) + m[j + 1 :], c * k)
+                    for m, c in image.num.items()
+                )
+                table.append((j, rows))
+        return tuple(table), common
+
     def apply(self, f: Polynomial) -> Polynomial:
-        """D(f) = sum_j (df/dx_j) D(x_j), reduced modulo relations."""
+        """D(f) = sum_j (df/dx_j) D(x_j), reduced modulo relations.
+
+        One pass over the terms of f against the Leibniz table: a term
+        c*x^m of f with m_j = e > 0 adds c*e*k * x^(m + shift) for each
+        row (shift, k) of j, and the sum is over f.den * L.
+        """
         if f.arity != self.algebra.arity:
             raise ArityMismatch("polynomial arity differs from algebra arity")
-        parts = []
-        for j, image in enumerate(self.images):
-            if image.num:
-                # the numerator of df/dx_j, over f.den
-                df = {
-                    m[:j] + (m[j] - 1,) + m[j + 1 :]: c * m[j]
-                    for m, c in f.num.items()
-                    if m[j]
-                }
-                if df:
-                    parts.append((_mul(df, image.num), f.den * image.den))
-        return self.algebra.normal(_sum(f.arity, parts))
+        table, common = self._leibniz
+        acc: dict = {}
+        get = acc.get
+        for m, c in f.num.items():
+            for j, rows in table:
+                e = m[j]
+                if e:
+                    ce = c * e
+                    for shift, k in rows:
+                        mk = tuple(map(add, m, shift))
+                        v = get(mk, 0) + ce * k
+                        if v:
+                            acc[mk] = v
+                        else:
+                            del acc[mk]
+        return self.algebra.normal(_from_num(f.arity, acc, f.den * common))
 
     def is_well_defined(self) -> tuple[bool, tuple]:
         """Check D kills every relation; certificate lists the reductions."""
@@ -260,11 +297,26 @@ class Derivation:
         return verdict
 
     def iterate(self, f: Polynomial):
-        """Yield f, D(f), D^2(f), ... stopping at the first zero."""
-        current = self.algebra.normal(f)
+        """Yield f, D(f), D^2(f), ... stopping at the first zero.
+
+        Lazy, so a D that is not nilpotent on f can be read a few steps
+        at a time. A chain that reaches zero is kept, keyed by the normal
+        form of f, until the next one does; iterating the same f again
+        (or f plus a relation) yields the kept chain without applying D.
+        An iteration stopped early keeps nothing.
+        """
+        key = self.algebra.normal(f)
+        last = self._last_chain
+        if last is not None and last[0] == key:
+            yield from last[1]
+            return
+        chain = []
+        current = key
         while not current.is_zero():
+            chain.append(current)
             yield current
             current = self.apply(current)
+        self._last_chain = (key, tuple(chain))
 
     def check_slice(self, s: Polynomial) -> bool:
         return self.apply(s) == Polynomial.constant(self.algebra.arity, 1)

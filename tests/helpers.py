@@ -152,3 +152,14 @@ def fraction_reduce(f: Polynomial, basis, order) -> Polynomial:
         else:
             remainder[lm] = lc
     return Polynomial(f.arity, remainder.items())
+
+
+def leibniz_apply(D: Derivation, f: Polynomial) -> Polynomial:
+    """D(f) by the Leibniz rule on whole polynomials: the normal form of
+    sum_j (df/dx_j) * D(x_j), built from `partial_derivative` and
+    `Polynomial` products and sums. The oracle for `Derivation.apply`,
+    which computes the same sum from a table of the images."""
+    total = Polynomial.zero(f.arity)
+    for j, image in enumerate(D.images):
+        total = total + f.partial_derivative(j) * image
+    return D.algebra.normal(total)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import cache
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lndkit import (
+    GREVLEX,
     LEX,
     Derivation,
     Ideal,
@@ -16,12 +18,13 @@ from lndkit import (
     groebner,
     lift,
 )
-from lndkit.errors import NotASlice, NotVerifiedLND, ReservedVariable
+from lndkit.errors import ArityMismatch, NotASlice, NotVerifiedLND, ReservedVariable
 from lndkit.poly import Polynomial, parse_poly
 
 from helpers import (
     assert_reduced_form,
     corpus,
+    leibniz_apply,
     plane_algebra,
     plane_ddx,
     rand_poly,
@@ -101,6 +104,122 @@ def test_apply_with_denominators_is_the_reduced_leibniz_sum():
             result = D.apply(f)
             assert result == algebra.normal(expected), name
             assert_reduced_form(result)
+
+
+def _random_algebra(rng, order, relation_count):
+    """K[x,y,z] modulo `relation_count` random non-constant relations, not
+    the unit ideal."""
+    vars = ["x", "y", "z"]
+    while True:
+        relations = [rand_poly(rng, 3, max_deg=3) for _ in range(relation_count)]
+        if any(r.is_constant() for r in relations):
+            continue
+        try:
+            return PresentedAlgebra(vars, relations, {}, order)
+        except ValueError:  # the relations generate the unit ideal
+            continue
+
+
+@pytest.mark.parametrize("relation_count", [1, 2])
+@pytest.mark.parametrize(
+    "order",
+    [LEX, GREVLEX, MonomialOrder("weighted", (3, 1, 2))],
+    ids=lambda order: order.kind,
+)
+def test_apply_matches_the_leibniz_oracle(order, relation_count):
+    # images over denominators other than 1 and zero images (all zero for
+    # the first D), f over a denominator other than 1; D need not preserve
+    # the relations for this
+    rng = random.Random(41 + relation_count)
+    zero_images = images_over_den = 0
+    for _ in range(4):
+        algebra = _random_algebra(rng, order, relation_count)
+        assert len(algebra.relations) == relation_count
+        for k in range(6):
+            images = [
+                Polynomial.zero(3)
+                if not k or rng.random() < 0.3
+                else rand_poly(rng, 3).scale(Fraction(1, rng.randint(1, 6)))
+                for _ in range(3)
+            ]
+            D = Derivation(algebra, images)
+            zero_images += sum(image.is_zero() for image in D.images)
+            images_over_den += sum(image.den != 1 for image in D.images)
+            for _ in range(5):
+                f = rand_poly(rng, 3, max_deg=4, max_terms=5)
+                f = f.scale(Fraction(rng.randint(1, 9), rng.randint(2, 12)))
+                for g in (f, algebra.normal(f)):
+                    result = D.apply(g)
+                    assert result == leibniz_apply(D, g)
+                    assert_reduced_form(result)
+            with pytest.raises(ArityMismatch):
+                D.apply(Polynomial.variable(4, 0))
+    assert zero_images and images_over_den
+
+
+# ---- chains ----------------------------------------------------------------
+
+
+def _triangular():
+    """x -> 1, y -> x, z -> y on K[x,y,z]: an LND with slice x."""
+    algebra = PresentedAlgebra(["x", "y", "z"])
+    return algebra, Derivation.from_strings(algebra, {"x": "1", "y": "x", "z": "y"})
+
+
+def test_exp_and_projection_reuse_the_chain_and_match_a_fresh_derivation():
+    algebra, D = _triangular()
+    f = algebra.parse("1/3*z^2*x - y*z + 1/2*x^2")
+    s = algebra.parse("x")
+    calls = [
+        lambda E: E.exp_action(f, Fraction(2, 3)),
+        lambda E: E.exp_action(f, None)[0],
+        lambda E: E.exp_action(f, -5),
+        lambda E: E.kernel_projection(s, f),
+    ]
+    applied = []
+    apply = D.apply
+
+    def recording_apply(g):
+        applied.append(g)
+        return apply(g)
+
+    D.apply = recording_apply
+    for k, call in enumerate(calls):
+        applied.clear()
+        assert call(D) == call(Derivation(algebra, D.images))
+        if 0 < k < 3:
+            assert applied == []  # the whole chain came from the last one
+    # the projection applies D only to check its slice
+    assert applied == [s]
+
+
+def test_an_interrupted_iteration_keeps_no_chain():
+    algebra, D = _triangular()
+    f = algebra.parse("z^3 + x*y")
+    full = list(Derivation(algebra, D.images).iterate(f))
+    assert len(full) == 10  # z^3 has weight 9 for x, y, z of weights 1, 2, 3
+    assert list(itertools.islice(D.iterate(f), 2)) == full[:2]
+    assert list(D.iterate(f)) == full
+    assert list(D.iterate(f)) == full
+
+
+def test_iterate_is_lazy_for_a_derivation_that_is_not_nilpotent():
+    algebra = PresentedAlgebra(["x"])
+    D = Derivation.from_strings(algebra, {"x": "x"})
+    x = algebra.parse("x")
+    assert list(itertools.islice(D.iterate(x), 5)) == [x] * 5
+
+
+def test_a_chain_is_keyed_by_the_normal_form(w1, w1_lnd):
+    f = w1.parse("y*z + z^2")
+    relation = parse_poly("x*y - z^2 + 1", w1.vars)
+    unreduced = f + relation
+    assert unreduced != f
+    chain = list(w1_lnd.iterate(f))
+    again = list(w1_lnd.iterate(unreduced))
+    assert again == chain
+    assert all(a is b for a, b in zip(again, chain))
+    assert list(Derivation(w1, w1_lnd.images).iterate(unreduced)) == chain
 
 
 # ---- well-definedness -------------------------------------------------------
