@@ -15,7 +15,7 @@ from .derivations import (
 )
 from .errors import ArityMismatch, NoLNDs
 from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
-from .poly import Polynomial, _from_num, parse_poly
+from .poly import Polynomial, _from_num, _is_int, parse_poly
 from .report import ClassificationReport, Evidence
 from .toric import Cone, classify_toric
 from .trinomial import TrinomialData, classify_trinomial
@@ -127,7 +127,7 @@ def _shape(value, what: str, kind: type = list, item: type = object):
     what. A boolean is not an integer here."""
 
     def fits(x, t: type) -> bool:
-        return isinstance(x, t) and not (t is int and isinstance(x, bool))
+        return _is_int(x) if t is int else isinstance(x, t)
 
     entries = value.values() if isinstance(value, dict) else value
     if fits(value, kind) and (kind is int or all(fits(x, item) for x in entries)):
@@ -149,11 +149,16 @@ def _rationals(value, what: str) -> list[Fraction]:
 
 
 def combined_image_ideal(V: VarietyDossier) -> Ideal:
-    """Ideal generated by the images of all supplied LNDs."""
+    """Ideal generated by the images of all supplied LNDs.
+
+    Raises NotVerifiedLND for the first derivation that is not a verified
+    LND, so no verdict built on this ideal rests on a non-LND.
+    """
     if not V.lnds:
         raise NoLNDs("dossier supplies no derivations")
     gens: list[Polynomial] = []
     for D in V.lnds:
+        D.require_lnd()
         gens.extend(D.image_ideal().generators)
     return Ideal.of(gens, V.algebra.arity)
 

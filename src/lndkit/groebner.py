@@ -52,7 +52,7 @@ from operator import add, le, mul
 from typing import Sequence
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
-from .poly import Monomial, Polynomial, _add_into, _from_num, grevlex_key
+from .poly import Monomial, Polynomial, _add_into, _from_num, _is_int, grevlex_key
 from .toric import matrix_rank
 
 DEFAULT_PAIR_BUDGET = 100_000
@@ -65,7 +65,7 @@ def integer_weights(w: Sequence[int]) -> tuple[int, ...]:
     """The weights w as a tuple; ValueError for a non-integer or boolean."""
     w = tuple(w)
     for x in w:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_int(x):
             raise ValueError(f"weight {x!r} is not an integer")
     return w
 

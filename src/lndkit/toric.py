@@ -18,6 +18,7 @@ from math import ceil, floor, gcd, lcm
 from typing import Sequence
 
 from .errors import DegenerateCone, DimensionMismatch
+from .poly import _is_int
 from .report import ClassificationReport, Evidence
 
 
@@ -36,9 +37,12 @@ class Cone:
     @staticmethod
     def of(rays: Sequence[Sequence[int]]) -> "Cone":
         try:
-            rays = tuple(tuple(int(x) for x in r) for r in rays)
+            rays = tuple(tuple(r) for r in rays)
+            integral = all(_is_int(x) for r in rays for x in r)
         except TypeError:
-            raise ValueError(f"rays must be integer lists, not {rays!r}") from None
+            integral = False
+        if not integral:
+            raise ValueError(f"rays must be integer lists, not {rays!r}")
         if not rays:
             raise ValueError("a cone needs at least one ray")
         dim = len(rays[0])
@@ -75,27 +79,33 @@ class DemazureRoot:
 
 
 def _pair(m: Sequence[int], v: Sequence[int]) -> int:
-    return sum(int(x) * int(y) for x, y in zip(m, v))
+    return sum(x * y for x, y in zip(m, v))
+
+
+def _check_vector(v: Sequence[int], cone: Cone) -> None:
+    """DimensionMismatch unless v has cone.dim entries; ValueError unless
+    they are ints."""
+    if len(v) != cone.dim:
+        raise DimensionMismatch(f"vector length {len(v)} vs dim {cone.dim}")
+    if not all(_is_int(x) for x in v):
+        raise ValueError(f"vector {v!r} has a non-integer entry")
 
 
 def dual_membership(m: Sequence[int], cone: Cone) -> bool:
     """m lies in the dual cone iff it pairs >= 0 with every ray."""
-    if len(m) != cone.dim:
-        raise DimensionMismatch(f"vector length {len(m)} vs dim {cone.dim}")
+    _check_vector(m, cone)
     return all(_pair(m, v) >= 0 for v in cone.rays)
 
 
 def phi_degree(m: Sequence[int], cone: Cone) -> int:
     """Sum of pairings with all rays; grades the semigroup algebra."""
-    if len(m) != cone.dim:
-        raise DimensionMismatch(f"vector length {len(m)} vs dim {cone.dim}")
+    _check_vector(m, cone)
     return sum(_pair(m, v) for v in cone.rays)
 
 
 def root_of(e: Sequence[int], cone: Cone) -> DemazureRoot | None:
     """Return the root structure of e, or None if e is not a root."""
-    if len(e) != cone.dim:
-        raise DimensionMismatch(f"vector length {len(e)} vs dim {cone.dim}")
+    _check_vector(e, cone)
     distinguished = None
     for i, v in enumerate(cone.rays):
         p = _pair(e, v)
@@ -105,7 +115,7 @@ def root_of(e: Sequence[int], cone: Cone) -> DemazureRoot | None:
             return None
     if distinguished is None:
         return None
-    return DemazureRoot(tuple(int(x) for x in e), distinguished)
+    return DemazureRoot(tuple(e), distinguished)
 
 
 def enumerate_roots(cone: Cone, box: int) -> list[DemazureRoot]:
@@ -119,8 +129,8 @@ def enumerate_roots(cone: Cone, box: int) -> list[DemazureRoot]:
     of scanning it. The list is the one a scan of every point of the box
     with `root_of` gives, in the same order.
     """
-    if box < 1:
-        raise ValueError("box must be >= 1")
+    if not _is_int(box) or box < 1:
+        raise ValueError(f"box must be an integer >= 1, got {box!r}")
     columns = list(zip(*cone.rays))
     last = cone.dim - 1
     # reach[k][i]: the most that coordinates k.. can add to ray i's pairing

@@ -20,13 +20,8 @@ from .errors import (
     InvalidData,
     UnreducedPresentation,
 )
-from .poly import Polynomial
+from .poly import Polynomial, _is_int
 from .report import ClassificationReport, Evidence
-
-
-def _is_int(x) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -74,8 +69,8 @@ class TrinomialData:
     def __post_init__(self) -> None:
         if self.variant not in (1, 2):
             raise InvalidData(f"variant must be 1 or 2, got {self.variant}")
-        if self.m < 0:
-            raise InvalidData("m must be >= 0")
+        if not _is_int(self.m) or self.m < 0:
+            raise InvalidData(f"m must be an integer >= 0, got {self.m!r}")
         if self.r < 2:
             raise InvalidData("need r >= 2 blocks")
         for li in self.l:

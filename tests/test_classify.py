@@ -305,6 +305,31 @@ def test_from_json_keeps_unverified_derivations():
         VarietyDossier.create(V.algebra, V.lnds, V.tags)
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        (
+            {"vars": ["x", "y"], "derivations": {"bad": {"x": "1", "y": "y"}}},
+            "NotNilpotentWitness",
+        ),
+        (
+            {
+                "vars": XYZ,
+                "relations": ["x*y - z^2"],
+                "derivations": {"bad": {"x": "1", "y": "0", "z": "0"}},
+            },
+            "does not preserve the relations",
+        ),
+    ],
+)
+def test_verdicts_on_a_loaded_non_lnd_raise(doc, reason):
+    # from_json verifies nothing, so the verdicts must verify for themselves
+    V = VarietyDossier.from_json(doc)
+    for verdict in (classify, type_a_certificate, fixed_locus, combined_image_ideal):
+        with pytest.raises(NotVerifiedLND, match=reason):
+            verdict(V)
+
+
 def test_from_json_derivations_require_vars():
     with pytest.raises(ValueError, match="require vars"):
         VarietyDossier.from_json({"derivations": {"d": {"x": "1"}}})

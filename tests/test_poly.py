@@ -239,6 +239,12 @@ def test_public_constructor_checks(terms, data):
     negative = negative[:1] + (-1,) + negative[2:]
     with pytest.raises(ValueError):
         Polynomial(ARITY, [*terms[:at], (negative, 1), *terms[at:]])
+    for bad in (1.5, 0.5, True):
+        fractional = negative[:1] + (bad,) + negative[2:]
+        with pytest.raises(ValueError):
+            Polynomial(ARITY, [*terms[:at], (fractional, 1), *terms[at:]])
+        with pytest.raises(ValueError):
+            Polynomial.monomial(ARITY, fractional)
     # exponents are unbounded: 2^63 is taken as given, not capped
     huge = Polynomial(ARITY, [*terms[:at], ((2**63, 0, 0), 1), *terms[at:]])
     assert huge.coeffs[(2**63, 0, 0)] == 1

@@ -96,6 +96,21 @@ def test_cone_rejects_bad_rays():
             Cone.of(rays)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.5, -1.9, 2.5, True])
+def test_toric_inputs_must_be_integers(bad):
+    # entries are checked, not truncated: int(-1.9) would be the root -1
+    with pytest.raises(ValueError):
+        Cone.of([[bad, 0], [0, 1]])
+    quadrant = Cone.of([[1, 0], [0, 1]])
+    for check in (dual_membership, phi_degree, root_of):
+        with pytest.raises(ValueError):
+            check([bad, 1], quadrant)
+        with pytest.raises(DimensionMismatch):
+            check([bad, 1, 0], quadrant)
+    with pytest.raises(ValueError):
+        enumerate_roots(quadrant, bad)
+
+
 # ---- pairing helpers ------------------------------------------------------
 
 

@@ -403,6 +403,8 @@ def test_non_integer_exponents_and_weights_are_rejected(bad):
         TrinomialData.type1([[bad, 1], [2]], [1, 0])
     with pytest.raises(InvalidData):
         TrinomialData.type2([[2], [bad], [2]], A_STD)
+    with pytest.raises(InvalidData):
+        TrinomialData.type1([[1, 1], [2]], [1, 0], m=bad)
     Z = PresentedAlgebra(["z"])
     dz = Derivation.from_strings(Z, {"z": "1"})
     with pytest.raises(BadWeights):
