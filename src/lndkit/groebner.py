@@ -9,12 +9,13 @@ monomials alike.
 
 Coefficients: at entry each generator's numerator has its content
 divided out: an element is then a primitive integer coefficient dict
-with a positive leading coefficient, held as (leading monomial, leading
-coefficient, tail, tail maximum). S-polynomials are cross-multiplied by
-the cofactors of the gcd of the two leading coefficients, and remainders
-come from primitive pseudo-division. Each integer remainder is a nonzero
-multiple of the remainder over Q, so the leading monomials, and with
-them the pair sequence, are those of division over Q.
+with a positive leading coefficient. S-polynomials are cross-multiplied
+by the cofactors of the gcd of the two leading coefficients, and
+remainders come from primitive pseudo-division. A remainder's terms wait
+in a list, each with the product of the rescales made so far, and are
+rescaled once when the division ends. Each integer remainder is a
+nonzero multiple of the remainder over Q, so the leading monomials, and
+with them the pair sequence, are those of division over Q.
 
 Monomials (packed exponent vectors, after Monagan & Pearce, "Polynomial
 Division Using Dynamic Arrays, Heaps, and Packed Exponent Vectors"): at
@@ -25,17 +26,24 @@ field is a guard bit, clear in every packed monomial. XOR with a fixed
 mask that flips the variable fields of grevlex and weighted makes the
 int its order key. A product is one add; a divides b iff (b - a) has no
 guard bit set; the lcm is a masked field-wise maximum of the variable
-fields. The field width comes from the input: two bits more than a
-bound on the largest field value of any generator, at least 8. Each
-element keeps the field-wise maximum of its tail, and before a tail is
-multiplied by x^q the guard bits of that maximum plus q are tested; a
-new pair's lcm is tested the same way. On overflow the call starts over
-with fields twice as wide, so exponents stay unbounded. Pending S-pairs
-sit in a heap keyed by their lcm's packed order key and their indices.
+fields. The pair loop keys every term by its order key, so a plain `max`
+finds a leading term, and a product stays one add of keys: while no
+field reaches its guard bit, (a + b) ^ mask == (a ^ mask) + (b ^ mask) -
+mask. An element is held as (packed leading monomial, its key, leading
+coefficient, tail keyed by order key, tail maximum); divisibility, lcms
+and the overflow tests use the packed monomial. The field width comes
+from the input: two bits more than a bound on the largest field value of
+any generator, at least 8. Each element keeps the field-wise maximum of
+its tail, and before a tail is multiplied by x^q the guard bits of that
+maximum plus q are tested; a new pair's lcm is tested the same way. On
+overflow the call starts over with fields twice as wide, so exponents
+stay unbounded. Pending S-pairs sit in a heap keyed by their lcm's order
+key and their indices.
 
 At exit the minimal basis is unpacked, each element made monic by
 taking its leading coefficient as the denominator, and `reduce_poly`
-inter-reduces it.
+inter-reduces it in ascending order, each element by the smaller ones
+only.
 
 Deterministic throughout: for fixed generators and order, the reduced
 basis and every normal form are reproducible bit for bit.
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
 from math import gcd
-from operator import add, le, mul
+from operator import add, itemgetter, le, mul
 from typing import Sequence
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
@@ -328,21 +336,36 @@ class GroebnerBasis:
 
 
 def _pseudo_reduce(acc: dict, divisors: list, flip: int, guard: int) -> dict[int, int]:
-    """Primitive pseudo-remainder of the packed integer dict `acc`.
+    """Primitive pseudo-remainder of the integer dict `acc`, keyed by order key.
 
-    Each divisor is an (lm, lc, tail, tail maximum) tuple. This is the
-    pseudo-division of `reduce_poly` on packed monomials: the same steps,
-    the same choice of divisor, and the same scaling by glc/gcd(lc, glc)
-    before lc*x^lm is cancelled against glc*x^glm. So the result, made
-    primitive with a positive leading coefficient, is a multiple of
-    `reduce_poly`'s remainder; its terms are in descending order. Raises
-    _Overflow when the tail times x^(lm - glm) could reach a guard bit.
+    Each divisor is an (lm, key, lc, tail, tail maximum) tuple: its
+    packed leading monomial, that monomial's order key lm ^ flip, its
+    leading coefficient, its tail keyed by order key, and the packed
+    field-wise maximum of the tail. This is the pseudo-division of
+    `reduce_poly`: the same steps, the same choice of divisor, and the
+    same scaling by glc/gcd(lc, glc) before lc*x^lm is cancelled against
+    glc*x^glm. So the result, made primitive with a positive leading
+    coefficient, is a multiple of `reduce_poly`'s remainder; its terms
+    are in descending order.
+
+    The leading term of what is left is `max(acc)`. Divisibility and the
+    overflow test work on the packed lm = key ^ flip. A key times x^q,
+    q = lm - glm, is the key plus (key - glm's key): on fields below
+    their guard bits, XOR with flip is flip minus the variable fields, so
+    (a + b) ^ flip == (a ^ flip) + (b ^ flip) - flip, and the guard test
+    of the tail maximum plus q has already ruled out a carry. Terms move
+    to the remainder in descending order, each with the product of the
+    rescales so far; at the end each is multiplied once by the rescales
+    that came after it. Raises _Overflow when the tail times x^q could
+    reach a guard bit.
     """
-    remainder: dict[int, int] = {}
+    remainder: list[tuple[int, int, int]] = []
+    scale = 1
     while acc:
-        lm = max(acc, key=flip.__xor__)
-        lc = acc.pop(lm)
-        for glm, glc, tail, top in divisors:
+        k = max(acc)
+        lc = acc.pop(k)
+        lm = k ^ flip
+        for glm, gk, glc, tail, top in divisors:
             q = lm - glm
             if not q & guard:
                 if top + q & guard:
@@ -351,9 +374,10 @@ def _pseudo_reduce(acc: dict, divisors: list, flip: int, guard: int) -> dict[int
                 s, c = glc // g, -(lc // g)
                 if s != 1:
                     acc = {m: v * s for m, v in acc.items()}
-                    remainder = {m: v * s for m, v in remainder.items()}
+                    scale *= s
+                d = k - gk
                 for m, v in tail:
-                    m += q
+                    m += d
                     v = acc.get(m, 0) + c * v
                     if v:
                         acc[m] = v
@@ -361,8 +385,12 @@ def _pseudo_reduce(acc: dict, divisors: list, flip: int, guard: int) -> dict[int
                         del acc[m]
                 break
         else:
-            remainder[lm] = lc
-    return _primitive(remainder) if remainder else remainder
+            remainder.append((k, lc, scale))
+    if not remainder:
+        return {}
+    return _primitive(
+        {k: c if s == scale else c * (scale // s) for k, c, s in remainder}
+    )
 
 
 def groebner(
@@ -397,16 +425,24 @@ def groebner(
 
 
 def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[tuple]:
-    """Buchberger's pair loop on primitive packed integer dicts; returns
-    each basis element as (lm, lc, tail, field-wise maximum of the tail)."""
+    """Buchberger's pair loop on primitive integer dicts keyed by order key.
+
+    Returns each basis element as `_pseudo_reduce`'s divisor tuple (lm,
+    key, lc, tail, tail maximum). The pair heap, the criteria, the lcm
+    and the overflow tests use the packed leading monomials; the
+    S-polynomial shifts each tail key by the lcm's key minus the
+    element's, which is exact for the reason `_pseudo_reduce` gives.
+    """
     flip, guard = packing.flip, packing.guard
-    G: list[tuple[int, int, list, int]] = []
-    lms: list[int] = []  # lms[k] is the leading monomial of G[k]
+    G: list[tuple[int, int, int, list, int]] = []
+    lms: list[int] = []  # lms[k] is the packed leading monomial of G[k]
     heap: list[tuple[int, int, int]] = []
     pairs: set[tuple[int, int]] = set()  # the pairs still in the heap
 
     def enter(coeffs: dict[int, int]) -> None:
-        lm, lc = next(iter(coeffs.items()))
+        # coeffs is keyed by order key, its leading term first
+        lk, lc = next(iter(coeffs.items()))
+        lm = lk ^ flip
         j = len(G)
         for i in range(j):
             l = packing.lcm(lms[i], lm)
@@ -415,13 +451,14 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
             heapq.heappush(heap, (l ^ flip, i, j))
             pairs.add((i, j))
         tail = list(coeffs.items())[1:]
-        G.append((lm, lc, tail, reduce(packing.max, (m for m, _ in tail), 0)))
+        top = reduce(packing.max, (k ^ flip for k, _ in tail), 0)
+        G.append((lm, lk, lc, tail, top))
         lms.append(lm)
 
     for g in gens:
-        ints = {packing.pack(m): c for m, c in g.items()}
-        lm = max(ints, key=flip.__xor__)
-        enter(_primitive({lm: ints.pop(lm), **ints}))
+        keyed = {packing.pack(m) ^ flip: c for m, c in g.items()}
+        lk = max(keyed)
+        enter(_primitive({lk: keyed.pop(lk), **keyed}))
     processed = 0
     while heap:
         key, i, j = heapq.heappop(heap)
@@ -430,7 +467,7 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
         if processed > pair_budget:
             raise ResourceLimit(f"S-pair budget {pair_budget} exceeded")
         l = key ^ flip
-        (lmi, lci, taili, topi), (lmj, lcj, tailj, topj) = G[i], G[j]
+        (lmi, lki, lci, taili, topi), (lmj, lkj, lcj, tailj, topj) = G[i], G[j]
         # product criterion: coprime leading monomials
         if l == lmi + lmj:
             continue
@@ -446,13 +483,13 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
             continue
         # (lcj/g)*x^(l-lmi)*f_i - (lci/g)*x^(l-lmj)*f_j: the leading terms
         # cancel, so the S-polynomial is built from the tails alone
-        qi, qj = l - lmi, l - lmj
-        if topi + qi & guard or topj + qj & guard:
+        if topi + (l - lmi) & guard or topj + (l - lmj) & guard:
             raise _Overflow
         g = gcd(lci, lcj)
         ci, cj = lcj // g, -(lci // g)
-        acc = {m + qi: ci * c for m, c in taili}
-        _add_into(acc, {m + qj: cj * c for m, c in tailj})
+        di, dj = key - lki, key - lkj
+        acc = {k + di: ci * c for k, c in taili}
+        _add_into(acc, {k + dj: cj * c for k, c in tailj})
         r = _pseudo_reduce(acc, G, flip, guard)
         if r:
             enter(r)
@@ -462,31 +499,35 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
 def _autoreduce(
     G: list, packing: _Packing, order: MonomialOrder, arity: int
 ) -> tuple[Polynomial, ...]:
-    # minimalize: drop elements whose leading monomial another one divides
+    # minimalize: in ascending order, keep an element unless the leading
+    # monomial of one kept before it divides its own (a divisor is never
+    # larger; of equal leading monomials the first is kept)
     flip, guard = packing.flip, packing.guard
-    lead = sorted(G, key=lambda e: e[0] ^ flip)
-    minimal = [
-        e
-        for idx, e in enumerate(lead)
-        if not any(
-            jdx != idx and not e[0] - h[0] & guard and (h[0] != e[0] or jdx < idx)
-            for jdx, h in enumerate(lead)
-        )
-    ]
+    minimal: list[tuple] = []
+    for e in sorted(G, key=itemgetter(1)):
+        if not any(not e[0] - h[0] & guard for h in minimal):
+            minimal.append(e)
     # unpacked and monic: a primitive element over its positive leading
-    # coefficient is in lowest terms. Then reduce_poly inter-reduces,
-    # the division a traced benchmark run (perfbench/spans.py) records as
-    # groebner.reduce. No other leading monomial divides an element's
-    # leading term, so it survives: the results stay monic and sorted
+    # coefficient is in lowest terms
     unpack = packing.unpack
     monic = [
-        _from_num(arity, {unpack(lm): lc, **{unpack(m): c for m, c in tail}}, lc)
-        for lm, lc, tail, _ in minimal
+        _from_num(
+            arity, {unpack(lm): lc, **{unpack(k ^ flip): c for k, c in tail}}, lc
+        )
+        for lm, _, lc, tail, _ in minimal
     ]
-    return tuple(
-        reduce_poly(g, monic[:idx] + monic[idx + 1 :], order)
-        for idx, g in enumerate(monic)
-    )
+    # inter-reduce each element by the smaller ones, already reduced. A
+    # tail monomial lies below its own leading monomial, and a leading
+    # monomial divides only monomials at or above it, so no larger
+    # element can reduce a tail; the leading terms survive, and the
+    # results are the unique reduced basis, monic and sorted. The
+    # division stays a reduce_poly call per element, on Polynomials, so
+    # that a traced benchmark run (perfbench/spans.py) still records it as
+    # groebner.reduce under groebner.buchberger
+    out: list[Polynomial] = []
+    for g in monic:
+        out.append(reduce_poly(g, out, order))
+    return tuple(out)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

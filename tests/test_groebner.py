@@ -529,9 +529,12 @@ def test_packed_product_divisibility_lcm_and_max(case):
 @given(_packed_case(parts=2))
 def test_packed_keys_compare_as_order_keys(case):
     order, P, (a, b) = case
-    ka, kb = P.pack(a) ^ P.flip, P.pack(b) ^ P.flip
+    pa, pb = P.pack(a), P.pack(b)
+    ka, kb = pa ^ P.flip, pb ^ P.flip
     assert (ka < kb) == (order.key(a) < order.key(b))
     assert (ka == kb) == (a == b)
+    # a product is one add on order keys too: the pair loop relies on it
+    assert (pa + pb) ^ P.flip == ka + kb - P.flip
 
 
 # ---- exponents past the first field width and past 2^64 ------------------

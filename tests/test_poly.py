@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -402,3 +404,14 @@ def test_power_of_a_trinomial_has_the_multinomial_coefficients():
         for i in range(n + 1)
         for j in range(n + 1 - i)
     }
+
+
+@pytest.mark.parametrize("text", ["x + 1", "1/3*x*y - 2/5", "0"])
+def test_copy_deepcopy_and_pickle_keep_the_polynomial(text):
+    p = parse_poly(text, ["x", "y"])
+    if not p.is_zero():
+        p.leading()  # copied with its leading-term memo filled
+    for q in [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))]:
+        assert q == p and hash(q) == hash(p)
+        with pytest.raises(AttributeError, match="immutable"):
+            q.den = 2
