@@ -1,21 +1,24 @@
 """Gröbner-basis kernel: Buchberger, normal forms, ideal membership.
 
-`reduce_poly` and `normal_form` share one fraction-free division,
-`_divide`, on integer numerators keyed by exponent tuples. A
-`GroebnerBasis` builds its divisors once, for every `normal_form` by it;
-an input with no monomial divisible by a leading monomial comes back
-untouched. Buchberger's pair loop works on integers, coefficients and
-monomials alike.
+There is one division, `_pseudo_reduce`, fraction-free on integers keyed
+by packed order keys. Buchberger's pair loop reduces its S-polynomials
+with it, and `normal_form` and `reduce_poly` get the exact remainder over
+Q from it. A `GroebnerBasis` packs its elements once per field width, for
+every `normal_form` by it; an input with no monomial divisible by a
+leading monomial comes back untouched, before any packing.
 
 Coefficients: at entry each generator's numerator has its content
 divided out: an element is then a primitive integer coefficient dict
 with a positive leading coefficient. S-polynomials are cross-multiplied
 by the cofactors of the gcd of the two leading coefficients, and
-remainders come from primitive pseudo-division. A remainder's terms wait
-in a list, each with the product of the rescales made so far, and are
-rescaled once when the division ends. Each integer remainder is a
-nonzero multiple of the remainder over Q, so the leading monomials, and
-with them the pair sequence, are those of division over Q.
+remainders come from pseudo-division. A remainder's terms wait in a
+list, each with the product of the rescales made so far, and are
+rescaled once when the division ends. Each integer remainder is the
+remainder over Q times the product of the rescales, which the division
+returns with it: Buchberger makes the remainder primitive, and a normal
+form puts it over that product times the input's denominator. So the
+leading monomials, the pair sequence and every normal form are those of
+division over Q.
 
 Monomials (packed exponent vectors, after Monagan & Pearce, "Polynomial
 Division Using Dynamic Arrays, Heaps, and Packed Exponent Vectors"): at
@@ -31,19 +34,19 @@ finds a leading term, and a product stays one add of keys: while no
 field reaches its guard bit, (a + b) ^ mask == (a ^ mask) + (b ^ mask) -
 mask. An element is held as (packed leading monomial, its key, leading
 coefficient, tail keyed by order key, tail maximum); divisibility, lcms
-and the overflow tests use the packed monomial. The field width comes
-from the input: two bits more than a bound on the largest field value of
-any generator, at least 8. Each element keeps the field-wise maximum of
-its tail, and before a tail is multiplied by x^q the guard bits of that
-maximum plus q are tested; a new pair's lcm is tested the same way. On
-overflow the call starts over with fields twice as wide, so exponents
-stay unbounded. Pending S-pairs sit in a heap keyed by their lcm's order
-key and their indices.
+and the overflow tests use the packed monomial. The field width is two
+bits more than a bound on the largest field value of any generator (of
+a division: of its input and basis), at least 8. Each element keeps the
+field-wise maximum of its tail, and before a tail is multiplied by x^q
+the guard bits of that maximum plus q are tested; a new pair's lcm is
+tested the same way. On overflow Buchberger or the division starts over
+with fields twice as wide, so exponents stay unbounded. Pending S-pairs
+sit in a heap keyed by their lcm's order key and their indices.
 
 At exit the minimal basis is unpacked, each element made monic by
 taking its leading coefficient as the denominator, and `reduce_poly`
 inter-reduces it in ascending order, each element by the smaller ones
-only.
+only; each such call packs the smaller elements afresh.
 
 Deterministic throughout: for fixed generators and order, the reduced
 basis and every normal form are reproducible bit for bit.
@@ -53,10 +56,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd
-from operator import add, itemgetter, le, mul
+from operator import itemgetter, le, mul
 from typing import Sequence
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
@@ -150,102 +153,6 @@ class Ideal:
         return Ideal(gens, arity)
 
 
-# ---- division -------------------------------------------------------------
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
-
-
-def _quotient(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _primitive(coeffs: dict) -> dict:
-    """coeffs over their content, signed so the first (leading) one is > 0;
-    `coeffs` itself when that divisor is 1."""
-    g = gcd(*coeffs.values())
-    g = -g if next(iter(coeffs.values())) < 0 else g
-    return coeffs if g == 1 else {m: c // g for m, c in coeffs.items()}
-
-
-def _divisor_forms(
-    basis: Sequence[Polynomial], order: MonomialOrder, arity: int
-) -> list[tuple[Monomial, int, list]]:
-    """Each basis element as a divisor (glm, glc, tail): its primitive
-    integer numerator (`_primitive`), whose leading coefficient glc at
-    glm is positive. Raises ArityMismatch if an element's arity is not
-    `arity`."""
-    divisors = []
-    for g in basis:
-        if g.arity != arity:
-            raise ArityMismatch(f"arity {arity} vs basis arity {g.arity}")
-        glm = g.leading(order)[0]
-        prim = _primitive({glm: g.num[glm], **g.num})  # leading term first
-        divisors.append((glm, prim[glm], [t for t in prim.items() if t[0] != glm]))
-    return divisors
-
-
-def reduce_poly(
-    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
-) -> Polynomial:
-    """Full remainder of f under multivariate division by `basis`: builds
-    the divisors, then divides. Raises ArityMismatch if a basis element's
-    arity differs from f's."""
-    return _divide(f, _divisor_forms(basis, order, f.arity), order)
-
-
-def _divide(f: Polynomial, divisors: list, order: MonomialOrder) -> Polynomial:
-    """Full remainder of f under division by `divisors`, fraction-free.
-
-    When no leading monomial divides a monomial of f, f is its own
-    remainder and is returned as is. Otherwise each step cancels the
-    leading term lc*x^lm of what is left against the first divisor whose
-    glm divides lm, or moves that term to the remainder. Before the
-    cancellation, what is left and the remainder so far are multiplied by
-    glc/gcd(lc, glc), and so is the denominator, which starts at f.den:
-    the result is the exact remainder over Q, with the steps of division
-    over Q. The work happens on a copy of `f.num`, with each monomial's
-    order key computed once per call.
-    """
-    if not any(_divides(d[0], m) for m in f.num for d in divisors):
-        return f
-    acc = dict(f.num)
-    keys = {m: order.key(m) for m in acc}
-    remainder: dict[Monomial, int] = {}
-    den = f.den
-    while acc:
-        # every monomial that enters acc has its key in `keys`
-        lm = max(acc, key=keys.__getitem__)
-        lc = acc.pop(lm)
-        for glm, glc, tail in divisors:
-            if _divides(glm, lm):
-                q = _quotient(lm, glm)
-                g = gcd(lc, glc)
-                s, c = glc // g, -(lc // g)
-                if s != 1:
-                    acc = {m: v * s for m, v in acc.items()}
-                    remainder = {m: v * s for m, v in remainder.items()}
-                    den *= s
-                for m, gc in tail:
-                    m = tuple(map(add, m, q))
-                    v = acc.get(m)
-                    if v is None:
-                        acc[m] = c * gc
-                        if m not in keys:
-                            keys[m] = order.key(m)
-                    else:
-                        v += c * gc
-                        if v:
-                            acc[m] = v
-                        else:
-                            del acc[m]
-                break
-        else:
-            remainder[lm] = lc
-    return _from_num(f.arity, remainder, den)
-
-
 # ---- packed monomials ----------------------------------------------------
 
 
@@ -296,9 +203,15 @@ class _Packing:
         t = d & guard
         return d & t - (t >> self.width - 1)
 
-    def max(self, a: int, b: int) -> int:
-        """Field-wise maximum over every field."""
-        return a + self.monus(b, a, self.guard)
+    def max(self, *ps: int) -> int:
+        """Field-wise maximum over every field of `ps`; 0 for none."""
+        guard, shift = self.guard, self.width - 1
+        top = 0
+        for p in ps:
+            d = (p | guard) - top
+            t = d & guard
+            top += d & t - (t >> shift)
+        return top
 
     def lcm(self, a: int, b: int) -> int:
         """a times the field-wise max(b - a, 0) of the variable fields,
@@ -316,37 +229,60 @@ def _packing(order: MonomialOrder, n: int, width: int) -> _Packing:
     return _Packing(order, n, width)
 
 
-# ---- Buchberger ----------------------------------------------------------
+def _field_width(nums: Sequence[dict], order: MonomialOrder) -> int:
+    """Field width for the monomials of the nonzero numerator dicts `nums`:
+    two bits past deg * (1 + largest weight), a bound on every field; >= 8."""
+    top = max((max(map(sum, g)) for g in nums), default=0)
+    top *= 1 + max(order.weights or (0,))
+    return max(8, top.bit_length() + 2)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    order: MonomialOrder
-    basis: tuple[Polynomial, ...]
-    arity: int
-
-    def is_trivial(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0].is_constant()
-
-    @cached_property
-    def _divisors(self) -> list[tuple[Monomial, int, list]]:
-        """The basis as `_divisor_forms`, built on first use; equality
-        and hashing see only the three fields."""
-        return _divisor_forms(self.basis, self.order, self.arity)
+def _element(coeffs: dict[int, int], packing: _Packing) -> tuple:
+    """A primitive dict keyed by order key, its leading term first, as
+    `_pseudo_reduce`'s divisor (lm, key, lc, tail, tail maximum): packed
+    leading monomial, its key lm ^ flip, leading coefficient, the tail
+    keyed by order key, and the packed field-wise maximum of the tail."""
+    flip = packing.flip
+    (lk, lc), *tail = coeffs.items()
+    return lk ^ flip, lk, lc, tail, packing.max(*[k ^ flip for k, _ in tail])
 
 
-def _pseudo_reduce(acc: dict, divisors: list, flip: int, guard: int) -> dict[int, int]:
-    """Primitive pseudo-remainder of the integer dict `acc`, keyed by order key.
+def _pack(num: dict[Monomial, int], packing: _Packing) -> tuple:
+    """The nonzero numerator dict `num` as an `_element`: keyed by order
+    key and made `_primitive`, so its leading coefficient is positive."""
+    keyed = {packing.pack(m) ^ packing.flip: c for m, c in num.items()}
+    lk = max(keyed)
+    return _element(_primitive({lk: keyed.pop(lk), **keyed}), packing)
 
-    Each divisor is an (lm, key, lc, tail, tail maximum) tuple: its
-    packed leading monomial, that monomial's order key lm ^ flip, its
-    leading coefficient, its tail keyed by order key, and the packed
-    field-wise maximum of the tail. This is the pseudo-division of
-    `reduce_poly`: the same steps, the same choice of divisor, and the
-    same scaling by glc/gcd(lc, glc) before lc*x^lm is cancelled against
-    glc*x^glm. So the result, made primitive with a positive leading
-    coefficient, is a multiple of `reduce_poly`'s remainder; its terms
-    are in descending order.
+
+# ---- division -------------------------------------------------------------
+
+
+def _divides(a: Monomial, b: Monomial) -> bool:
+    return all(map(le, a, b))
+
+
+def _primitive(coeffs: dict) -> dict:
+    """coeffs over their content, signed so the first (leading) one is > 0;
+    `coeffs` itself when that divisor is 1."""
+    g = gcd(*coeffs.values())
+    g = -g if next(iter(coeffs.values())) < 0 else g
+    return coeffs if g == 1 else {m: c // g for m, c in coeffs.items()}
+
+
+def _pseudo_reduce(
+    acc: dict, divisors: list, flip: int, guard: int
+) -> tuple[dict[int, int], int]:
+    """Pseudo-remainder of the integer dict `acc`, keyed by order key, and
+    the product of the rescales it made: the one division of the kernel.
+
+    Each divisor is an `_element` (lm, key, lc, tail, tail maximum), with
+    lc > 0. Each step cancels the leading term lc*x^lm of what is left
+    against the first divisor whose glm divides lm, or moves that term to
+    the remainder. Before the cancellation, what is left is multiplied by
+    s = glc/gcd(lc, glc). So the remainder, in descending order, is the
+    remainder of `acc` over Q times the product of the s, with the steps
+    and the choice of divisor of division over Q.
 
     The leading term of what is left is `max(acc)`. Divisibility and the
     overflow test work on the packed lm = key ^ flip. A key times x^q,
@@ -386,11 +322,90 @@ def _pseudo_reduce(acc: dict, divisors: list, flip: int, guard: int) -> dict[int
                 break
         else:
             remainder.append((k, lc, scale))
-    if not remainder:
-        return {}
-    return _primitive(
-        {k: c if s == scale else c * (scale // s) for k, c, s in remainder}
-    )
+    return {k: c if s == scale else c * (scale // s) for k, c, s in remainder}, scale
+
+
+class _Divisors:
+    """A basis as divisors: its leading monomials, its field width, and its
+    elements `_pack`ed, with their packing, for each field width a division
+    uses. Raises ArityMismatch if an element's arity is not `arity`."""
+
+    def __init__(self, basis: Sequence[Polynomial], order: MonomialOrder, arity: int):
+        for g in basis:
+            if g.arity != arity:
+                raise ArityMismatch(f"arity {arity} vs basis arity {g.arity}")
+        self.basis, self.order, self.arity = basis, order, arity
+        self.lms = [g.leading(order)[0] for g in basis]
+        self.packed: dict[int, tuple] = {}
+        # the basis's field width, 0 until a division first packs: most
+        # `reduce_poly` calls return at the early exit
+        self.width = 0
+
+    def remainder(self, f: Polynomial) -> Polynomial:
+        """Full remainder of f under division by the basis, over Q: f
+        itself when no leading monomial divides a monomial of f, else the
+        `_pseudo_reduce` remainder of f.num, at the field width that f and
+        the basis need, over f.den times the product of the rescales. On
+        _Overflow the division starts over with fields twice as wide."""
+        num = f.num
+        if not any(_divides(lm, m) for m in num for lm in self.lms):
+            return f
+        if not self.width:
+            self.width = _field_width([g.num for g in self.basis], self.order)
+        width = max(self.width, _field_width([num], self.order))
+        while True:
+            entry = self.packed.get(width)
+            if entry is None:
+                packing = _packing(self.order, self.arity, width)
+                entry = packing, [_pack(g.num, packing) for g in self.basis]
+                self.packed[width] = entry
+            packing, divisors = entry
+            flip = packing.flip
+            acc = {packing.pack(m) ^ flip: c for m, c in num.items()}
+            try:
+                r, scale = _pseudo_reduce(acc, divisors, flip, packing.guard)
+            except _Overflow:
+                width *= 2
+                continue
+            remainder = {packing.unpack(k ^ flip): c for k, c in r.items()}
+            return _from_num(f.arity, remainder, f.den * scale)
+
+
+@dataclass(frozen=True)
+class GroebnerBasis:
+    order: MonomialOrder
+    basis: tuple[Polynomial, ...]
+    arity: int
+
+    def is_trivial(self) -> bool:
+        return len(self.basis) == 1 and self.basis[0].is_constant()
+
+    @cached_property
+    def _divisors(self) -> _Divisors:
+        """The basis as `_Divisors`, built on first use; equality and
+        hashing see only the three fields."""
+        return _Divisors(self.basis, self.order, self.arity)
+
+
+def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
+    """Unique remainder of f under full reduction by the basis, its
+    divisors cached; f itself when no leading monomial divides any of its
+    monomials."""
+    if f.arity != gb.arity:
+        raise ArityMismatch(f"arity {f.arity} vs basis arity {gb.arity}")
+    return gb._divisors.remainder(f)
+
+
+def reduce_poly(
+    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
+) -> Polynomial:
+    """Full remainder of f under multivariate division by `basis`, by
+    divisors built for this one call. Raises ArityMismatch if a basis
+    element's arity differs from f's."""
+    return _Divisors(tuple(basis), order, f.arity).remainder(f)
+
+
+# ---- Buchberger ----------------------------------------------------------
 
 
 def groebner(
@@ -409,10 +424,7 @@ def groebner(
     """
     # the numerators: a generator's denominator does not change its ideal
     gens = [f.num for f in ideal.generators if f.num]
-    # no field of a packed monomial exceeds deg * (1 + the largest weight)
-    top = max((max(map(sum, g)) for g in gens), default=0)
-    top *= 1 + max(order.weights or (0,))
-    width = max(8, top.bit_length() + 2)
+    width = _field_width(gens, order)
     while True:
         packing = _packing(order, ideal.arity, width)
         try:
@@ -427,11 +439,12 @@ def groebner(
 def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[tuple]:
     """Buchberger's pair loop on primitive integer dicts keyed by order key.
 
-    Returns each basis element as `_pseudo_reduce`'s divisor tuple (lm,
-    key, lc, tail, tail maximum). The pair heap, the criteria, the lcm
-    and the overflow tests use the packed leading monomials; the
-    S-polynomial shifts each tail key by the lcm's key minus the
-    element's, which is exact for the reason `_pseudo_reduce` gives.
+    Each generator is `_pack`ed and each nonzero remainder made
+    `_primitive`, so every basis element is an `_element`; the loop
+    returns them. The pair heap, the criteria, the lcm and the overflow
+    tests use the packed leading monomials; the S-polynomial shifts each
+    tail key by the lcm's key minus the element's, which is exact for the
+    reason `_pseudo_reduce` gives.
     """
     flip, guard = packing.flip, packing.guard
     G: list[tuple[int, int, int, list, int]] = []
@@ -439,10 +452,8 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
     heap: list[tuple[int, int, int]] = []
     pairs: set[tuple[int, int]] = set()  # the pairs still in the heap
 
-    def enter(coeffs: dict[int, int]) -> None:
-        # coeffs is keyed by order key, its leading term first
-        lk, lc = next(iter(coeffs.items()))
-        lm = lk ^ flip
+    def enter(e: tuple) -> None:
+        lm = e[0]
         j = len(G)
         for i in range(j):
             l = packing.lcm(lms[i], lm)
@@ -450,15 +461,11 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
                 raise _Overflow
             heapq.heappush(heap, (l ^ flip, i, j))
             pairs.add((i, j))
-        tail = list(coeffs.items())[1:]
-        top = reduce(packing.max, (k ^ flip for k, _ in tail), 0)
-        G.append((lm, lk, lc, tail, top))
+        G.append(e)
         lms.append(lm)
 
     for g in gens:
-        keyed = {packing.pack(m) ^ flip: c for m, c in g.items()}
-        lk = max(keyed)
-        enter(_primitive({lk: keyed.pop(lk), **keyed}))
+        enter(_pack(g, packing))
     processed = 0
     while heap:
         key, i, j = heapq.heappop(heap)
@@ -490,9 +497,9 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
         di, dj = key - lki, key - lkj
         acc = {k + di: ci * c for k, c in taili}
         _add_into(acc, {k + dj: cj * c for k, c in tailj})
-        r = _pseudo_reduce(acc, G, flip, guard)
+        r, _ = _pseudo_reduce(acc, G, flip, guard)
         if r:
-            enter(r)
+            enter(_element(_primitive(r), packing))
     return G
 
 
@@ -523,20 +530,12 @@ def _autoreduce(
     # results are the unique reduced basis, monic and sorted. The
     # division stays a reduce_poly call per element, on Polynomials, so
     # that a traced benchmark run (perfbench/spans.py) still records it as
-    # groebner.reduce under groebner.buchberger
+    # groebner.reduce under groebner.buchberger; a call that divides packs
+    # the smaller elements afresh
     out: list[Polynomial] = []
     for g in monic:
         out.append(reduce_poly(g, out, order))
     return tuple(out)
-
-
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Unique remainder of f under full reduction by the basis: `_divide`
-    by the basis's cached divisors, so f comes back as is when no leading
-    monomial divides any of its monomials."""
-    if f.arity != gb.arity:
-        raise ArityMismatch(f"arity {f.arity} vs basis arity {gb.arity}")
-    return _divide(f, gb._divisors, gb.order)
 
 
 def contains_one(

@@ -111,9 +111,9 @@ class Polynomial:
 
     # `_leads` is filled on first use. It is the one view kept, because
     # leading terms are re-read: `_autoreduce` calls `reduce_poly` once per
-    # basis element, and each call rebuilds its divisors, the elements
-    # reduced before it, from their leading terms (399 of 534 reads are
-    # repeats in a seed-1 `ideal` round).
+    # basis element, and each call reads the leading monomials of the
+    # elements reduced before it, for divisors of its own (399 of 534
+    # reads are repeats in a seed-1 `ideal` round, all from there).
     __slots__ = ("arity", "num", "den", "_leads")
 
     def __new__(cls, arity: int, terms: Iterable[tuple[Monomial, Fraction]]):

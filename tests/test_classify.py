@@ -22,6 +22,7 @@ from lndkit import (
     normal_form,
 )
 from lndkit import test_type_a as type_a_certificate
+from lndkit.derivations import cylinder, lift
 from lndkit.errors import ArityMismatch, NoLNDs, NotVerifiedLND
 from lndkit.poly import Polynomial, parse_poly
 
@@ -210,6 +211,18 @@ def test_ji_zero_is_degenerate(w1_dossier):
 def test_ji_lift_not_verified_within_bound(w1_dossier):
     with pytest.raises(NotVerifiedLND, match="failed verification: Inconclusive"):
         ji_lower_bound_check(w1_dossier, 1, bound=1)
+
+
+@pytest.mark.parametrize("i", [0, 1, 3])
+@pytest.mark.parametrize("dossier", ["w1_dossier", "cone_dossier"])
+def test_ji_lift_order_is_that_of_a_fresh_lift_verification(dossier, i, request):
+    V = request.getfixturevalue(dossier)
+    cyl = cylinder(V.algebra)
+    cert = ji_lower_bound_check(V, i)
+    assert cert.entries
+    for e in cert.entries:
+        fresh = lift(V.lnds[e["derivation"]], i, cyl).require_lnd()
+        assert e["lift_verified_order"] == fresh.max_order
 
 
 def test_ji_requires_lnds():

@@ -375,7 +375,8 @@ def test_groebner_bases_stay_equal_after_one_builds_its_divisors():
 def _reference_groebner(gens, order):
     """Reduced basis by textbook Buchberger on Fractions: every S-pair,
     no criteria, then minimalise, inter-reduce and make monic. The pair
-    with the smallest lcm goes first, which keeps the basis small."""
+    with the smallest lcm goes first, which keeps the basis small. It
+    divides with `fraction_reduce`, not with the kernel's division."""
 
     def lm(g):
         return g.leading(order)[0]
@@ -388,7 +389,7 @@ def _reference_groebner(gens, order):
     while pairs:
         i, j = pair = min(pairs, key=lcm_key)
         pairs.remove(pair)
-        r = reduce_poly(s_polynomial(G[i], G[j], order), G, order)
+        r = fraction_reduce(s_polynomial(G[i], G[j], order), G, order)
         if not r.is_zero():
             pairs += [(k, len(G)) for k in range(len(G))]
             G.append(r)
@@ -398,7 +399,7 @@ def _reference_groebner(gens, order):
             minimal.append(g)
     basis = []
     for idx, g in enumerate(minimal):
-        r = reduce_poly(g, minimal[:idx] + minimal[idx + 1 :], order)
+        r = fraction_reduce(g, minimal[:idx] + minimal[idx + 1 :], order)
         basis.append(r.scale(1 / r.leading(order)[1]))
     return tuple(basis)
 
@@ -574,3 +575,46 @@ def test_groebner_repacks_wider_on_overflow(monkeypatch):
     gb = groebner(ideal, GREVLEX)
     assert widths == [8, 16]
     assert gb.basis == _reference_groebner(ideal.generators, GREVLEX)
+
+
+@pytest.mark.parametrize(
+    "names, order, relation, text, widths, small_widths",
+    [
+        # x -> y^200 three times: the remainder holds y^600, past 10 bits
+        (["x", "y"], LEX, "x - y^200", "x^3 + 1/3*x*y", [10, 20], []),
+        # x -> 2*y^100 - 1/5 seven times: degree 700, past 10 bits
+        (["x", "y"], MonomialOrder("weighted", (1, 0)), "x - 2*y^100 + 1/5",
+         "x^7 - x", [10, 20], []),
+        # grevlex division never raises the degree, so it never overflows:
+        # f alone needs 11 bits, and the small input the basis's own 8
+        (XYZ, GREVLEX, "x^2 - y", "x^300*y + 1/2*x*z", [11], [8]),
+    ],
+    ids=["lex", "weighted", "grevlex"],
+)
+def test_division_repacks_wider_on_overflow(
+    monkeypatch, names, order, relation, text, widths, small_widths
+):
+    # the basis is built before the recording starts, so each width
+    # recorded is one that a division packed the basis at
+    gb = gb_of([relation], names, order)
+    f, small = p(text, names), p("x^2 + 3", names)
+    seen = []
+    packing = groebner_module._packing
+
+    def recording(order, n, width):
+        seen.append(width)
+        return packing(order, n, width)
+
+    monkeypatch.setattr(groebner_module, "_packing", recording)
+    r = normal_form(f, gb)
+    assert seen == widths
+    assert_reduced_form(r)
+    assert r == fraction_reduce(f, gb.basis, order)
+    # reduce_poly packs a basis of its own
+    assert reduce_poly(f, gb.basis, order) == r
+    assert seen == widths * 2
+    # the same basis still divides a small input, at its narrower width
+    r = normal_form(small, gb)
+    assert_reduced_form(r)
+    assert r == fraction_reduce(small, gb.basis, order)
+    assert seen == widths * 2 + small_widths
