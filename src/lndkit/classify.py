@@ -235,8 +235,8 @@ def ji_lower_bound_check(
     """
     if not V.lnds:
         raise NoLNDs("dossier supplies no derivations")
-    if i < 0:
-        raise ValueError("i must be >= 0")
+    if not _is_int(i) or i < 0:
+        raise ValueError("i must be an int >= 0")
     cyl = cylinder(V.algebra)
     base = V.algebra.arity
     entries = []
@@ -250,7 +250,7 @@ def ji_lower_bound_check(
                 f"derivation {lifted!r} failed verification:"
                 f" Inconclusive(bound={bound})"
             )
-        u_power = Polynomial.monomial(cyl.arity, (0,) * base + (i,))
+        u_power = _from_num(cyl.arity, {(0,) * base + (i,): 1})
         for j, g in enumerate(D.images):
             if g.is_zero():
                 continue

@@ -29,7 +29,7 @@ from .errors import (
 from .groebner import (
     GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, integer_weights, normal_form
 )
-from .poly import Polynomial, _from_num, _mul, _sum, parse_poly
+from .poly import Polynomial, _from_num, _is_int, _mul, _sum, parse_poly
 
 FORMAL_PARAMETER = "_s"
 
@@ -408,14 +408,14 @@ def lift(
     D: Derivation, i: int, cyl: PresentedAlgebra | None = None
 ) -> Derivation:
     """Extend D to K[Y][u] by D(u)=0 and multiply by u^i."""
-    if i < 0:
-        raise ValueError("power of the cylinder variable must be >= 0")
+    if not _is_int(i) or i < 0:
+        raise ValueError("power of the cylinder variable must be an int >= 0")
     if cyl is None:
         cyl = cylinder(D.algebra)
     base = D.algebra.arity
     if cyl.arity != base + 1 or cyl.vars[:base] != D.algebra.vars:
         raise ArityMismatch("cylinder algebra does not extend the base")
-    u_power = Polynomial.monomial(cyl.arity, (0,) * base + (i,))
+    u_power = _from_num(cyl.arity, {(0,) * base + (i,): 1})
     images = [img.extend(1) * u_power for img in D.images]
     images.append(Polynomial.zero(cyl.arity))
     return Derivation(cyl, images)

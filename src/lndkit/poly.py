@@ -12,16 +12,19 @@ arithmetic on integer polynomials builds no ``Fraction`` and takes no
 gcd.
 
 The public constructor checks its input and sums its terms with
-``_sum``; the operations build their result dicts directly. Both end in
-the trusted ``_from_num``, the one place that brings num/den to lowest
-terms. The rational views ``coeffs`` (monomial to ``Fraction``) and
-``terms`` (grevlex-descending pairs) are built from num/den on each
-read. Term order appears only where it is asked for: ``terms``,
-``format`` and ``leading(order)`` (memoised per order).
+``_sum``. The operations build their result dicts directly, and so does
+the parser: a term's numbers and variables fold into one dict entry, and
+only parenthesised groups are multiplied. All end in the trusted
+``_from_num``, the one place that brings num/den to lowest terms. The
+rational views ``coeffs`` (monomial to ``Fraction``) and ``terms``
+(grevlex-descending pairs) are built from num/den on each read. Term
+order appears only where it is asked for: ``terms``, ``format`` and
+``leading(order)`` (memoised per order).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg
@@ -254,7 +257,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         # (num/den)^n = num^n / den^n, whose content is coprime to den^n
         den = self.den**n
@@ -381,138 +384,135 @@ class Polynomial:
 
 # ---- parsing ----------------------------------------------------------
 
-_TOKEN_CHARS = set("+-*^/()")
+# A token: decimal digits, a word (an identifier if it starts with a letter
+# or '_'), or one other non-space character. Kept as a string for `re`'s
+# own cache, so that importing lndkit compiles nothing.
+_TOKEN = r"\d+|\w+|\S"
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # past the interpreter's limit on digits
+        raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
+
+
+def _exponent(tokens: list[str], i: int) -> tuple[int, int]:
+    """The exponent of a '^' at tokens[i] (1 if none) and the index after it."""
+    if i == len(tokens) or tokens[i] != "^":
+        return 1, i
+    if i + 1 == len(tokens):
+        raise ParseError("unexpected end of expression")
+    tok = tokens[i + 1]
+    if not tok[0].isdecimal():
+        raise ParseError(f"exponent must be an integer, found {tok!r}")
+    return _int(tok), i + 2
+
+
+def _expr(tokens: list[str], i: int, index: dict[str, int], arity: int):
+    """The expr at tokens[i] as (numerator dict, denominator, index after it).
+
+    A term's numbers and variables fold into one coefficient c/d and one
+    exponent list; only parenthesised groups are multiplied as dicts.
+    """
+    n = len(tokens)
+    acc: dict[Monomial, int] = {}
+    den = 1
+    c = 1
+    while True:
+        d = 1
+        exps = [0] * arity
+        group = None  # the product of the term's groups, over d
+        while True:
+            while i < n and tokens[i] == "-":
+                c = -c
+                i += 1
+            if i == n:
+                raise ParseError("unexpected end of expression")
+            tok = tokens[i]
+            first = tok[0]
             i += 1
-        elif ch in _TOKEN_CHARS:
-            tokens.append(("op", ch))
+            if first.isdecimal():
+                a, b = _int(tok), 1
+                if i < n and tokens[i] == "/":
+                    if i + 1 == n or not tokens[i + 1][0].isdecimal():
+                        raise ParseError("'/' is only allowed inside rational literals")
+                    b = _int(tokens[i + 1])
+                    if not b:
+                        raise ParseError("zero denominator")
+                    i += 2
+                k, i = _exponent(tokens, i)
+                c *= a**k
+                d *= b**k
+            elif first.isalpha() or first == "_":
+                j = index.get(tok)
+                if j is None:
+                    raise UnknownVariable(f"unknown variable {tok!r}")
+                k, i = _exponent(tokens, i)
+                exps[j] += k
+            elif tok == "(":
+                num, nd, i = _expr(tokens, i, index, arity)
+                if i == n:
+                    raise ParseError("unexpected end of expression")
+                if tokens[i] != ")":
+                    raise ParseError(f"expected ')', found {tokens[i]!r}")
+                k, i = _exponent(tokens, i + 1)
+                if k != 1:
+                    p = _from_num(arity, num, nd) ** k
+                    num, nd = p.num, p.den
+                group = num if group is None else _mul(group, num)
+                d *= nd
+            else:
+                raise ParseError(f"unexpected token {tok!r}")
+            if i == n or tokens[i] != "*":
+                break
             i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j]))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-    return tokens
+        if c:
+            if d != den:  # bring acc and the term to lcm(den, d)
+                common = lcm(den, d)
+                if common != den:
+                    s = common // den
+                    acc = {m: v * s for m, v in acc.items()}
+                    den = common
+                c *= common // d
+            mono = tuple(exps)
+            _add_into(acc, {mono: c} if group is None else {
+                tuple(map(add, m, mono)): v * c for m, v in group.items()
+            })
+        if i == n or tokens[i] not in ("+", "-"):
+            return acc, den, i
+        c = -1 if tokens[i] == "-" else 1
+        i += 1
 
 
-class _Parser:
-    """Recursive-descent parser for the expression grammar.
+def parse_poly(text: str, vars: Sequence[str]) -> Polynomial:
+    """Parse `text` into the canonical polynomial over the named variables.
 
     expr  := term (('+'|'-') term)*
     term  := unary ('*' unary)*
     unary := '-' unary | power
     power := atom ('^' INT)?
     atom  := NUMBER | IDENT | '(' expr ')'        NUMBER := INT ('/' INT)?
+
+    The terms are summed into one numerator dict over a common
+    denominator, brought to lowest terms once at the end.
     """
-
-    def __init__(self, tokens, vars: Sequence[str], arity: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.vars = {name: i for i, name in enumerate(vars)}
-        self.arity = arity
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.take()
-        if tok != ("op", op):
-            raise ParseError(f"expected {op!r}, found {tok[1]!r}")
-
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input at token {self.peek()[1]!r}")
-        return p
-
-    def expr(self) -> Polynomial:
-        p = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
-
-    def term(self) -> Polynomial:
-        p = self.unary()
-        while self.peek() == ("op", "*"):
-            self.take()
-            p = p * self.unary()
-        return p
-
-    def unary(self) -> Polynomial:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return -self.unary()
-        return self.power()
-
-    def power(self) -> Polynomial:
-        p = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            tok = self.take()
-            if tok[0] != "int":
-                raise ParseError(f"exponent must be an integer, found {tok[1]!r}")
-            return p ** int(tok[1])
-        return p
-
-    def atom(self) -> Polynomial:
-        tok = self.take()
-        if tok[0] == "int":
-            num = int(tok[1])
-            if self.peek() == ("op", "/"):
-                save = self.pos
-                self.take()
-                nxt = self.peek()
-                if nxt is not None and nxt[0] == "int":
-                    den = int(self.take()[1])
-                    if den == 0:
-                        raise ParseError("zero denominator")
-                    return Polynomial.constant(self.arity, Fraction(num, den))
-                self.pos = save
-                raise ParseError("'/' is only allowed inside rational literals")
-            return Polynomial.constant(self.arity, num)
-        if tok[0] == "ident":
-            idx = self.vars.get(tok[1])
-            if idx is None:
-                raise UnknownVariable(f"unknown variable {tok[1]!r}")
-            return Polynomial.variable(self.arity, idx)
-        if tok == ("op", "("):
-            p = self.expr()
-            self.expect_op(")")
-            return p
-        raise ParseError(f"unexpected token {tok[1]!r}")
-
-
-def parse_poly(text: str, vars: Sequence[str]) -> Polynomial:
-    """Parse `text` into the canonical polynomial over the named variables."""
     if len(set(vars)) != len(vars):
         raise ValueError("duplicate variable names")
-    tokens = _tokenize(text)
+    tokens = re.findall(_TOKEN, text)
     if not tokens:
         raise ParseError("empty expression")
-    return _Parser(tokens, vars, len(vars)).parse()
+    try:
+        num, den, i = _expr(tokens, 0, {v: j for j, v in enumerate(vars)}, len(vars))
+        if i < len(tokens):
+            raise ParseError(f"trailing input at token {tokens[i]!r}")
+    except ParseError:
+        # a character that starts no token is reported first, wherever it is
+        for match in re.finditer(_TOKEN, text):
+            ch = match[0][0]
+            if not (ch.isalpha() or ch.isdecimal() or ch in "_+-*^/()"):
+                raise ParseError(
+                    f"unexpected character {ch!r} at position {match.start()}"
+                ) from None
+        raise
+    return _from_num(len(vars), num, den)

@@ -225,6 +225,14 @@ def test_ji_lift_order_is_that_of_a_fresh_lift_verification(dossier, i, request)
         assert e["lift_verified_order"] == fresh.max_order
 
 
+@pytest.mark.parametrize("i", [-1, True, 1.5])
+def test_ji_and_lift_take_only_non_negative_int_powers(w1_dossier, i):
+    with pytest.raises(ValueError):
+        ji_lower_bound_check(w1_dossier, i)
+    with pytest.raises(ValueError):
+        lift(w1_dossier.lnds[0], i)
+
+
 def test_ji_requires_lnds():
     with pytest.raises(NoLNDs):
         ji_lower_bound_check(VarietyDossier(w1_algebra()), 1)

@@ -303,6 +303,21 @@ def test_exp_zero_denominator_is_an_input_error(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        ("x^²", "unexpected character '²' at position 2"),
+        pytest.param(
+            "1" * 5000, "integer literal of 5000 digits is too long", id="5000-digits"
+        ),
+    ],
+)
+def test_exp_malformed_number_is_an_input_error(capsys, poly, message):
+    code, _, err = run_main(capsys, "exp", str(DATA / "w1.json"), "canonical", poly, "1")
+    assert code == EXIT_INPUT
+    assert err == f"error: {message}\n"
+
+
 def test_trinomial_type_null_is_an_input_error(tmp_path, capsys):
     doc = json.loads((DATA / "trinomial_type1.json").read_text())
     doc["trinomial"]["type"] = None

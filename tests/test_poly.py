@@ -53,11 +53,117 @@ def test_parse_unary_minus_and_precedence():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "x y", "2x", "x/2", "x^", "x^y", "(x", "x +", "x**2", "1/0"]
+    "bad",
+    [
+        "", "x y", "2x", "x/2", "x^", "x^y", "(x", "x +", "x**2", "1/0", "²", "x^²",
+        pytest.param("1" * 5000, id="5000-digit-literal"),
+    ],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_poly(bad, ["x", "y"])
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", ParseError, "empty expression"),
+        ("x y", ParseError, "trailing input at token 'y'"),
+        ("x +", ParseError, "unexpected end of expression"),
+        ("x^y", ParseError, "exponent must be an integer, found 'y'"),
+        ("x**2", ParseError, "unexpected token '*'"),
+        ("(x y)", ParseError, "expected ')', found 'y'"),
+        ("1/0", ParseError, "zero denominator"),
+        ("1/x", ParseError, "'/' is only allowed inside rational literals"),
+        ("x !", ParseError, "unexpected character '!' at position 2"),
+        # a character outside the grammar is reported before any other error
+        ("x y !", ParseError, "unexpected character '!' at position 4"),
+        ("x^²", ParseError, "unexpected character '²' at position 2"),
+        ("x + w", UnknownVariable, "unknown variable 'w'"),
+    ],
+)
+def test_parse_error_messages(text, error, message):
+    with pytest.raises(ParseError) as caught:
+        parse_poly(text, ["x", "y"])
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+# Expression trees for the parser: leaves are variables, integers and
+# rational literals; inner nodes are '+', '-', '*', unary "neg", "^" with
+# a small exponent, and "()" for explicit parentheses.
+TREE_VARS = ["x", "y", "z"]
+tree_leaves = st.one_of(
+    st.sampled_from(TREE_VARS).map(lambda v: ("var", v)),
+    st.integers(0, 12).map(lambda n: ("int", n)),
+    st.tuples(st.just("frac"), st.integers(0, 12), st.integers(1, 6)),
+)
+trees = st.recursive(
+    tree_leaves,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("()"), sub),
+        st.tuples(st.just("^"), sub, st.integers(0, 3)),
+    ),
+    max_leaves=8,
+)
+# the grammar's levels: expr 0, term 1, unary 2, power 3, atom 4
+LEVEL = {"+": 0, "-": 0, "*": 1}
+
+
+def render(tree) -> tuple[list[str], int]:
+    """The tokens of `tree` and the grammar level they form."""
+    kind = tree[0]
+    if kind in ("var", "int"):
+        return [str(tree[1])], 4
+    if kind == "frac":
+        return [str(tree[1]), "/", str(tree[2])], 4
+    if kind == "()":
+        return ["(", *render(tree[1])[0], ")"], 4
+    if kind == "neg":
+        return ["-", *operand(tree[1], 2)], 2
+    if kind == "^":
+        return [*operand(tree[1], 4), "^", str(tree[2])], 3
+    level = LEVEL[kind]
+    return [*operand(tree[1], level), kind, *operand(tree[2], level + 1)], level
+
+
+def operand(tree, level: int) -> list[str]:
+    """The tokens of `tree`, in parentheses if they form a lower level."""
+    tokens, have = render(tree)
+    return tokens if have >= level else ["(", *tokens, ")"]
+
+
+def evaluate(tree) -> Polynomial:
+    """`tree` computed with the ring operations, which the parser does not use."""
+    kind, n = tree[0], len(TREE_VARS)
+    if kind == "var":
+        return Polynomial.variable(n, TREE_VARS.index(tree[1]))
+    if kind == "int":
+        return Polynomial.constant(n, tree[1])
+    if kind == "frac":
+        return Polynomial.constant(n, Fraction(tree[1], tree[2]))
+    if kind == "()":
+        return evaluate(tree[1])
+    if kind == "neg":
+        return -evaluate(tree[1])
+    if kind == "^":
+        return evaluate(tree[1]) ** tree[2]
+    a, b = evaluate(tree[1]), evaluate(tree[2])
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, st.lists(st.sampled_from(["", " ", "  ", "\t", "\n "]), min_size=1))
+def test_parse_matches_ring_operations(tree, spaces):
+    tokens, _ = render(tree)
+    text = spaces[-1] + "".join(
+        tok + spaces[i % len(spaces)] for i, tok in enumerate(tokens)
+    )
+    p = parse_poly(text, TREE_VARS)
+    assert p == evaluate(tree)
+    assert_reduced_form(p)
 
 
 def test_parse_unknown_variable():
@@ -90,6 +196,13 @@ def test_mul_difference_of_squares():
 def test_pow_binomial():
     p = parse_poly("x + 1", ["x"])
     assert p**3 == parse_poly("x^3 + 3*x^2 + 3*x + 1", ["x"])
+
+
+def test_pow_takes_only_non_negative_int_exponents():
+    p = parse_poly("x + 1", ["x"])
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            p**bad
 
 
 def test_arity_mismatch():
