@@ -10,9 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .derivations import (
-    DEFAULT_NILPOTENCY_BOUND, Derivation, PresentedAlgebra, cylinder, lift
-)
+from .derivations import DEFAULT_NILPOTENCY_BOUND, Derivation, PresentedAlgebra, lift
 from .errors import ArityMismatch, NoLNDs, NotVerifiedLND
 from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
 from .poly import Polynomial, _from_num, _is_int, parse_poly
@@ -227,47 +225,38 @@ def ji_lower_bound_check(
     """Reproduce the containment of the image ideal in J_i.
 
     For each nonzero supplied LND D and generator x_j with g = D(x_j)
-    nonzero, the lift u^i D is shown to produce g u^i as an image. The
-    lift needs no verification of its own: D(u) = 0 and u^i lies in the
-    kernel, so (u^i D)^k(x_j) = u^{ik} D^k(x_j), and u^i D is
-    well-defined and nilpotent exactly when D is, with the same orders.
-    So its verified order is D's, and past `bound` it is Inconclusive.
+    nonzero, the lift u^i D produces g u^i as the image of x_j, since it
+    extends D by D(u) = 0 and multiplies by u^i. The lift needs no
+    verification of its own: u^i lies in the kernel, so
+    (u^i D)^k(x_j) = u^{ik} D^k(x_j), and u^i D is well-defined and
+    nilpotent exactly when D is, with the same orders. So each entry is
+    read off D's images and D's verified verdict, and nothing is lifted;
+    past `bound` the lift is Inconclusive.
     """
     if not V.lnds:
         raise NoLNDs("dossier supplies no derivations")
     if not _is_int(i) or i < 0:
         raise ValueError("i must be an int >= 0")
-    cyl = cylinder(V.algebra)
-    base = V.algebra.arity
     entries = []
     for idx, D in enumerate(V.lnds):
         if D.is_zero():
             continue
         order = D.require_lnd(bound).max_order
-        lifted = lift(D, i, cyl)
         if order > bound:
             raise NotVerifiedLND(
-                f"derivation {lifted!r} failed verification:"
+                f"derivation {lift(D, i)!r} failed verification:"
                 f" Inconclusive(bound={bound})"
             )
-        u_power = _from_num(cyl.arity, {(0,) * base + (i,): 1})
-        for j, g in enumerate(D.images):
-            if g.is_zero():
-                continue
-            produced = lifted.apply(Polynomial.variable(cyl.arity, j))
-            expected = cyl.normal(g.extend(1) * u_power)
-            if produced != expected:
-                raise AssertionError(
-                    "lifted derivation does not reproduce g*u^i"
-                )
-            entries.append(
-                {
-                    "derivation": idx,
-                    "generator": V.algebra.vars[j],
-                    "image": V.algebra.format(g),
-                    "lift_verified_order": order,
-                }
-            )
+        entries.extend(
+            {
+                "derivation": idx,
+                "generator": V.algebra.vars[j],
+                "image": V.algebra.format(g),
+                "lift_verified_order": order,
+            }
+            for j, g in enumerate(D.images)
+            if not g.is_zero()
+        )
     return JiCertificate(i, tuple(entries), degenerate=(i == 0))
 
 

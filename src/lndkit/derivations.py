@@ -404,18 +404,17 @@ def _proportional_index(chain: list[Polynomial], current: Polynomial):
     return None
 
 
-def lift(
-    D: Derivation, i: int, cyl: PresentedAlgebra | None = None
-) -> Derivation:
-    """Extend D to K[Y][u] by D(u)=0 and multiply by u^i."""
+def lift(D: Derivation, i: int) -> Derivation:
+    """Extend D to the cylinder K[Y][u] by D(u)=0 and multiply by u^i.
+
+    Each image D(x_j) becomes D(x_j) u^i: its monomials gain u-exponent i.
+    """
     if not _is_int(i) or i < 0:
         raise ValueError("power of the cylinder variable must be an int >= 0")
-    if cyl is None:
-        cyl = cylinder(D.algebra)
-    base = D.algebra.arity
-    if cyl.arity != base + 1 or cyl.vars[:base] != D.algebra.vars:
-        raise ArityMismatch("cylinder algebra does not extend the base")
-    u_power = _from_num(cyl.arity, {(0,) * base + (i,): 1})
-    images = [img.extend(1) * u_power for img in D.images]
+    cyl = cylinder(D.algebra)
+    images = [
+        _from_num(cyl.arity, {m + (i,): c for m, c in img.num.items()}, img.den)
+        for img in D.images
+    ]
     images.append(Polynomial.zero(cyl.arity))
     return Derivation(cyl, images)

@@ -506,7 +506,7 @@ def parse_poly(text: str, vars: Sequence[str]) -> Polynomial:
         num, den, i = _expr(tokens, 0, {v: j for j, v in enumerate(vars)}, len(vars))
         if i < len(tokens):
             raise ParseError(f"trailing input at token {tokens[i]!r}")
-    except ParseError:
+    except (ParseError, RecursionError) as exc:
         # a character that starts no token is reported first, wherever it is
         for match in re.finditer(_TOKEN, text):
             ch = match[0][0]
@@ -514,5 +514,7 @@ def parse_poly(text: str, vars: Sequence[str]) -> Polynomial:
                 raise ParseError(
                     f"unexpected character {ch!r} at position {match.start()}"
                 ) from None
+        if isinstance(exc, RecursionError):  # _expr recurses once per '('
+            raise ParseError("parentheses nested too deeply") from None
         raise
     return _from_num(len(vars), num, den)

@@ -90,12 +90,11 @@ class TrinomialData:
                 len(row) != self.r + 1 for row in self.A
             ):
                 raise InvalidData(f"need a 2x{self.r + 1} coefficient matrix")
-            cols = list(zip(*self.A))
-            for i in range(len(cols)):
-                if cols[i] == (0, 0):
+            for i in range(self.r + 1):
+                if self.A[0][i] == self.A[1][i] == 0:
                     raise InvalidData("zero column in coefficient matrix")
-                for j in range(i + 1, len(cols)):
-                    if cols[i][0] * cols[j][1] == cols[i][1] * cols[j][0]:
+                for j in range(i + 1, self.r + 1):
+                    if column_minor(self.A, i, j) == 0:
                         raise InvalidData(
                             f"columns {i} and {j} are linearly dependent"
                         )

@@ -220,9 +220,17 @@ def test_ji_lift_order_is_that_of_a_fresh_lift_verification(dossier, i, request)
     cyl = cylinder(V.algebra)
     cert = ji_lower_bound_check(V, i)
     assert cert.entries
+    u_power = Polynomial.variable(cyl.arity, V.algebra.arity) ** i
     for e in cert.entries:
-        fresh = lift(V.lnds[e["derivation"]], i, cyl).require_lnd()
-        assert e["lift_verified_order"] == fresh.max_order
+        D = V.lnds[e["derivation"]]
+        j = V.algebra.vars.index(e["generator"])
+        g = D.images[j]
+        lifted = lift(D, i)
+        assert e["lift_verified_order"] == lifted.require_lnd().max_order
+        assert lifted.apply(Polynomial.variable(cyl.arity, j)) == cyl.normal(
+            g.extend(1) * u_power
+        )
+        assert e["image"] == V.algebra.format(g)
 
 
 @pytest.mark.parametrize("i", [-1, True, 1.5])

@@ -310,6 +310,11 @@ def test_exp_zero_denominator_is_an_input_error(capsys):
         pytest.param(
             "1" * 5000, "integer literal of 5000 digits is too long", id="5000-digits"
         ),
+        pytest.param(
+            "(" * 1100 + "x" + ")" * 1100,
+            "parentheses nested too deeply",
+            id="1100-nested-parentheses",
+        ),
     ],
 )
 def test_exp_malformed_number_is_an_input_error(capsys, poly, message):

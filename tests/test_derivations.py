@@ -568,7 +568,7 @@ def test_lift_multiplies_by_u_power():
     Kz = PresentedAlgebra(["z"])
     ddz = Derivation.from_strings(Kz, {"z": "1"})
     cz = cylinder(Kz)
-    lifted = lift(ddz, 2, cz)
+    lifted = lift(ddz, 2)
     assert lifted.apply(cz.parse("z")) == cz.parse("u^2")
     assert lifted.apply(cz.parse("u")).is_zero()
 

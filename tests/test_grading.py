@@ -87,7 +87,7 @@ def test_decompose_zero_derivation(w1):
 
 def test_extreme_parts_of_lnd_are_lnds(w1, w1_lnd):
     cyl = cylinder(w1)
-    lifted = lift(w1_lnd, 1, cyl)
+    lifted = lift(w1_lnd, 1)
     ddu = Derivation(cyl, [Polynomial.zero(4)] * 3 + [Polynomial.constant(4, 1)])
     mixed = Derivation(
         cyl, [a + b for a, b in zip(lifted.images, ddu.images)]

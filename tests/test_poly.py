@@ -57,6 +57,7 @@ def test_parse_unary_minus_and_precedence():
     [
         "", "x y", "2x", "x/2", "x^", "x^y", "(x", "x +", "x**2", "1/0", "²", "x^²",
         pytest.param("1" * 5000, id="5000-digit-literal"),
+        pytest.param("(" * 1100 + "x" + ")" * 1100, id="1100-nested-parentheses"),
     ],
 )
 def test_parse_rejects_malformed(bad):

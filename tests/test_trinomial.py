@@ -81,10 +81,12 @@ def test_validate_rejects_bad_data():
         TrinomialData.type1([[0], [2]], [0, 1])  # exponent < 1
     with pytest.raises(InvalidData):
         TrinomialData.type1([[1], [2]], [0, 1], m=-1)
-    with pytest.raises(InvalidData):
+    with pytest.raises(InvalidData, match="columns 0 and 2 are linearly dependent"):
         TrinomialData.type2([[2], [2], [2]], [[1, 0, 2], [0, 1, 0]])
-    with pytest.raises(InvalidData):
+    with pytest.raises(InvalidData, match="columns 0 and 1 are linearly dependent"):
         TrinomialData.type2([[2], [2], [2]], [[1, 2, 1], [2, 4, 1]])
+    with pytest.raises(InvalidData, match="zero column in coefficient matrix"):
+        TrinomialData.type2([[2], [2], [2]], [[0, 1, 1], [0, 1, 2]])
 
 
 def test_variable_layout_type1():
