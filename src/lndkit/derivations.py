@@ -238,7 +238,8 @@ class Derivation:
     def nilpotency_check(
         self, bound: int = DEFAULT_NILPOTENCY_BOUND
     ) -> NilpotencyVerdict:
-        """Iterate D on each generator, up to `bound` applications.
+        """Iterate D on each generator, up to `bound` applications, an
+        int >= 1 (ValueError otherwise).
 
         A chain entry proportional to an earlier one certifies
         non-nilpotency; exhausting the bound is Inconclusive. Raises
@@ -246,6 +247,8 @@ class Derivation:
         verdict about such a D is a verdict about an LND. A verified
         verdict is kept and reused at any bound.
         """
+        if not _is_int(bound):
+            raise ValueError(f"bound must be an int, got {bound!r}")
         if bound < 1:
             raise ValueError("bound must be >= 1")
         if not self.is_well_defined()[0]:

@@ -23,8 +23,8 @@ division over Q.
 Monomials (packed exponent vectors, after Monagan & Pearce, "Polynomial
 Division Using Dynamic Arrays, Heaps, and Packed Exponent Vectors"): at
 entry each exponent vector becomes one int of fixed-width fields, most
-significant first lex (e_0, ..., e_{n-1}), grevlex (deg, e_{n-1}, ...,
-e_0) and weighted (w·e, deg, e_{n-1}, ..., e_0). The top bit of every
+significant first lex (e_0, ..., e_{n-1}, deg), grevlex (deg, e_{n-1},
+..., e_0) and weighted (w·e, deg, e_{n-1}, ..., e_0). The top bit of every
 field is a guard bit, clear in every packed monomial. XOR with a fixed
 mask that flips the variable fields of grevlex and weighted makes the
 int its order key. A product is one add; a divides b iff (b - a) has no
@@ -33,15 +33,26 @@ fields. The pair loop keys every term by its order key, so a plain `max`
 finds a leading term, and a product stays one add of keys: while no
 field reaches its guard bit, (a + b) ^ mask == (a ^ mask) + (b ^ mask) -
 mask. An element is held as (packed leading monomial, its key, leading
-coefficient, tail keyed by order key, tail maximum); divisibility, lcms
-and the overflow tests use the packed monomial. The field width is two
-bits more than a bound on the largest field value of any generator (of
-a division: of its input and basis), at least 8. Each element keeps the
-field-wise maximum of its tail, and before a tail is multiplied by x^q
-the guard bits of that maximum plus q are tested; a new pair's lcm is
-tested the same way. On overflow Buchberger or the division starts over
-with fields twice as wide, so exponents stay unbounded. Pending S-pairs
-sit in a heap keyed by their lcm's order key and their indices.
+coefficient, tail keyed by order key, tail maximum, sugar);
+divisibility, lcms and the overflow tests use the packed monomial. The
+field width is two bits more than a bound on the largest field value
+of any generator (of a division: of its input and basis), at least 8.
+Each element keeps the field-wise maximum of its tail, and before a
+tail is multiplied by x^q the guard bits of that maximum plus q are
+tested; a new pair's lcm is tested the same way. On overflow Buchberger
+or the division starts over with fields twice as wide, so exponents
+stay unbounded.
+
+Pending S-pairs sit in a heap keyed by (sugar, lcm's order key, i, j).
+Grevlex and weighted keys lead with a degree field, so their pairs keep
+the normal strategy: the sugar slot is 0 and the smallest lcm goes
+first. Lex keys do not lead with a degree, and the smallest lcm can be a
+pair of high degree; lex takes the pair of least sugar (Giovini, Mora,
+Niesi, Robbiano, Traverso, "One sugar cube, please, or selection
+strategies in the Buchberger algorithm", 1991). A generator's sugar is
+its total degree, a pair's is max(sug_i - deg lm_i, sug_j - deg lm_j) +
+deg lcm, and a remainder's is the largest of its pair's and deg t +
+sug g over every step t*g of its division. Only lex reads degrees.
 
 At exit the minimal basis is unpacked, each element made monic by
 taking its leading coefficient as the denominator, and `reduce_poly`
@@ -163,29 +174,32 @@ class _Overflow(Exception):
 class _Packing:
     """Exponent vectors under `order` packed into `width`-bit fields of an int.
 
-    Fields, most significant first: lex (e_0, ..., e_{n-1}); grevlex
+    Fields, most significant first: lex (e_0, ..., e_{n-1}, deg); grevlex
     (deg, e_{n-1}, ..., e_0); weighted (w·e, deg, e_{n-1}, ..., e_0). The
     top bit of each field is its guard bit, clear in every packed
     monomial. `flip` holds the value bits of the variable fields of
     grevlex and weighted, so that comparing p ^ flip compares order.key.
-    Packing is linear: `units[k]` is the packed k-th unit vector. Every
-    method expects operands and results whose fields stay below the
-    guard bits; the kernel tests that before it relies on it.
+    Lex's trailing degree decides no comparison, since the exponents
+    above it already differ; it is there so that p & value is the degree
+    of a lex-packed p. Packing is linear: `units[k]` is the packed k-th
+    unit vector. Every method expects operands and results whose fields
+    stay below the guard bits; the kernel tests that before it relies on
+    it.
     """
 
     def __init__(self, order: MonomialOrder, n: int, width: int):
-        derived = {"lex": 0, "grevlex": 1, "weighted": 2}[order.kind]
-        if derived == 2 and len(order.weights) != n:
+        if order.kind == "weighted" and len(order.weights) != n:
             raise ArityMismatch(f"weights length {len(order.weights)} vs arity {n}")
         self.width, self.value = width, (1 << width - 1) - 1
-        fields = [width * f for f in range(n + derived)]
+        # grevlex and weighted keys lead with a degree; lex keys end with one
+        self.graded = order.kind != "lex"
+        fields = [width * f for f in range(n + 1 + (order.kind == "weighted"))]
         self.guard = sum(1 << s + width - 1 for s in fields)
-        self.var_guard = sum(1 << s + width - 1 for s in fields[:n])
-        # the bit offset of each variable's field
-        self.shifts = fields[:n][::-1] if derived == 0 else fields[:n]
-        self.flip = 0 if derived == 0 else sum(self.value << s for s in fields[:n])
-        deg = 1 << width * n if derived else 0
-        weights = order.weights if derived == 2 else (0,) * n
+        # the bit offset of each variable's field, and the degree's unit
+        self.shifts = fields[:n] if self.graded else fields[1:][::-1]
+        deg = 1 << (width * n if self.graded else 0)
+        self.flip = sum(self.value << s for s in self.shifts) if self.graded else 0
+        weights = order.weights or (0,) * n
         self.units = [
             (1 << s) + deg + (w << width * (n + 1))
             for s, w in zip(self.shifts, weights)
@@ -196,12 +210,6 @@ class _Packing:
 
     def unpack(self, p: int) -> Monomial:
         return tuple(p >> s & self.value for s in self.shifts)
-
-    def monus(self, b: int, a: int, guard: int) -> int:
-        """Field-wise max(b - a, 0) in the fields whose guard bits `guard` holds."""
-        d = (b | guard) - a
-        t = d & guard
-        return d & t - (t >> self.width - 1)
 
     def max(self, *ps: int) -> int:
         """Field-wise maximum over every field of `ps`; 0 for none."""
@@ -215,8 +223,12 @@ class _Packing:
 
     def lcm(self, a: int, b: int) -> int:
         """a times the field-wise max(b - a, 0) of the variable fields,
-        whose degree fields are rebuilt from `units`."""
-        d = self.monus(b, a, self.var_guard)
+        whose degree fields are rebuilt from `units`. Every field of b - a
+        is taken against its own guard bit, so that no field borrows from
+        the one above it."""
+        d = (b | self.guard) - a
+        t = d & self.guard
+        d &= t - (t >> self.width - 1)
         return a + sum(
             (d >> s & self.value) * u for s, u in zip(self.shifts, self.units)
         )
@@ -237,22 +249,23 @@ def _field_width(nums: Sequence[dict], order: MonomialOrder) -> int:
     return max(8, top.bit_length() + 2)
 
 
-def _element(coeffs: dict[int, int], packing: _Packing) -> tuple:
+def _element(coeffs: dict[int, int], packing: _Packing, sugar: int = 0) -> tuple:
     """A primitive dict keyed by order key, its leading term first, as
-    `_pseudo_reduce`'s divisor (lm, key, lc, tail, tail maximum): packed
-    leading monomial, its key lm ^ flip, leading coefficient, the tail
-    keyed by order key, and the packed field-wise maximum of the tail."""
+    `_pseudo_reduce`'s divisor (lm, key, lc, tail, tail maximum, sugar):
+    packed leading monomial, its key lm ^ flip, leading coefficient, the
+    tail keyed by order key, the packed field-wise maximum of the tail,
+    and its sugar, which only lex Buchberger reads."""
     flip = packing.flip
     (lk, lc), *tail = coeffs.items()
-    return lk ^ flip, lk, lc, tail, packing.max(*[k ^ flip for k, _ in tail])
+    return lk ^ flip, lk, lc, tail, packing.max(*[k ^ flip for k, _ in tail]), sugar
 
 
-def _pack(num: dict[Monomial, int], packing: _Packing) -> tuple:
+def _pack(num: dict[Monomial, int], packing: _Packing, sugar: int = 0) -> tuple:
     """The nonzero numerator dict `num` as an `_element`: keyed by order
     key and made `_primitive`, so its leading coefficient is positive."""
     keyed = {packing.pack(m) ^ packing.flip: c for m, c in num.items()}
     lk = max(keyed)
-    return _element(_primitive({lk: keyed.pop(lk), **keyed}), packing)
+    return _element(_primitive({lk: keyed.pop(lk), **keyed}), packing, sugar)
 
 
 # ---- division -------------------------------------------------------------
@@ -271,18 +284,24 @@ def _primitive(coeffs: dict) -> dict:
 
 
 def _pseudo_reduce(
-    acc: dict, divisors: list, flip: int, guard: int
-) -> tuple[dict[int, int], int]:
-    """Pseudo-remainder of the integer dict `acc`, keyed by order key, and
-    the product of the rescales it made: the one division of the kernel.
+    acc: dict,
+    divisors: list,
+    flip: int,
+    guard: int,
+    dmask: int = 0,
+    sugar: int = 0,
+) -> tuple[dict[int, int], int, int]:
+    """Pseudo-remainder of the integer dict `acc`, keyed by order key, the
+    product of the rescales it made, and the remainder's sugar: the one
+    division of the kernel.
 
-    Each divisor is an `_element` (lm, key, lc, tail, tail maximum), with
-    lc > 0. Each step cancels the leading term lc*x^lm of what is left
-    against the first divisor whose glm divides lm, or moves that term to
-    the remainder. Before the cancellation, what is left is multiplied by
-    s = glc/gcd(lc, glc). So the remainder, in descending order, is the
-    remainder of `acc` over Q times the product of the s, with the steps
-    and the choice of divisor of division over Q.
+    Each divisor is an `_element` (lm, key, lc, tail, tail maximum,
+    sugar), with lc > 0. Each step cancels the leading term lc*x^lm of
+    what is left against the first divisor whose glm divides lm, or moves
+    that term to the remainder. Before the cancellation, what is left is
+    multiplied by s = glc/gcd(lc, glc). So the remainder, in descending
+    order, is the remainder of `acc` over Q times the product of the s,
+    with the steps and the choice of divisor of division over Q.
 
     The leading term of what is left is `max(acc)`. Divisibility and the
     overflow test work on the packed lm = key ^ flip. A key times x^q,
@@ -294,6 +313,11 @@ def _pseudo_reduce(
     rescales so far; at the end each is multiplied once by the rescales
     that came after it. Raises _Overflow when the tail times x^q could
     reach a guard bit.
+
+    Sugar (Giovini et al.): given `dmask`, the mask of lex's trailing
+    degree field, each step x^q * g raises `sugar` to at least deg q +
+    g's sugar, where deg q = q & dmask. With dmask 0 `sugar` comes back
+    as given.
     """
     remainder: list[tuple[int, int, int]] = []
     scale = 1
@@ -301,11 +325,13 @@ def _pseudo_reduce(
         k = max(acc)
         lc = acc.pop(k)
         lm = k ^ flip
-        for glm, gk, glc, tail, top in divisors:
+        for glm, gk, glc, tail, top, gsugar in divisors:
             q = lm - glm
             if not q & guard:
                 if top + q & guard:
                     raise _Overflow
+                if dmask and (q & dmask) + gsugar > sugar:
+                    sugar = (q & dmask) + gsugar
                 g = gcd(lc, glc)
                 s, c = glc // g, -(lc // g)
                 if s != 1:
@@ -322,7 +348,8 @@ def _pseudo_reduce(
                 break
         else:
             remainder.append((k, lc, scale))
-    return {k: c if s == scale else c * (scale // s) for k, c, s in remainder}, scale
+    r = {k: c if s == scale else c * (scale // s) for k, c, s in remainder}
+    return r, scale, sugar
 
 
 class _Divisors:
@@ -363,7 +390,7 @@ class _Divisors:
             flip = packing.flip
             acc = {packing.pack(m) ^ flip: c for m, c in num.items()}
             try:
-                r, scale = _pseudo_reduce(acc, divisors, flip, packing.guard)
+                r, scale, _ = _pseudo_reduce(acc, divisors, flip, packing.guard)
             except _Overflow:
                 width *= 2
                 continue
@@ -413,15 +440,19 @@ def groebner(
     order: MonomialOrder = GREVLEX,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> GroebnerBasis:
-    """Reduced Gröbner basis by Buchberger with the normal strategy.
+    """Reduced Gröbner basis by Buchberger's algorithm.
 
-    Pair selection: smallest lcm in the order, ties by index. Each pair
-    is keyed once, when it enters a heap, by (packed order key of the
-    lcm, i, j). The product and chain criteria prune pairs. Every pair
-    taken from the heap counts against `pair_budget`; past it,
-    ResourceLimit is raised. A run restarted at a wider packing counts
-    its pairs afresh.
+    Pair selection: under grevlex and weighted orders the normal
+    strategy, smallest lcm in the order; under lex the sugar strategy,
+    least sugar, then smallest lcm. Ties go by index. Each pair is keyed
+    once, when it enters a heap, by (sugar, packed order key of the lcm,
+    i, j), with sugar 0 outside lex. The product and chain criteria prune
+    pairs. Every pair taken from the heap counts against `pair_budget`,
+    a non-negative int (ValueError otherwise); past it, ResourceLimit is
+    raised. A run restarted at a wider packing counts its pairs afresh.
     """
+    if not _is_int(pair_budget) or pair_budget < 0:
+        raise ValueError(f"pair_budget must be a non-negative int, got {pair_budget!r}")
     # the numerators: a generator's denominator does not change its ideal
     gens = [f.num for f in ideal.generators if f.num]
     width = _field_width(gens, order)
@@ -444,37 +475,47 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
     returns them. The pair heap, the criteria, the lcm and the overflow
     tests use the packed leading monomials; the S-polynomial shifts each
     tail key by the lcm's key minus the element's, which is exact for the
-    reason `_pseudo_reduce` gives.
+    reason `_pseudo_reduce` gives. Under lex each element carries its
+    sugar, which `_pseudo_reduce` hands on to a remainder.
     """
     flip, guard = packing.flip, packing.guard
-    G: list[tuple[int, int, int, list, int]] = []
+    # lex takes pairs by sugar, with degrees from its trailing degree
+    # field; a graded key already leads with its degree
+    dmask = 0 if packing.graded else packing.value
+    G: list[tuple[int, int, int, list, int, int]] = []
     lms: list[int] = []  # lms[k] is the packed leading monomial of G[k]
-    heap: list[tuple[int, int, int]] = []
+    ecarts: list[int] = []  # under lex, G[k]'s sugar minus the degree of lms[k]
+    heap: list[tuple[int, int, int, int]] = []
     pairs: set[tuple[int, int]] = set()  # the pairs still in the heap
 
     def enter(e: tuple) -> None:
         lm = e[0]
         j = len(G)
+        ecart = e[5] - (lm & dmask)
         for i in range(j):
             l = packing.lcm(lms[i], lm)
             if l & guard:
                 raise _Overflow
-            heapq.heappush(heap, (l ^ flip, i, j))
+            # a pair's sugar: max(sugar - deg lm) of the two, plus deg lcm
+            sugar = max(ecarts[i], ecart) + (l & dmask) if dmask else 0
+            heapq.heappush(heap, (sugar, l ^ flip, i, j))
             pairs.add((i, j))
         G.append(e)
         lms.append(lm)
+        ecarts.append(ecart)
 
     for g in gens:
-        enter(_pack(g, packing))
+        # a generator's sugar is its total degree
+        enter(_pack(g, packing, max(map(sum, g)) if dmask else 0))
     processed = 0
     while heap:
-        key, i, j = heapq.heappop(heap)
+        sugar, key, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
         processed += 1
         if processed > pair_budget:
             raise ResourceLimit(f"S-pair budget {pair_budget} exceeded")
         l = key ^ flip
-        (lmi, lki, lci, taili, topi), (lmj, lkj, lcj, tailj, topj) = G[i], G[j]
+        (lmi, lki, lci, taili, topi, _), (lmj, lkj, lcj, tailj, topj, _) = G[i], G[j]
         # product criterion: coprime leading monomials
         if l == lmi + lmj:
             continue
@@ -497,9 +538,9 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
         di, dj = key - lki, key - lkj
         acc = {k + di: ci * c for k, c in taili}
         _add_into(acc, {k + dj: cj * c for k, c in tailj})
-        r, _ = _pseudo_reduce(acc, G, flip, guard)
+        r, _, sugar = _pseudo_reduce(acc, G, flip, guard, dmask, sugar)
         if r:
-            enter(_element(_primitive(r), packing))
+            enter(_element(_primitive(r), packing, sugar))
     return G
 
 
@@ -521,7 +562,7 @@ def _autoreduce(
         _from_num(
             arity, {unpack(lm): lc, **{unpack(k ^ flip): c for k, c in tail}}, lc
         )
-        for lm, _, lc, tail, _ in minimal
+        for lm, _, lc, tail, _, _ in minimal
     ]
     # inter-reduce each element by the smaller ones, already reduced. A
     # tail monomial lies below its own leading monomial, and a leading

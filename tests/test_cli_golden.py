@@ -44,6 +44,8 @@ def invocations():
             cases += [
                 ["check-lnd", file, "nope"],
                 ["check-lnd", file, name, "--order", "lex", "--bound", "8"],
+                ["classify", file, "--order", "lex"],
+                ["hdstar-member", file, member, "--order", "lex"],
                 ["exp", file, name, poly, "1/2"],
                 ["decompose", file, name, "nope"],
             ]

@@ -409,6 +409,30 @@ def test_require_lnd_is_the_gate():
         euler.require_lnd()
 
 
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        (True, "bound must be an int"),
+        (2.5, "bound must be an int"),
+        (8.0, "bound must be an int"),
+        (Fraction(3), "bound must be an int"),
+        (0, "bound must be >= 1"),
+        (-2, "bound must be >= 1"),
+    ],
+)
+def test_nilpotency_bound_must_be_a_positive_int(bound, message):
+    algebra = PresentedAlgebra(["x", "y"])
+    D = Derivation.from_strings(algebra, {"x": "y^5", "y": "1"})
+    with pytest.raises(ValueError, match=message):
+        D.nilpotency_check(bound)
+    with pytest.raises(ValueError, match=message):
+        D.require_lnd(bound)
+    # a verified verdict does not excuse a bad bound either
+    assert D.nilpotency_check().verified
+    with pytest.raises(ValueError, match=message):
+        D.nilpotency_check(bound)
+
+
 def test_exp_rechecks_after_weaker_verdict():
     # a small explicit bound is inconclusive; exp must not reuse that verdict
     algebra = PresentedAlgebra(["x", "y"])

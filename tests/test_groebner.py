@@ -216,18 +216,106 @@ def test_cyclic5_grevlex():
         assert normal_form(g, gb).is_zero()
 
 
+def _assert_pair_budget_boundary(system, order, budget):
+    names, texts = system
+    ideal = Ideal.of([parse_poly(t, names) for t in texts])
+    gb = groebner(ideal, order, pair_budget=budget)
+    assert all(normal_form(g, gb).is_zero() for g in ideal.generators)
+    with pytest.raises(ResourceLimit):
+        groebner(ideal, order, pair_budget=budget - 1)
+
+
+# a random lex ideal whose remainders would take 45 pairs if each kept
+# its pair's sugar instead of the sugar of every reduction step
+TRACKED_SUGAR = (
+    XYZ,
+    ["-5*x^2*y^2*z^3 + x^2*y^2 - 5*y^3 + 3*x*z", "3*x^2*y^2*z + 2*y^2*z^2",
+     "-x*y^2*z^3"],
+)
+
+# the fixed locus of a 3-block type-1 trinomial with its LND's images,
+# as test_type_a builds it; selected by sugar, grevlex would take 45 pairs
+TRINOMIAL3_LOCUS = (
+    ["T11", "T12", "T21", "T22", "T31"],
+    ["3*T22^2*T31^2", "3*T12^3*T31^2", "T12^3*T22^2",
+     "T11*T12^3 - T21*T22^2 - 4", "T21*T22^2 - T31^3 + 8"],
+)
+
+
 @pytest.mark.parametrize(
-    "system, budget", [(_cyclic(4), 91), (KATSURA3, 561)], ids=["cyclic4", "katsura3"]
+    "system, budget",
+    [(_cyclic(4), 55), (KATSURA3, 120), (TRACKED_SUGAR, 36)],
+    ids=["cyclic4", "katsura3", "tracked-sugar"],
 )
 def test_lex_pair_budget_boundary(system, budget):
     # the number of S-pairs taken is part of the contract: the smallest
-    # budget that succeeds was measured with the original pair selection
-    names, texts = system
-    ideal = Ideal.of([parse_poly(t, names) for t in texts])
-    gb = groebner(ideal, LEX, pair_budget=budget)
-    assert all(normal_form(g, gb).is_zero() for g in ideal.generators)
+    # budget that succeeds, measured with lex pairs selected by sugar
+    _assert_pair_budget_boundary(system, LEX, budget)
+
+
+@pytest.mark.parametrize(
+    "system, budget",
+    [(_cyclic(4), 45), (KATSURA3, 36), (TRINOMIAL3_LOCUS, 36)],
+    ids=["cyclic4", "katsura3", "trinomial3-locus"],
+)
+def test_grevlex_pair_budget_boundary(system, budget):
+    # grevlex keeps the normal strategy (smallest lcm first): these are
+    # the counts of the selection before lex took pairs by sugar
+    _assert_pair_budget_boundary(system, GREVLEX, budget)
+
+
+@pytest.mark.parametrize("budget", [True, False, 2.5, 100.0, -1, "10", None])
+def test_pair_budget_must_be_a_non_negative_int(budget):
+    ideal = Ideal.of([p("x^2 - y"), p("y^2 - x")])
+    with pytest.raises(ValueError, match="pair_budget"):
+        groebner(ideal, LEX, pair_budget=budget)
+
+
+def test_pair_budget_zero_admits_no_pair():
+    # zero stays a valid budget: enough for an ideal with no S-pair
+    assert groebner(Ideal.of([p("x^2 - y")]), LEX, pair_budget=0).basis == (
+        p("x^2 - y"),
+    )
     with pytest.raises(ResourceLimit):
-        groebner(ideal, LEX, pair_budget=budget - 1)
+        groebner(Ideal.of([p("x^2 - y"), p("y^2 - x")]), LEX, pair_budget=0)
+
+
+# three generators with large rational coefficients whose lex basis the
+# normal strategy took more than a minute to reach: coefficients swell to
+# thousands of bits over hundreds of S-pairs
+SWELLING_LEX = (
+    ["x0", "x1", "x2"],
+    [
+        "-145414*x0^2*x1^2*x2^2 - 64655*x0^2*x1*x2^2 + 99283*x0*x1^2",
+        "-157466*x0^2*x1^2 + 336143/2*x0 + 926543/4",
+        "-791791/6*x0*x1^2*x2 + 300485/4*x0^2*x2 - 232601/2*x2^2",
+    ],
+)
+
+
+def test_swelling_lex_ideal_finishes_with_a_reduced_basis():
+    names, texts = SWELLING_LEX
+    gens = [parse_poly(t, names) for t in texts]
+    gb = groebner(Ideal.of(gens), LEX)
+    basis = gb.basis
+    lms = [g.leading(LEX)[0] for g in basis]
+    # reduced: monic, in lowest terms, no term divisible by another
+    # element's leading monomial
+    for k, g in enumerate(basis):
+        assert_reduced_form(g)
+        assert g.leading(LEX)[1] == 1
+        others = lms[:k] + lms[k + 1 :]
+        assert not any(_divides(lm, m) for m in g.num for lm in others)
+    # a Gröbner basis of an ideal holding the generators: every S-pair
+    # and every generator reduces to zero by division over Q
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        s_pair = s_polynomial(basis[i], basis[j], LEX)
+        assert fraction_reduce(s_pair, basis, LEX).is_zero()
+    for g in gens:
+        assert fraction_reduce(g, basis, LEX).is_zero()
+    # and inside the ideal of the generators, by its grevlex basis
+    by_grevlex = groebner(Ideal.of(gens), GREVLEX)
+    assert all(normal_form(g, by_grevlex).is_zero() for g in basis)
 
 
 # ---- division against the immutable-Polynomial reference -----------------
@@ -423,8 +511,8 @@ def test_groebner_matches_textbook_buchberger(gens, order):
 
 @pytest.mark.parametrize(
     "system, order",
-    [(_cyclic(4), LEX), (_cyclic(4), GREVLEX), (KATSURA3, GREVLEX)],
-    ids=["cyclic4-lex", "cyclic4-grevlex", "katsura3-grevlex"],
+    [(_cyclic(4), LEX), (_cyclic(4), GREVLEX), (KATSURA3, GREVLEX), (KATSURA3, LEX)],
+    ids=["cyclic4-lex", "cyclic4-grevlex", "katsura3-grevlex", "katsura3-lex"],
 )
 def test_groebner_matches_textbook_buchberger_on_systems(system, order):
     names, texts = system
@@ -473,9 +561,9 @@ PACKED_ORDERS = [
 
 
 def _fields(m, order):
-    """The values a packing stores for m: its exponents and, outside lex,
-    its degree and weighted degree."""
-    extra = [] if order.kind == "lex" else [sum(m)]
+    """The values a packing stores for m: its exponents, its degree and,
+    for a weighted order, its weighted degree."""
+    extra = [sum(m)]
     if order.kind == "weighted":
         extra.append(sum(e * w for e, w in zip(m, order.weights)))
     return [*m, *extra]
