@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .derivations import DEFAULT_NILPOTENCY_BOUND, Derivation, PresentedAlgebra, lift
-from .errors import ArityMismatch, NoLNDs, NotVerifiedLND
+from .derivations import DEFAULT_NILPOTENCY_BOUND, Derivation, PresentedAlgebra
+from .errors import ArityMismatch, NoLNDs
 from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
 from .poly import Polynomial, _from_num, _is_int, parse_poly
 from .report import ClassificationReport, Evidence
@@ -52,17 +52,18 @@ class VarietyDossier:
         tags: dict = {}
         if "trinomial" in doc:
             tri = _shape(doc["trinomial"], "trinomial", dict)
-            variant = _shape(tri["type"], "trinomial type", int)
-            m, l = _shape(tri.get("m", 0), "trinomial m", int), tri["l"]
+            variant = _shape(tri.get("type"), "trinomial type", int)
+            m = _shape(tri.get("m", 0), "trinomial m", int)
             if variant not in (1, 2):
                 raise ValueError(f"trinomial type must be 1 or 2, not {variant}")
-            for block in _shape(l, "trinomial l", list, list):
+            l = _shape(tri.get("l"), "trinomial l", list, list)
+            for block in l:
                 _shape(block, "a trinomial l block", list, int)
             if variant == 1:
-                a = _rationals(tri["a"], "trinomial a")
+                a = _rationals(tri.get("a"), "trinomial a")
                 tags["trinomial"] = TrinomialData.type1(l, a, m)
             else:
-                rows = _shape(tri["A"], "trinomial A", list, list)
+                rows = _shape(tri.get("A"), "trinomial A", list, list)
                 A = [_rationals(row, "a trinomial A row") for row in rows]
                 tags["trinomial"] = TrinomialData.type2(l, A, m)
         if "toric" in doc:
@@ -70,7 +71,7 @@ class VarietyDossier:
             rays = _shape(toric.get("rays"), "toric rays", list, list)
             tags["toric"] = Cone.of([_shape(r, "a toric ray", list, int) for r in rays])
         assertions = _shape(doc.get("assertions", {}), "assertions", dict)
-        if assertions.get("rigid"):
+        if _shape(assertions.get("rigid", False), "assertions rigid", bool):
             tags["rigid_asserted"] = True
         if "invariant_line" in assertions:
             tags["invariant_line"] = _rationals(
@@ -120,30 +121,35 @@ class VarietyDossier:
 
 
 def _shape(value, what: str, kind: type = list, item: type = object):
-    """value if it is a JSON integer (kind int), or a list (kind list) or
-    object (kind dict) whose entries are `item`s, else a ValueError naming
-    what. A boolean is not an integer here."""
+    """value if it is a JSON boolean (kind bool) or integer (kind int), or
+    a list (kind list) or object (kind dict) whose entries are `item`s,
+    else a ValueError naming what. A boolean is not an integer here."""
 
     def fits(x, t: type) -> bool:
         return _is_int(x) if t is int else isinstance(x, t)
 
     entries = value.values() if isinstance(value, dict) else value
-    if fits(value, kind) and (kind is int or all(fits(x, item) for x in entries)):
+    scalar = kind in (int, bool)
+    if fits(value, kind) and (scalar or all(fits(x, item) for x in entries)):
         return value
-    noun = {list: "a list", dict: "an object", int: "an integer"}[kind]
+    noun = {
+        list: "a list", dict: "an object", int: "an integer", bool: "a boolean"
+    }[kind]
     if item is not object:
         noun += f" of {item.__name__}s"
     raise ValueError(f"{what} must be {noun}, not {value!r}")
 
 
 def _rationals(value, what: str) -> list[Fraction]:
-    """The entries of a JSON list as Fractions, else a ValueError naming what."""
+    """The entries of a JSON list as Fractions, else a ValueError naming
+    what. A boolean is not a rational here."""
+    entries = _shape(value, what)
     try:
-        return [Fraction(x) for x in _shape(value, what)]
-    except (TypeError, OverflowError):
-        raise ValueError(
-            f"{what} must be a list of rationals, not {value!r}"
-        ) from None
+        if not any(isinstance(x, bool) for x in entries):
+            return [Fraction(x) for x in entries]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{what} must be a list of rationals, not {value!r}")
 
 
 def combined_image_ideal(V: VarietyDossier) -> Ideal:
@@ -230,8 +236,10 @@ def ji_lower_bound_check(
     verification of its own: u^i lies in the kernel, so
     (u^i D)^k(x_j) = u^{ik} D^k(x_j), and u^i D is well-defined and
     nilpotent exactly when D is, with the same orders. So each entry is
-    read off D's images and D's verified verdict, and nothing is lifted;
-    past `bound` the lift is Inconclusive.
+    read off D's images and the verdict of `D.require_lnd(bound)`, and
+    nothing is lifted. As in `VarietyDossier.create`, `bound` verifies a
+    D not verified yet; a verified verdict decides at whatever bound it
+    was reached.
     """
     if not V.lnds:
         raise NoLNDs("dossier supplies no derivations")
@@ -242,11 +250,6 @@ def ji_lower_bound_check(
         if D.is_zero():
             continue
         order = D.require_lnd(bound).max_order
-        if order > bound:
-            raise NotVerifiedLND(
-                f"derivation {lift(D, i)!r} failed verification:"
-                f" Inconclusive(bound={bound})"
-            )
         entries.extend(
             {
                 "derivation": idx,

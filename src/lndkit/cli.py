@@ -259,13 +259,7 @@ def main(argv=None) -> int:
     except (NotVerifiedLND, NotASlice) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except (
-        LndkitError,
-        OSError,
-        KeyError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (LndkitError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -7,8 +7,9 @@ Derivation builds its Leibniz table once, on first use: for every
 generator x_j with D(x_j) != 0, the monomials of D(x_j) shifted by -e_j
 with their numerators over one common image denominator, so applying D
 is one pass over the terms of f. It also keeps the last chain f, D(f),
-D^2(f), ... that reached zero, keyed by the normal form of f, and
-exp(sD) and the Dixmier projection read their chains through it.
+D^2(f), ... that reached zero, keyed by the normal form of f; the
+nilpotency check, exp(sD) and the Dixmier projection all read their
+chains through `Derivation.iterate`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import factorial, lcm
 from operator import add
 from typing import Sequence
@@ -238,14 +240,15 @@ class Derivation:
     def nilpotency_check(
         self, bound: int = DEFAULT_NILPOTENCY_BOUND
     ) -> NilpotencyVerdict:
-        """Iterate D on each generator, up to `bound` applications, an
-        int >= 1 (ValueError otherwise).
+        """Read each generator's chain D(x_j), D^2(x_j), ... through
+        `iterate`, at most `bound` entries, an int >= 1 (ValueError otherwise).
 
-        A chain entry proportional to an earlier one certifies
-        non-nilpotency; exhausting the bound is Inconclusive. Raises
-        NotVerifiedLND if D does not preserve the relations, since no
-        verdict about such a D is a verdict about an LND. A verified
-        verdict is kept and reused at any bound.
+        A chain that ends within the bound gives x_j's order; an entry
+        proportional to an earlier one certifies non-nilpotency; `bound`
+        nonzero entries are Inconclusive. Raises NotVerifiedLND if D does
+        not preserve the relations, since no verdict about such a D is a
+        verdict about an LND. A verified verdict is kept and reused at any
+        bound.
         """
         if not _is_int(bound):
             raise ValueError(f"bound must be an int, got {bound!r}")
@@ -259,25 +262,20 @@ class Derivation:
         if self._verdict is not None:
             return self._verdict
         max_order = 0
-        for j, name in enumerate(self.algebra.vars):
-            chain = [self.images[j]]
-            order = None
-            while len(chain) <= bound:
-                current = chain[-1]
-                if current.is_zero():
-                    order = len(chain)
-                    break
-                if _proportional_index(chain[:-1], current) is not None:
+        for name, image in zip(self.algebra.vars, self.images):
+            chain: list[Polynomial] = []
+            for current in islice(self.iterate(image), bound):
+                if _proportional(chain, current):
                     return NilpotencyVerdict(
                         "not_nilpotent",
                         witness_var=name,
-                        witness_order=len(chain),
+                        witness_order=len(chain) + 1,
                         bound=bound,
                     )
-                chain.append(self.apply(current))
-            if order is None:
+                chain.append(current)
+            if len(chain) == bound:
                 return NilpotencyVerdict("inconclusive", bound=bound)
-            max_order = max(max_order, order)
+            max_order = max(max_order, len(chain) + 1)
         verdict = NilpotencyVerdict("verified", max_order=max_order, bound=bound)
         self._verdict = verdict
         return verdict
@@ -306,7 +304,10 @@ class Derivation:
         at a time. A chain that reaches zero is kept, keyed by the normal
         form of f, until the next one does; iterating the same f again
         (or f plus a relation) yields the kept chain without applying D.
-        An iteration stopped early keeps nothing.
+        An iteration stopped early keeps nothing. It is the one chain
+        walker: `nilpotency_check`, `exp_action` and `kernel_projection`
+        read their chains through it, so the kept chain may also be a
+        generator image's chain from verification.
         """
         key = self.algebra.normal(f)
         last = self._last_chain
@@ -392,19 +393,17 @@ class Derivation:
         return f"Derivation({imgs})"
 
 
-def _proportional_index(chain: list[Polynomial], current: Polynomial):
-    """Index of an earlier chain entry that current is a multiple of."""
+def _proportional(chain: list[Polynomial], current: Polynomial) -> bool:
+    """True iff the nonzero current is a multiple of an earlier chain entry."""
     cur = current.num
-    for idx, earlier in enumerate(chain):
-        ear = earlier.num
-        if not ear or ear.keys() != cur.keys():
-            continue
-        m0 = next(iter(cur))
-        a, b = cur[m0], ear[m0]
-        # cur[m] / e == a / b for every monomial m
-        if all(cur[m] * b == e * a for m, e in ear.items()):
-            return idx
-    return None
+    m0 = next(iter(cur))
+    a = cur[m0]
+    # cur[m] / e == a / ear[m0] for every monomial m
+    return any(
+        ear.keys() == cur.keys()
+        and all(cur[m] * ear[m0] == e * a for m, e in ear.items())
+        for ear in (earlier.num for earlier in chain)
+    )
 
 
 def lift(D: Derivation, i: int) -> Derivation:

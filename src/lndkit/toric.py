@@ -165,7 +165,8 @@ def enumerate_roots(cone: Cone, box: int) -> list[DemazureRoot]:
 
 def _window(partial, column, slack, box: int) -> tuple[int, int] | None:
     """The x in [-box, box] with s + x*c + r >= -1 for every ray's
-    partial pairing s, next entry c and remaining reach r; None if empty."""
+    partial pairing s, next entry c and remaining reach r; None if empty.
+    A ray with c = 0 bounds nothing: the level above kept s + r >= -1."""
     lo, hi = -box, box
     for s, c, r in zip(partial, column, slack):
         need = -1 - s - r  # x*c must be at least this
@@ -173,8 +174,6 @@ def _window(partial, column, slack, box: int) -> tuple[int, int] | None:
             lo = max(lo, -(-need // c))
         elif c < 0:
             hi = min(hi, need // c)
-        elif need > 0:
-            return None
     return (lo, hi) if lo <= hi else None
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import lndkit
 from lndkit import (
     Derivation,
+    NilpotencyVerdict,
     PresentedAlgebra,
     TrinomialData,
     build_relations,
@@ -163,3 +164,37 @@ def leibniz_apply(D: Derivation, f: Polynomial) -> Polynomial:
     for j, image in enumerate(D.images):
         total = total + f.partial_derivative(j) * image
     return D.algebra.normal(total)
+
+
+def walk_nilpotency(D: Derivation, bound: int) -> NilpotencyVerdict:
+    """The nilpotency verdict of D at `bound`, by a walk of its own: for
+    each generator, apply D to its image until an entry is zero (the
+    order is the chain's length), is a multiple of an earlier entry (a
+    witness), or `bound` entries are nonzero (Inconclusive, after one more
+    application). The oracle for `Derivation.nilpotency_check`, which reads
+    its chains through `Derivation.iterate`; it neither reads nor keeps
+    a verdict or a chain."""
+    max_order = 0
+    for j, name in enumerate(D.algebra.vars):
+        chain = [D.images[j]]
+        order = None
+        while len(chain) <= bound:
+            current = chain[-1]
+            if current.is_zero():
+                order = len(chain)
+                break
+            cur = current.coeffs
+            for earlier in chain[:-1]:
+                ear = earlier.coeffs
+                if ear.keys() == cur.keys() and len({cur[m] / ear[m] for m in ear}) == 1:
+                    return NilpotencyVerdict(
+                        "not_nilpotent",
+                        witness_var=name,
+                        witness_order=len(chain),
+                        bound=bound,
+                    )
+            chain.append(D.apply(current))
+        if order is None:
+            return NilpotencyVerdict("inconclusive", bound=bound)
+        max_order = max(max_order, order)
+    return NilpotencyVerdict("verified", max_order=max_order, bound=bound)

@@ -209,8 +209,30 @@ def test_ji_zero_is_degenerate(w1_dossier):
 
 
 def test_ji_lift_not_verified_within_bound(w1_dossier):
-    with pytest.raises(NotVerifiedLND, match="failed verification: Inconclusive"):
-        ji_lower_bound_check(w1_dossier, 1, bound=1)
+    # `bound` verifies a D not verified yet, and the error names D itself
+    D = w1_dossier.lnds[0]
+    fresh = Derivation(D.algebra, D.images)
+    message = r"Derivation\(x -> 0, y -> 2\*z, z -> x\) failed verification:"
+    with pytest.raises(NotVerifiedLND, match=message + r" Inconclusive\(bound=1\)"):
+        ji_lower_bound_check(VarietyDossier(D.algebra, (fresh,)), 1, bound=1)
+    # a verified D keeps its verdict, whatever the bound
+    cert = ji_lower_bound_check(w1_dossier, 1, bound=1)
+    assert {e["lift_verified_order"] for e in cert.entries} == {3}
+
+
+def test_ji_trusts_the_verdict_of_require_lnd():
+    # D(y) = x^70 needs 72 applications: more than the default bound of 64
+    algebra = PresentedAlgebra(["x", "y"])
+    D = Derivation.from_strings(algebra, {"x": "1", "y": "x^70"})
+    V = VarietyDossier.create(algebra, [D], bound=100)
+    assert D.require_lnd().describe() == "VerifiedLND(max_order=72)"
+    cert = ji_lower_bound_check(V, 1)
+    assert [e["lift_verified_order"] for e in cert.entries] == [72, 72]
+    fresh = Derivation(algebra, D.images)
+    for bound in (1, 64):
+        with pytest.raises(NotVerifiedLND, match=rf"Inconclusive\(bound={bound}\)"):
+            ji_lower_bound_check(VarietyDossier(algebra, (fresh,)), 1, bound)
+    assert ji_lower_bound_check(VarietyDossier(algebra, (fresh,)), 1, bound=72) == cert
 
 
 @pytest.mark.parametrize("i", [0, 1, 3])

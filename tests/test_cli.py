@@ -442,6 +442,81 @@ def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vars": ["x", "y"], "derivations": {"d": {"x": "1"}}},
+         "image map mismatch (missing ['y'], extra [])"),
+        ({"vars": ["x"], "relations": ["1"]},
+         "relations generate the unit ideal; algebra is zero"),
+        ({"vars": ["x", "x"], "relations": ["x"]}, "duplicate variable names"),
+        ({"vars": ["x", "x"]}, "duplicate variable names"),
+        ({"vars": ["x", "y"], "gradings": {"g": [1]}}, "grading 'g' has wrong length"),
+        ({"toric": {"rays": []}}, "a cone needs at least one ray"),
+        ({"trinomial": {"l": [[2], [2]], "a": [0, 1]}},
+         "trinomial type must be an integer, not None"),
+        ({"trinomial": {"type": 1, "a": [0, 1]}},
+         "trinomial l must be a list of lists, not None"),
+        ({"trinomial": {"type": 1, "l": [[2], [2]]}}, "trinomial a must be a list, not None"),
+        ({"trinomial": {"type": 2, "l": [[2], [2], [2]]}},
+         "trinomial A must be a list of lists, not None"),
+        ({"trinomial": {"type": 1, "l": [[2], [2]], "a": [True, False]}},
+         "trinomial a must be a list of rationals, not [True, False]"),
+        ({"trinomial": {"type": 1, "l": [[2], [2]], "a": ["1/0", 1]}},
+         "trinomial a must be a list of rationals, not ['1/0', 1]"),
+        ({"trinomial": {"type": 2, "l": [[2], [2], [2]], "A": [[True] * 3, [0, 1, 2]]}},
+         "a trinomial A row must be a list of rationals, not [True, True, True]"),
+        ({"vars": ["x", "y"], "derivations": {"d": {"x": "y", "y": "0"}},
+          "assertions": {"invariant_line": [False, False]}},
+         "invariant_line must be a list of rationals, not [False, False]"),
+        ({"vars": ["x"], "assertions": {"rigid": "false"}},
+         "assertions rigid must be a boolean, not 'false'"),
+        ({"vars": ["x"], "assertions": {"rigid": 1}},
+         "assertions rigid must be a boolean, not 1"),
+        ({"vars": ["x"], "assertions": {"rigid": None}},
+         "assertions rigid must be a boolean, not None"),
+    ],
+    ids=[
+        "derivation missing a variable",
+        "unit relation",
+        "duplicate vars with relations",
+        "duplicate vars",
+        "grading too short",
+        "no rays",
+        "no trinomial type",
+        "no trinomial l",
+        "no trinomial a",
+        "no trinomial A",
+        "a of booleans",
+        "a with denominator 0",
+        "A row of booleans",
+        "invariant_line of booleans",
+        "rigid string",
+        "rigid number",
+        "rigid null",
+    ],
+)
+def test_bad_dossier_exits_2_naming_the_fault(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_main(capsys, "classify", str(path)) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
+def test_rigid_reads_only_a_json_boolean(tmp_path, capsys):
+    outputs = {}
+    for rigid in (True, False, "absent"):
+        doc = {"vars": ["x"]}
+        if rigid != "absent":
+            doc["assertions"] = {"rigid": rigid}
+        path = tmp_path / "rigid.json"
+        path.write_text(json.dumps(doc))
+        code, outputs[rigid], _ = run_main(capsys, "classify", str(path), "--json")
+        assert code == EXIT_OK
+    assert json.loads(outputs[True])["verdict"] == "C"
+    assert outputs[False] == outputs["absent"]
+    assert json.loads(outputs[False])["verdict"] == "Inconclusive"
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "lndkit", "classify", str(DATA / "w1.json"), "--json"],

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from helpers import (
     suspension_surface,
     w1_algebra,
     w1_canonical,
+    walk_nilpotency,
 )
 
 
@@ -276,6 +278,81 @@ def test_inconclusive_without_witness():
     algebra = PresentedAlgebra(["x"])
     D = Derivation.from_strings(algebra, {"x": "x^2"})
     assert D.nilpotency_check(5).status == "inconclusive"
+
+
+def _fresh_verdicts(D, bounds):
+    """The verdict of a fresh copy of D at each bound, so that no kept
+    verdict decides."""
+    return [Derivation(D.algebra, D.images).nilpotency_check(b) for b in bounds]
+
+
+def test_nilpotency_matches_an_independent_walk_on_the_corpus():
+    for _, _, D in corpus():
+        bounds = range(1, 11)
+        assert _fresh_verdicts(D, bounds) == [walk_nilpotency(D, b) for b in bounds]
+
+
+def test_nilpotency_at_the_order_and_one_past_it():
+    # z -> y -> x -> 1 -> 0: order 4
+    algebra, D = _triangular()
+    verdicts = _fresh_verdicts(D, [3, 4, 5])
+    assert verdicts == [walk_nilpotency(D, b) for b in (3, 4, 5)]
+    assert [v.describe() for v in verdicts] == [
+        "Inconclusive(bound=3)", "VerifiedLND(max_order=4)", "VerifiedLND(max_order=4)"
+    ]
+
+
+_FREE = PresentedAlgebra(["x", "y", "z"])
+
+
+@st.composite
+def walked_derivations(draw):
+    """A derivation of K[x, y, z]: triangular (the image of each variable
+    a polynomial in the ones before it, so an LND), Euler-like (plus c*x_j
+    in the image of x_j) or growing (plus c*x_j^e, e = 2 or 3)."""
+    kind = draw(st.sampled_from(["triangular", "euler", "growing"]))
+    coefficient = st.fractions(-3, 3, max_denominator=2)
+    images = []
+    for j in range(3):
+        exponents = st.tuples(*[st.integers(0, 2)] * j, *[st.just(0)] * (3 - j))
+        terms = draw(st.lists(st.tuples(exponents, coefficient), max_size=2))
+        if kind != "triangular" and draw(st.booleans()):
+            e = 1 if kind == "euler" else draw(st.integers(2, 3))
+            c = draw(coefficient.filter(bool))
+            terms.append((tuple(e if k == j else 0 for k in range(3)), c))
+        images.append(Polynomial(3, terms))
+    return Derivation(_FREE, images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(walked_derivations())
+def test_nilpotency_matches_an_independent_walk(D):
+    bounds = range(1, 11)
+    assert _fresh_verdicts(D, bounds) == [walk_nilpotency(D, b) for b in bounds]
+
+
+def test_an_inconclusive_walk_never_computes_past_the_bound():
+    # x -> x^2: D^k(x) = k! x^(k+1), never zero, never a multiple of an
+    # earlier entry
+    algebra = PresentedAlgebra(["x"])
+    D = Derivation.from_strings(algebra, {"x": "x^2"})
+    applied = []
+    apply = D.apply
+    D.apply = lambda g: applied.append(g) or apply(g)
+    assert D.nilpotency_check(5).describe() == "Inconclusive(bound=5)"
+    # D(x) is the image; D^2(x), ..., D^5(x) take one application each
+    assert applied == [algebra.parse(f"{factorial(k)}*x^{k + 1}") for k in range(1, 5)]
+
+
+def test_verification_keeps_the_last_generator_chain():
+    algebra, D = _triangular()
+    D.require_lnd()
+    applied = []
+    apply = D.apply
+    D.apply = lambda g: applied.append(g) or apply(g)
+    # z's chain y, x, 1 was walked last and reached zero
+    assert list(D.iterate(algebra.parse("y"))) == [algebra.parse(t) for t in "yx1"]
+    assert applied == []
 
 
 # ---- slices -------------------------------------------------------------

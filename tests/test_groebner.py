@@ -1,4 +1,5 @@
 import itertools
+import linecache
 import random
 import sys
 from fractions import Fraction
@@ -663,6 +664,37 @@ def test_groebner_repacks_wider_on_overflow(monkeypatch):
     gb = groebner(ideal, GREVLEX)
     assert widths == [8, 16]
     assert gb.basis == _reference_groebner(ideal.generators, GREVLEX)
+
+
+def test_s_polynomial_tail_overflow_restarts_wider(monkeypatch):
+    # under lex a tail shifted to the lcm can outgrow the lcm's degree:
+    # with 8-bit fields (the input asks for 9) the S-polynomial's shifted
+    # tail overflows, before any lcm or division does
+    ideal = Ideal.of([p("x*y - z^100"), p("x*z^30 - 1")])
+    gens = [g.num for g in ideal.generators]
+    with pytest.raises(groebner_module._Overflow) as exc:
+        groebner_module._buchberger(gens, groebner_module._packing(LEX, 3, 8), 10**6)
+    tb = exc.value.__traceback__
+    while tb.tb_next:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    assert code.co_name == "_buchberger"
+    # the test on the line above the raise
+    above = linecache.getline(code.co_filename, tb.tb_lineno - 1)
+    assert "topi + (l - lmi) & guard" in above
+    expected = groebner(ideal, LEX).basis
+    widths = []
+    buchberger = groebner_module._buchberger
+
+    def recording(gens, packing, pair_budget):
+        widths.append(packing.width)
+        return buchberger(gens, packing, pair_budget)
+
+    monkeypatch.setattr(groebner_module, "_field_width", lambda nums, order: 8)
+    monkeypatch.setattr(groebner_module, "_buchberger", recording)
+    assert groebner(ideal, LEX).basis == expected
+    assert widths == [8, 16]
+    assert expected == _reference_groebner(ideal.generators, LEX)
 
 
 @pytest.mark.parametrize(
