@@ -86,7 +86,7 @@ class VarietyDossier:
             algebra = PresentedAlgebra(vars, relations, gradings, order)
         elif "relations" in doc:
             raise ValueError("relations require vars")
-        derivations = _shape(doc.get("derivations") or {}, "derivations", dict, dict)
+        derivations = _shape(doc.get("derivations", {}), "derivations", dict, dict)
         if derivations and algebra is None:
             raise ValueError("derivations require vars/relations")
         lnds = [

@@ -2,7 +2,7 @@
 
 For a weight vector w making all relations homogeneous, a derivation
 splits as a finite sum of w-homogeneous derivations; the extreme parts
-of an LND are again LNDs, which downstream code exploits and tests.
+of an LND are again LNDs, which the tests check on examples.
 """
 
 from __future__ import annotations

@@ -3,18 +3,20 @@
 Everything works on exact lattice data. `Cone.of` reduces its generators
 to the extremal rays. The toric verdict needs no search: a pointed
 full-dimensional cone has a line factor (type A) or else a Demazure root
-built on its first ray (type B). Root enumeration, for listing roots, is
-box-bounded (root sets can be infinite). It is a depth-first search over
-the box, one coordinate at a time, that prunes a prefix as soon as no
-completion can be a root and solves for the last coordinate; its output,
-order included, is that of testing every point of the box with `root_of`.
+built on its first ray (type B). Ranks and integer solutions, for both,
+come from one column echelon form A*V = H. Root enumeration, for listing
+roots, is box-bounded (root sets can be infinite). It is a depth-first
+search over the box, one coordinate at a time, that prunes a prefix as
+soon as no completion can be a root and solves for the last coordinate;
+its output, order included, is that of testing every point of the box
+with `root_of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, inf, lcm
 from typing import Sequence
 
 from .errors import DegenerateCone, DimensionMismatch
@@ -207,12 +209,12 @@ def detect_line_factor(cone: Cone) -> DemazureRoot | None:
 
     Solves, per ray, the integer linear system <p, v_i> = -1,
     <p, v_j> = 0 (j != i); such a root splits off a line factor. All
-    the systems share one matrix, so one Smith normal form serves them.
+    the systems share one matrix, so one column echelon form serves them.
     """
-    snf = smith_normal_form([list(v) for v in cone.rays])
+    echelon = column_echelon([list(v) for v in cone.rays])
     for i in range(len(cone.rays)):
         rhs = [-1 if j == i else 0 for j in range(len(cone.rays))]
-        p = _solve_smith(snf, rhs)
+        p = _solve_echelon(echelon, rhs)
         if p is not None:
             return DemazureRoot(tuple(p), i)
     return None
@@ -308,101 +310,67 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Exact rank over Q of a matrix with integer or rational entries.
 
     Scaling a row by a nonzero integer keeps the rank, so each row is
-    cleared of denominators and the rank is read off the diagonal of the
-    Smith normal form.
+    cleared of denominators and the rank is the number of pivots of the
+    column echelon form.
     """
     integral = []
     for row in rows:
         row = [Fraction(x) for x in row]
         scale = lcm(*(x.denominator for x in row))
         integral.append([int(x * scale) for x in row])
-    D = smith_normal_form(integral)[0]
-    return sum(1 for i, row in enumerate(D) if i < len(row) and row[i])
+    return len(column_echelon(integral)[2])
 
 
-def smith_normal_form(A: list[list[int]]):
-    """Return (D, U, V) with U*A*V = D diagonal, U and V unimodular, and
-    each nonzero diagonal entry dividing the next.
+def column_echelon(A: list[list[int]]):
+    """Return (H, V, pivots) with A*V = H, V unimodular, and H in column
+    echelon form: row pivots[k] is the first row with a nonzero entry in
+    column k, it is zero right of column k, and the columns past the last
+    pivot are zero.
 
-    Each pivot is the least nonzero entry of the remaining block, and its
-    row and column are cleared with remainders of at most half the pivot,
-    which keeps the entries of U, V and the block small.
+    Row by row, the least nonzero entry from column k on moves into
+    column k (the first such column on ties), and every column right of k
+    takes off the nearest multiple of column k, leaving a remainder of at
+    most half the pivot, until the row is zero right of column k.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [row[:] for row in A]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, k):
-        D[dst] = [a + k * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, k):
-        for row in D:
-            row[dst] += k * row[src]
-        for row in V:
-            row[dst] += k * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # the entry of least absolute value in the remaining block
-        block = [
-            (abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n) if D[i][j]
-        ]
-        if not block:
-            break
-        _, i, j = min(block)
-        swap_rows(t, i)
-        swap_cols(t, j)
-        p = D[t][t]
-        below, right = range(t + 1, m), range(t + 1, n)
-        # remainders rounded to the nearest multiple of p: at most |p|/2
-        for i in below:
-            if D[i][t]:
-                add_row(t, i, -((2 * D[i][t] + p) // (2 * p)))
-        for j in right:
-            if D[t][j]:
-                add_col(t, j, -((2 * D[t][j] + p) // (2 * p)))
-        if any(D[i][t] for i in below) or any(D[t][j] for j in right):
-            continue  # a nonzero remainder is the next, smaller pivot
-        # p must divide the rest; else row t takes a row it does not divide
-        bad = next((i for i in below if any(D[i][j] % p for j in right)), None)
-        if bad is None:
-            t += 1
-        else:
-            add_row(bad, t, 1)
-    return D, U, V
+    # column j of A stacked on column j of the identity: column operations
+    # on the stacks build H on top and V below
+    cols = [[row[j] for row in A] + [int(i == j) for i in range(n)] for j in range(n)]
+    pivots: list[int] = []
+    for r in range(m):
+        k = len(pivots)
+        while any(cols[j][r] for j in range(k, n)):
+            j = min(range(k, n), key=lambda j: abs(cols[j][r]) or inf)
+            cols[k], cols[j] = cols[j], cols[k]
+            p = cols[k][r]
+            for j in range(k + 1, n):
+                q = (2 * cols[j][r] + p) // (2 * p)
+                if q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
+            if not any(cols[j][r] for j in range(k + 1, n)):
+                pivots.append(r)
+                break
+    H = [[col[i] for col in cols] for i in range(m)]
+    V = [[col[i] for col in cols] for i in range(m, m + n)]
+    return H, V, pivots
 
 
 def solve_integer_system(A: list[list[int]], b: list[int]):
     """One integer solution of A x = b, or None if none exists."""
-    return _solve_smith(smith_normal_form(A), b)
+    return _solve_echelon(column_echelon(A), b)
 
 
-def _solve_smith(snf, b: list[int]):
-    """`solve_integer_system` for the matrix whose (D, U, V) is `snf`."""
-    D, U, V = snf
-    m = len(D)
-    n = len(V)
-    Ub = [sum(U[i][k] * b[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < n else 0
-        if d:
-            if Ub[i] % d:
-                return None
-            y[i] = Ub[i] // d
-        elif Ub[i]:
-            return None
-    return [sum(V[i][k] * y[k] for k in range(n)) for i in range(n)]
+def _solve_echelon(echelon, b: list[int]):
+    """`solve_integer_system` for the matrix whose (H, V, pivots) is
+    `echelon`. Forward substitution on the pivot rows, with floor
+    division, gives y (entries not yet solved, and those past the last
+    pivot, are 0); x = V y if H y = b holds in every row, which fails
+    when a pivot does not divide."""
+    H, V, pivots = echelon
+    y = [0] * len(V)
+    for k, r in enumerate(pivots):
+        y[k] = (b[r] - sum(h * t for h, t in zip(H[r], y))) // H[r][k]
+    if any(sum(h * t for h, t in zip(row, y)) != c for row, c in zip(H, b)):
+        return None
+    return [sum(v * t for v, t in zip(row, y)) for row in V]

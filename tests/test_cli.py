@@ -475,6 +475,16 @@ def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):
          "assertions rigid must be a boolean, not 1"),
         ({"vars": ["x"], "assertions": {"rigid": None}},
          "assertions rigid must be a boolean, not None"),
+        ({"vars": ["x"], "derivations": False},
+         "derivations must be an object of dicts, not False"),
+        ({"vars": ["x"], "derivations": []},
+         "derivations must be an object of dicts, not []"),
+        ({"vars": ["x"], "derivations": 0},
+         "derivations must be an object of dicts, not 0"),
+        ({"vars": ["x"], "derivations": ""},
+         "derivations must be an object of dicts, not ''"),
+        ({"vars": ["x"], "derivations": None},
+         "derivations must be an object of dicts, not None"),
     ],
     ids=[
         "derivation missing a variable",
@@ -494,6 +504,11 @@ def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):
         "rigid string",
         "rigid number",
         "rigid null",
+        "derivations false",
+        "derivations empty list",
+        "derivations zero",
+        "derivations empty string",
+        "derivations null",
     ],
 )
 def test_bad_dossier_exits_2_naming_the_fault(tmp_path, capsys, doc, message):

@@ -58,6 +58,11 @@ def ddu(w1_cyl):
     return Derivation(w1_cyl, images)
 
 
+def test_algebra_repr_names_variables_and_relations(w1):
+    assert repr(w1) == "PresentedAlgebra(K[x, y, z] / (x*y - z^2 + 1))"
+    assert repr(PresentedAlgebra(["x", "y"], [])) == "PresentedAlgebra(K[x, y] / (0))"
+
+
 # ---- apply -------------------------------------------------------------
 
 

@@ -206,6 +206,17 @@ def test_pow_takes_only_non_negative_int_exponents():
             p**bad
 
 
+def test_truth_iteration_and_reflected_subtraction():
+    names = ["x", "y"]
+    p = parse_poly("x^2 - 3/2*y + 1", names)
+    assert p and not Polynomial.zero(2) and not (p - p)
+    assert list(p) == list(p.terms) == [
+        ((2, 0), Fraction(1)), ((0, 1), Fraction(-3, 2)), ((0, 0), Fraction(1))
+    ]
+    assert 1 - p == parse_poly("3/2*y - x^2", names)
+    assert Fraction(1, 2) - p == -(p - Fraction(1, 2))
+
+
 def test_arity_mismatch():
     with pytest.raises(ArityMismatch):
         parse_poly("x", ["x"]) + parse_poly("x", ["x", "y"])

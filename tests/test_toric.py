@@ -17,13 +17,13 @@ from lndkit.toric import (
     Cone,
     DemazureRoot,
     classify_toric,
+    column_echelon,
     detect_line_factor,
     dual_membership,
     enumerate_roots,
     matrix_rank,
     phi_degree,
     root_of,
-    smith_normal_form,
     solve_integer_system,
 )
 
@@ -382,7 +382,7 @@ def _solve(columns, target):
 
 def _rank(rows):
     """Rank over Q by Gaussian elimination on Fractions, independent of
-    `matrix_rank`, which reads it off a Smith normal form."""
+    `matrix_rank`, which counts the pivots of a column echelon form."""
     rows = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -540,28 +540,52 @@ def test_fourier_motzkin_matches_unpruned_elimination(system):
 # ---- integer linear algebra ------------------------------------------------
 
 
-def test_smith_normal_form_properties():
-    rng = random.Random(67)
-    for _ in range(30):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        D, U, V = smith_normal_form(A)
-        UA = [
-            [sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)]
-            for i in range(m)
-        ]
-        UAV = [
-            [sum(UA[i][k] * V[k][j] for k in range(n)) for j in range(n)]
-            for i in range(m)
-        ]
-        for i in range(m):
-            for j in range(n):
-                assert UAV[i][j] == D[i][j]
-                if i != j:
-                    assert D[i][j] == 0
-        diag = [D[i][i] for i in range(min(m, n)) if D[i][i]]
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
+def _det(M):
+    """Determinant over Q by Gaussian elimination on Fractions."""
+    M = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for col in range(len(M)):
+        pivot = next((r for r in range(col, len(M)) if M[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = -det
+        det *= M[col][col]
+        for r in range(col + 1, len(M)):
+            f = M[r][col] / M[col][col]
+            M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return det
+
+
+@settings(max_examples=200, deadline=None)
+@example([])
+@example([[0, 0, 0], [0, 0, 0], [1, 2, 3]])  # zero rows
+@example([[0, 4, 0], [0, -6, 0], [0, 9, 0]])  # zero columns
+@example([[6, 10, 15]])  # one row
+@example([[0, 0, -2, 3]])
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.just(0), st.integers(-6, 6)), min_size=n, max_size=n
+            ),
+            max_size=5,
+        )
+    )
+)
+def test_column_echelon_properties(A):
+    H, V, pivots = column_echelon(A)
+    n = len(A[0]) if A else 0
+    assert len(V) == n and abs(_det(V)) == 1
+    assert [[sum(a * v for a, v in zip(row, col)) for col in zip(*V)]
+            for row in A] == H
+    assert pivots == sorted(set(pivots)) and len(pivots) == _rank(A)
+    for k, r in enumerate(pivots):
+        # row r is the first nonzero one in column k and zero right of it
+        assert H[r][k] and not any(H[r][k + 1:])
+        assert not any(H[i][k] for i in range(r))
+    assert not any(x for row in H for x in row[len(pivots):])
 
 
 def test_solve_integer_system_round_trip():
@@ -582,3 +606,89 @@ def test_solve_integer_system_round_trip():
 def test_solve_integer_system_detects_infeasible():
     assert solve_integer_system([[2]], [1]) is None
     assert solve_integer_system([[1, 1], [1, 1]], [0, 1]) is None
+
+
+# ---- output pinned on a seeded corpus -------------------------------------
+
+# Recorded with the Smith normal form solver that `column_echelon`
+# replaced, on a seeded random corpus: pointed full-dimensional cones of
+# dimension 2-5 (the type A ones are unimodular images of cones with a
+# line factor) and cones whose rays do not span. On a spanning cone the
+# line-factor system has at most one solution; on the others it has many,
+# so only existence is pinned.
+PINNED_SPANNING = [  # rays, verdict, root, distinguished_ray, line factor
+    ([[-2, -5, 9, 7, -1], [-2, 4, 6, 14, -1], [6, 3, -1, 0, 3], [30, -1, 9, 0, 15], [17, 0, 0, -6, 8], [4, -9, 9, 0, 2]], "A", [-1, 0, 0, 0, 2], 4, [-1, 0, 0, 0, 2]),
+    ([[4, 8, 31], [1, 1, 4], [-1, -2, -4]], "A", [-2, 1, 0], 1, [-2, 1, 0]),
+    ([[1, 0], [1, 1]], "A", [-1, 1], 0, [-1, 1]),
+    ([[3, 4, 19, -17, -43], [1, -2, 2, 0, 0], [0, 10, 14, -20, -43], [3, -10, 5, 11, 18], [-2, 2, -3, 2, 9]], "A", [3, 2, 0, 1, 0], 1, [3, 2, 0, 1, 0]),
+    ([[1, -12, 9, 0], [0, -7, 6, 0], [-3, 42, -31, 3], [-1, -3, 2, 1], [-4, 45, -34, 4], [0, -9, 7, 0]], "A", [-1, 0, 0, -1], 0, [-1, 0, 0, -1]),
+    ([[4, 1, -1], [-6, -3, 2], [-6, -1, 2], [3, 5, -1], [-3, 0, 1]], "A", [-1, 0, -3], 0, [-1, 0, -3]),
+    ([[10, -7, -7, 21, -15], [14, -12, 6, 29, -5], [-8, 7, 17, -26, 28], [2, -3, 16, -1, 17], [1, -1, 0, 2, -1], [10, -7, 11, 15, 6]], "A", [-1, 0, -4, 2, 4], 4, [-1, 0, -4, 2, 4]),
+    ([[-1, 2], [1, -3]], "A", [3, 1], 0, [3, 1]),
+    ([[5, -5, 4, -6], [0, 2, -1, 1], [-5, 11, -3, -4], [-3, 5, -4, 8], [-9, 14, -6, 1], [4, -6, 5, -10]], "A", [-1, 1, 4, 1], 1, [-1, 1, 4, 1]),
+    ([[1, 4], [0, 1], [1, 0]], "A", [0, -1], 0, [0, -1]),
+    ([[-26, 0, -4, -7], [4, 3, 3, 2], [-22, 1, -3, -5], [1, 0, 0, 0], [1, -2, -3, 2], [-29, 7, 4, -10]], "A", [-1, -3, 3, 2], 2, [-1, -3, 3, 2]),
+    ([[7, -1, 3], [0, 1, 0], [8, 3, 4], [6, -2, 3]], "A", [-1, 0, 2], 0, [-1, 0, 2]),
+    ([[-2, 8, 7], [-3, 1, 5], [2, -1, -3], [-1, -1, 1], [-4, 10, 11]], "A", [-3, 1, -2], 1, [-3, 1, -2]),
+    ([[13, -6], [-2, 1]], "A", [-1, -2], 0, [-1, -2]),
+    ([[0, 1], [1, 4]], "A", [4, -1], 0, [4, -1]),
+    ([[1, 7, -4, -8, 1], [0, 17, -11, -19, 5], [11, 74, -42, -84, 12], [7, 30, -16, -34, 3], [8, 66, -40, -80, 13], [-1, 6, 0, 4, 0], [7, 51, -26, -49, 7]], "A", [2, 1, 6, -1, 6], 0, [2, 1, 6, -1, 6]),
+    ([[-1, 4], [1, 2]], "B", [1, 0], 0, None),
+    ([[2, 2, -1, 0], [0, 2, 2, 1], [3, 4, 3, 1], [-1, 0, 3, 3], [4, 3, 2, 4], [4, 0, -1, -3], [-3, 3, 4, 0]], "B", [0, 1, 3, -1], 0, None),
+    ([[-1, 3, 1, -2, 2], [-3, 4, 3, 4, -3], [-4, 3, 1, 1, 3], [-4, 4, 0, 1, -2], [-4, 1, 3, -2, 4], [-1, 3, -2, 4, 0], [3, -2, 2, 2, 0], [2, 1, 1, -1, 2]], "B", [1, 0, 12, 8, 2], 0, None),
+    ([[0, 0, 3, 4], [-1, 0, -1, 2], [4, 3, 1, 4], [0, 3, 3, -4], [2, 1, -1, 3]], "B", [0, 48, -19, 14], 0, None),
+    ([[2, 0, 1, -4, 2], [4, 0, -1, 0, 3], [0, 2, 1, -4, 4], [-1, 1, -4, 4, 3], [2, 3, 3, 4, 2], [4, 1, 0, -4, 2], [-2, 1, 2, 2, 2]], "B", [0, 0, -3, 2, 5], 0, None),
+    ([[2, 1, 0], [2, 1, 4], [1, 0, -1], [3, 2, 0]], "B", [0, 3, -1], 0, None),
+    ([[4, 0, 1, 4], [-1, 4, 4, 1], [-3, 4, 1, -4], [-2, 2, 1, -1]], "B", [0, 0, 3, -1], 0, None),
+    ([[4, 3, 0, -1], [-4, 1, 4, 2], [4, 2, 3, 0], [1, 4, 0, -2], [3, 4, -4, 1], [0, -2, 1, 1], [2, 2, -1, 2]], "B", [-2, 6, 4, 11], 0, None),
+    ([[1, 0], [0, 1], [1, 2], [-1, 2]], "B", [-1, 0], 0, None),
+    ([[-1, -4, 2, -4, 4], [-2, 1, 4, -2, -2], [4, 3, -4, 4, -1], [-3, 1, 0, -1, 4], [2, 1, 2, 3, -1], [-3, 3, 3, -2, 0], [0, -3, 1, 3, 3], [-3, 4, 4, -1, 1]], "B", [1, 0, 14, 17, 10], 0, None),
+    ([[0, 1, 2, -1, -2], [4, 4, 1, 1, 3], [2, 1, -2, -1, 3], [-1, 1, 1, 2, 2], [1, 2, -3, 2, -2], [3, 0, -2, 4, 0], [1, -1, 2, -4, 3]], "B", [0, 5, 2, 2, 4], 0, None),
+    ([[4, 1, 2, 1], [-3, 3, 4, 4], [-1, 2, 1, 1], [2, -1, 1, 2]], "B", [0, -1, -2, 4], 0, None),
+    ([[-4, 3, 1, 0, 3], [-1, 1, 0, 4, 2], [0, 1, 4, -2, 3], [4, 4, 0, 3, -3], [4, 4, 1, 3, 1], [-1, -1, 2, 3, -4]], "B", [0, 0, 5, 6, -2], 0, None),
+    ([[1, 4, -3], [-1, -1, 2], [2, 2, -1]], "B", [-1, 6, 8], 0, None),
+    ([[3, 2], [2, -1]], "B", [1, -2], 0, None),
+    ([[3, -1, 0], [-1, 4, 2], [4, -1, -3]], "B", [1, 4, 0], 0, None),
+    # B cones whose first ray has no entry +-1: the witness depends on how
+    # the solver of <rho, e0> = -1 rounds its quotients
+    ([[9, -2, 6], [4, 3, 2], [3, 2, 2], [3, -2, 1]], "B", [11, 2, -16], 0, None),
+    ([[5, 2, 4, 3, -6], [1, 4, 0, 4, -1], [2, 3, 4, 2, 4], [4, 0, 2, -1, 0], [0, 4, 0, 4, 1]], "B", [1, -3, 6, 6, 7], 0, None),
+    ([[-2, 9, 7, 9, -2], [1, 1, -1, 3, -2], [1, -1, 3, 0, -1], [4, 0, 3, 1, 2], [1, 1, -2, 1, -1]], "B", [-4, -161, -29, 181, -7], 0, None),
+    ([[3, -2, -5, 2], [3, -3, -2, 4], [4, 3, -4, 1], [2, 2, 1, -2]], "B", [-1, 23, -2, 19], 0, None),
+    ([[8, 7, 5, 8], [-1, 2, -2, 1], [2, 1, -2, 1], [1, 3, 1, 2], [2, 3, -4, -1]], "B", [0, -3, -20, 15], 0, None),
+    ([[4, -7], [1, 0]], "B", [5, 3], 0, None),
+    ([[-9, 9, -4, 5, -7], [4, 0, 2, 0, -1], [-4, 0, 3, 2, -1], [1, -1, 1, 3, -2], [3, -1, 3, 4, -4]], "B", [0, -1, 5, 0, -4], 0, None),
+    ([[-5, 4], [1, 3]], "B", [1, 1], 0, None),
+]
+PINNED_NON_SPANNING = [  # rays, has a line-factor root
+    ([[0, 1, -1]], True),
+    ([[3, 2, -3, -1], [-1, 2, -5, -1]], False),
+    ([[-1, 4, -4, -4], [-1, 2, -8, -7], [-1, 6, -14, -9]], True),
+    ([[10, 3, -12, 3, 5], [7, 1, -8, 2, 4], [5, 9, -8, 10, 12]], True),
+    ([[3, -2, 3]], True),
+    ([[-1, 3, -4]], True),
+    ([[3, -1, 6, 1, -2]], True),
+    ([[1, 6, -5]], True),
+]
+
+
+@pytest.mark.parametrize("rays, verdict, root, ray, line", PINNED_SPANNING)
+def test_toric_output_is_pinned(rays, verdict, root, ray, line):
+    cone = Cone.of(rays)
+    report = classify_toric(cone)
+    assert report.verdict == verdict
+    assert report.evidence[0].data == {"root": root, "distinguished_ray": ray}
+    found = detect_line_factor(cone)
+    assert (None if found is None else list(found.vector)) == line
+
+
+@pytest.mark.parametrize("rays, has_line", PINNED_NON_SPANNING)
+def test_line_factor_existence_is_pinned_on_non_spanning_cones(rays, has_line):
+    # the rays do not span, so the line-factor root is one of many
+    cone = Cone.of(rays)
+    with pytest.raises(DegenerateCone):
+        classify_toric(cone)
+    found = detect_line_factor(cone)
+    assert (found is not None) == has_line
+    if found is not None:
+        assert root_of(found.vector, cone) == found

@@ -249,6 +249,34 @@ def test_type2_jacobian_rank_at_origin_is_zero(T):
     assert reported == ([rank] if report.verdict == "B" else [])
 
 
+def test_structural_b_evidence_matches_the_computed_jacobian():
+    # every variant-2, m = 0 datum this file classifies B: the structural
+    # path states rank 0 at the origin, the Jacobian computes it
+    rng = random.Random(83)
+    data = [
+        TrinomialData.type2([[2], [2], [2]], A_STD),
+        TrinomialData.type2([[2, 4], [2], [3]], A_STD),
+        TrinomialData.type2([[2], [2], [2], [3]], [[1, 0, 1, 1], [0, 1, 1, -1]]),
+        *(rand_datum(rng) for _ in range(100)),
+    ]
+    checked = 0
+    for T in data:
+        if T.variant != 2 or T.m:
+            continue
+        try:
+            report = classify_trinomial(T)
+        except UnreducedPresentation:
+            continue
+        if report.verdict != "B":
+            continue
+        assert {"jacobian_rank_at_origin": 0} in [e.data for e in report.evidence]
+        algebra = build_relations(T)
+        origin = [Fraction(0)] * algebra.arity
+        assert jacobian_rank_at_point(algebra.relations, origin) == 0
+        checked += 1
+    assert checked >= 10
+
+
 def test_classify_consistent_with_rigidity_random():
     rng = random.Random(83)
     for _ in range(100):
