@@ -268,7 +268,9 @@ def classify(V: VarietyDossier) -> ClassificationReport:
 
     A trinomial or toric tag decides absolutely; a toric cone is always
     A or B (`classify_toric`). Otherwise the verdict rests on the
-    supplied LNDs and assertions, and may be Inconclusive.
+    supplied LNDs and assertions, and may be Inconclusive. A rigidity
+    assertion gives C, unless a supplied nonzero derivation is a verified
+    LND, which contradicts it: that raises ValueError.
     """
     if "trinomial" in V.tags:
         T: TrinomialData = V.tags["trinomial"]
@@ -280,6 +282,15 @@ def classify(V: VarietyDossier) -> ClassificationReport:
         return classify_toric(cone).with_evidence(
             Evidence("structural tag: toric cone", {})
         )
+    if V.tags.get("rigid_asserted"):
+        for idx, D in enumerate(V.lnds):
+            if not D.is_zero():
+                D.require_lnd()
+                name = repr(V.names[idx]) if V.names else f"#{idx}"
+                raise ValueError(
+                    f"rigidity is asserted, but derivation {name} is a"
+                    " verified nonzero LND"
+                )
     evidence = [
         Evidence(
             "classification relative to supplied LND generators",

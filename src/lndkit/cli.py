@@ -4,7 +4,8 @@ Each subcommand reads a dossier file with `VarietyDossier.from_json`,
 calls the library and prints the result as text, or with `--json` as one
 JSON object with sorted keys. Exit codes: 0 success/verified/member,
 1 semantic failure (failed verification, from every subcommand that
-verifies, or non-membership), 2 usage or input error.
+verifies, or non-membership), 2 usage or input error (including a
+rigidity assertion that a verified nonzero LND contradicts).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .classify import (
@@ -41,7 +42,8 @@ def _load(path: str, order=GREVLEX) -> VarietyDossier:
 def _verified(args) -> VarietyDossier:
     """The dossier file with every derivation verified as an LND."""
     V = _load(args.file, _order(args))
-    return VarietyDossier.create(V.algebra, V.lnds, V.tags, args.bound)
+    verified = VarietyDossier.create(V.algebra, V.lnds, V.tags, args.bound)
+    return replace(verified, names=V.names)
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]):
@@ -260,7 +262,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except (LndkitError, OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
 
 

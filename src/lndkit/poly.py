@@ -25,6 +25,7 @@ order appears only where it is asked for: ``terms``, ``format`` and
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg
@@ -397,6 +398,19 @@ def _int(tok: str) -> int:
         raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
 
 
+def _check_power(k: int, *numbers: int) -> None:
+    """ParseError if a k-th power of these numbers (a denominator among
+    them) could pass the limit on decimal digits that `_int` holds
+    literals to; checked only for k > 1, before the power is computed.
+    |a|^k <= 2^(k*b) for b the bit length of |a| - 1, and a bit is worth
+    under 0.30103 digits, so k*b*0.30103 < limit keeps within it."""
+    if k > 1:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        bits = max(abs(a) - 1 for a in numbers).bit_length()
+        if limit and k * bits * 30103 >= limit * 100000:
+            raise ParseError(f"power too large: it could pass {limit} digits")
+
+
 def _exponent(tokens: list[str], i: int) -> tuple[int, int]:
     """The exponent of a '^' at tokens[i] (1 if none) and the index after it."""
     if i == len(tokens) or tokens[i] != "^":
@@ -442,6 +456,7 @@ def _expr(tokens: list[str], i: int, index: dict[str, int], arity: int):
                         raise ParseError("zero denominator")
                     i += 2
                 k, i = _exponent(tokens, i)
+                _check_power(k, a, b)
                 c *= a**k
                 d *= b**k
             elif first.isalpha() or first == "_":
@@ -458,6 +473,7 @@ def _expr(tokens: list[str], i: int, index: dict[str, int], arity: int):
                     raise ParseError(f"expected ')', found {tokens[i]!r}")
                 k, i = _exponent(tokens, i + 1)
                 if k != 1:
+                    _check_power(k, nd, *num.values())
                     p = _from_num(arity, num, nd) ** k
                     num, nd = p.num, p.den
                 group = num if group is None else _mul(group, num)

@@ -3,7 +3,8 @@
 Everything works on exact lattice data. `Cone.of` reduces its generators
 to the extremal rays. The toric verdict needs no search: a pointed
 full-dimensional cone has a line factor (type A) or else a Demazure root
-built on its first ray (type B). Ranks and integer solutions, for both,
+built on its first ray (type B); the one solve that builds that root
+also refuses a cone that is not pointed. Ranks and integer solutions
 come from one column echelon form A*V = H. Root enumeration, for listing
 roots, is box-bounded (root sets can be infinite). It is a depth-first
 search over the box, one coordinate at a time, that prunes a prefix as
@@ -223,35 +224,34 @@ def detect_line_factor(cone: Cone) -> DemazureRoot | None:
 def classify_toric(cone: Cone) -> ClassificationReport:
     """Type A on a line factor, else type B; both with a Demazure root.
 
-    Requires a pointed full-dimensional cone. Every extremal ray of such
-    a cone is the distinguished ray of some root (Demazure), so without
-    a line factor the verdict is B, with a root built on the first ray.
+    Requires a pointed full-dimensional cone. One solve decides both: an
+    m pairing to 0 with the first ray and >= 1 with the others exists iff
+    the cone is pointed (the first ray is then extremal; a line, a zero
+    nonnegative sum of rays, rules m out), and without a line factor m
+    builds the B root on the first ray (Demazure).
     """
     if matrix_rank(cone.rays) != cone.dim:
         raise DegenerateCone("rays do not span; cone is not full-dimensional")
-    # pointed iff some m pairs >= 1 with every ray (dual full-dimensional)
-    if not _fourier_motzkin([(v, 1) for v in cone.rays], cone.dim):
+    rho = cone.rays[0]
+    rows = [(rho, 0), ([-x for x in rho], 0)] + [(v, 1) for v in cone.rays[1:]]
+    m = _fourier_motzkin(rows, cone.dim, point=True)
+    if m is None:
         raise DegenerateCone("cone contains a line; not pointed")
     root = detect_line_factor(cone)
     verdict, criterion = "A", "line factor: root vanishing on all other rays"
     if root is None:
-        root = _witness_root(cone)
+        root = _witness_root(cone, m)
         verdict, criterion = "B", "no line factor, but Demazure roots exist (non-rigid)"
     data = {"root": list(root.vector), "distinguished_ray": root.distinguished}
     return ClassificationReport(verdict, (Evidence(criterion, data),))
 
 
-def _witness_root(cone: Cone) -> DemazureRoot:
-    """The root e0 + k*m on ray rho = rays[0]: <rho, e0> = -1, and m pairs
-    to 0 with rho and >= 1 with every other ray v (m exists as rho is
-    extremal), so k = max(0, ceil(-<v, e0> / <v, m>)) lifts each <v, .>
-    to >= 0."""
+def _witness_root(cone: Cone, m) -> DemazureRoot:
+    """The root e0 + k*m on ray rho = rays[0]: <rho, e0> = -1, and m (made
+    integral) pairs to 0 with rho and >= 1 with every other ray v, so
+    k = max(0, ceil(-<v, e0> / <v, m>)) lifts each <v, .> to >= 0."""
     rho, others = cone.rays[0], cone.rays[1:]
     e0 = solve_integer_system([list(rho)], [-1])
-    rows = [(rho, 0), ([-x for x in rho], 0)] + [(v, 1) for v in others]
-    m = _fourier_motzkin(rows, cone.dim, point=True)
-    if m is None:
-        raise DegenerateCone(f"ray {rho} is not extremal; build cones with Cone.of")
     scale = lcm(*(x.denominator for x in m))
     m = [int(x * scale) for x in m]
     k = max([0] + [-(_pair(e0, v) // _pair(m, v)) for v in others])

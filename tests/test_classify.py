@@ -25,6 +25,7 @@ from lndkit import test_type_a as type_a_certificate
 from lndkit.derivations import cylinder, lift
 from lndkit.errors import ArityMismatch, NoLNDs, NotVerifiedLND
 from lndkit.poly import Polynomial, parse_poly
+from lndkit.report import ClassificationReport
 
 from helpers import w1_algebra, w1_canonical
 
@@ -263,6 +264,15 @@ def test_ji_and_lift_take_only_non_negative_int_powers(w1_dossier, i):
         lift(w1_dossier.lnds[0], i)
 
 
+def test_ji_skips_zero_derivations(w1_dossier):
+    D = w1_dossier.lnds[0]
+    zero = Derivation(D.algebra, [Polynomial.zero(3)] * 3)
+    cert = ji_lower_bound_check(VarietyDossier(D.algebra, (zero, D)), 1)
+    assert cert.entries == tuple(
+        dict(e, derivation=1) for e in ji_lower_bound_check(w1_dossier, 1).entries
+    )
+
+
 def test_ji_requires_lnds():
     with pytest.raises(NoLNDs):
         ji_lower_bound_check(VarietyDossier(w1_algebra()), 1)
@@ -297,6 +307,40 @@ def test_classify_rigid_assertion():
     algebra = PresentedAlgebra(["x"])
     V = VarietyDossier.create(algebra, tags={"rigid_asserted": True})
     assert classify(V).verdict == "C"
+
+
+def test_classify_refuses_a_rigidity_assertion_a_verified_lnd_contradicts():
+    # a verified nonzero LND shows Y is not rigid, whether the LNDs alone
+    # would give B (the quadric cone) or A (W_1)
+    algebra, D = quadric_cone()
+    zero = Derivation(algebra, [Polynomial.zero(3)] * 3)
+    W = w1_algebra()
+    for V in (
+        VarietyDossier.create(algebra, [zero, D], tags={"rigid_asserted": True}),
+        VarietyDossier.create(W, [w1_canonical(W)], tags={"rigid_asserted": True}),
+    ):
+        with pytest.raises(ValueError) as caught:
+            classify(V)
+        index = len(V.lnds) - 1
+        assert str(caught.value) == (
+            f"rigidity is asserted, but derivation #{index} is a verified nonzero LND"
+        )
+    doc = json.loads((DATA / "quadric.json").read_text())
+    doc["assertions"] = {"rigid": True}
+    with pytest.raises(ValueError, match="derivation 'canonical' is a verified"):
+        classify(VarietyDossier.from_json(doc))
+    # only zero derivations leave the assertion standing
+    V = VarietyDossier.create(algebra, [zero], tags={"rigid_asserted": True})
+    assert classify(V).verdict == "C"
+    # a derivation that is no LND contradicts nothing, and is reported as such
+    doc["derivations"] = {"bad": {"x": "1", "y": "0", "z": "0"}}
+    with pytest.raises(NotVerifiedLND, match="does not preserve the relations"):
+        classify(VarietyDossier.from_json(doc))
+
+
+def test_report_rejects_an_unknown_verdict():
+    with pytest.raises(ValueError, match="unknown verdict 'D'"):
+        ClassificationReport("D")
 
 
 def test_classify_inconclusive_without_evidence():

@@ -46,7 +46,7 @@ def test_check_lnd_unknown_name(capsys):
         capsys, "check-lnd", str(DATA / "w1.json"), "nope"
     )
     assert code == EXIT_INPUT
-    assert "no derivation named" in err
+    assert err == "error: no derivation named 'nope' in the dossier\n"
 
 
 def test_check_lnd_failure_exit(tmp_path, capsys):
@@ -83,6 +83,20 @@ def test_classify_golden_corpus(capsys, name, verdict):
     )
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == verdict
+
+
+def test_classify_refuses_a_contradicted_rigidity_assertion(tmp_path, capsys):
+    doc = json.loads((DATA / "quadric.json").read_text())
+    doc["assertions"] = {"rigid": True}
+    path = tmp_path / "rigid_quadric.json"
+    path.write_text(json.dumps(doc))
+    assert run_main(capsys, "check-lnd", str(path), "canonical")[0] == EXIT_OK
+    assert run_main(capsys, "classify", str(path)) == (
+        EXIT_INPUT,
+        "",
+        "error: rigidity is asserted, but derivation 'canonical' is a verified"
+        " nonzero LND\n",
+    )
 
 
 def test_classify_text_output(capsys):
@@ -204,6 +218,7 @@ def test_decompose_unknown_grading(capsys):
         capsys, "decompose", str(DATA / "w1_cylinder.json"), "mixed", "nope"
     )
     assert code == EXIT_INPUT
+    assert err == "error: no grading named 'nope' in the dossier\n"
 
 
 # ---- roots -------------------------------------------------------------

@@ -127,6 +127,24 @@ def _random_algebra(rng, order, relation_count):
             continue
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PresentedAlgebra(["x", "y"], [parse_poly("x", ["x"])]),
+         "relation arity differs from variable count"),
+        (lambda: PresentedAlgebra(["x"]).normal(parse_poly("x", ["x", "y"])),
+         "arity 2 vs algebra arity 1"),
+        (lambda: Derivation(PresentedAlgebra(["x", "y"]), [Polynomial.zero(2)]),
+         "one image per generator required"),
+    ],
+    ids=["relation", "normal form", "images"],
+)
+def test_algebra_and_derivation_refuse_other_arities(call, message):
+    with pytest.raises(ArityMismatch) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("relation_count", [1, 2])
 @pytest.mark.parametrize(
     "order",

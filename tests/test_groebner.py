@@ -174,6 +174,28 @@ def test_jacobian_rejects_off_variety_point():
         jacobian_rank_at_point([p("x*y - z^2")], [1, 1, 0])
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MonomialOrder("weighted", (1, 2)).key((1, 2, 3)), ArityMismatch,
+         "weights length 2 vs monomial 3"),
+        (lambda: groebner(Ideal.of([p("x*y - z")]), MonomialOrder("weighted", (1, 2))),
+         ArityMismatch, "weights length 2 vs arity 3"),
+        (lambda: Ideal.of([Polynomial.zero(2)]), ValueError,
+         "arity required for an empty generator list"),
+        (lambda: Ideal.of([p("x"), p("x", ["x"])]), ArityMismatch, "generators of mixed arity"),
+        (lambda: jacobian_rank_at_point([p("x*y - z^2")], [0, 0]), ArityMismatch,
+         "point length 2 vs arity 3"),
+    ],
+    ids=["order key", "packing", "empty ideal", "mixed ideal", "jacobian point"],
+)
+def test_arity_faults_are_refused(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_normal_form_arity_check():
     gb = gb_of(["x^2 - y"], ["x", "y"])
     with pytest.raises(ArityMismatch):
@@ -535,6 +557,7 @@ def test_groebner_matches_textbook_buchberger_on_systems(system, order):
         ("weighted", None),
         ("lex", (1, 2)),
         ("grevlex", ()),
+        ("revlex", None),  # no such kind
     ],
 )
 def test_monomial_order_rejects_bad_weights(kind, weights):

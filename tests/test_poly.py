@@ -1,6 +1,9 @@
 import copy
+import math
 import pickle
 import random
+import sys
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -220,6 +223,34 @@ def test_truth_iteration_and_reflected_subtraction():
 def test_arity_mismatch():
     with pytest.raises(ArityMismatch):
         parse_poly("x", ["x"]) + parse_poly("x", ["x", "y"])
+
+
+POWER_TOO_LARGE = f"power too large: it could pass {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("text", ["x - 3^30000000", "(3)^30000000", "(2*x)^30000000"])
+def test_oversized_numeric_powers_fail_before_they_are_computed(text):
+    # each power would take seconds to compute and could not be printed
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as caught:
+        parse_poly(text, ["x"])
+    assert str(caught.value) == POWER_TOO_LARGE
+    assert time.perf_counter() - start < 0.5
+
+
+def test_numeric_powers_up_to_the_digit_limit_parse():
+    limit = sys.get_int_max_str_digits()
+    # the largest power of 2 with at most `limit` digits, and the next
+    k = int(limit / math.log10(2))
+    for text in (f"2^{k}", f"(1/2)^{k}", f"(-2*x)^{k}"):
+        p = parse_poly(text, ["x"])
+        assert len(str(max(*p.num.values(), p.den, key=abs))) == limit
+        with pytest.raises(ParseError, match="power too large"):
+            parse_poly(text.replace(str(k), str(k + 1)), ["x"])
+    # powers of 0 and 1, and of a group whose numbers are all 1, grow no number
+    assert parse_poly("0^99999999 + 1^99999999 + (x)^99999999", ["x"]) == (
+        Polynomial.constant(1, 1) + Polynomial.monomial(1, [99999999])
+    )
 
 
 def test_exponents_past_64_bits_stay_exact():
@@ -460,6 +491,36 @@ def test_evaluate_examples():
 def test_evaluate_arity():
     with pytest.raises(ArityMismatch):
         parse_poly("x", ["x", "y"]).evaluate([1])
+
+
+XY_MIXED = parse_poly("x + y^2", ["x", "y"])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Polynomial.variable(2, 2), IndexOutOfRange, "variable index 2 in arity 2"),
+        (lambda: XY_MIXED.weighted_degree([1]), ArityMismatch, "weight length 1 vs arity 2"),
+        (lambda: Polynomial.zero(2).weighted_degree([1, 1]), ValueError,
+         "weighted degree of zero polynomial is undefined"),
+        (lambda: XY_MIXED.weighted_degree([1, 1]), ValueError,
+         "polynomial is not homogeneous for these weights"),
+        (lambda: XY_MIXED.weighted_components([1, 1, 1]), ArityMismatch,
+         "weight length 3 vs arity 2"),
+        (lambda: XY_MIXED.extend(-1), ValueError, "extra must be >= 0"),
+        (lambda: XY_MIXED.format(["x"]), ArityMismatch, "1 names for arity 2"),
+    ],
+    ids=[
+        "variable index", "weighted_degree length", "weighted_degree of zero",
+        "weighted_degree inhomogeneous", "weighted_components length",
+        "extend negative", "format names",
+    ],
+)
+def test_polynomial_methods_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 # ---- integer numerators over one denominator ------------------------------

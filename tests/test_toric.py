@@ -10,8 +10,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lndkit.toric
-from lndkit import VarietyDossier, classify
+from lndkit import (
+    LEX,
+    Derivation,
+    Ideal,
+    PresentedAlgebra,
+    VarietyDossier,
+    classify,
+    groebner,
+)
 from lndkit.errors import DegenerateCone, DimensionMismatch
+from lndkit.poly import Polynomial
 from lndkit.toric import (
     _fourier_motzkin,
     Cone,
@@ -347,6 +356,23 @@ def test_classify_never_searches_a_box(monkeypatch):
         assert classify(V).verdict == verdict
     for fn in (classify, classify_toric):
         assert "box" not in inspect.signature(fn).parameters
+
+
+def test_classify_solves_one_system_per_cone(monkeypatch):
+    # the system that builds the B root also decides pointedness
+    a, b, line = (Cone.of(rays) for rays in ([[1, 0], [0, 1]], [[1, 0], [1, 2]],
+                                             [[1, 0], [0, 1], [-1, -1]]))
+    calls = []
+
+    def counted(rows, nvars, point=False):
+        calls.append(point)
+        return _fourier_motzkin(rows, nvars, point)
+
+    monkeypatch.setattr(lndkit.toric, "_fourier_motzkin", counted)
+    assert [classify_toric(a).verdict, classify_toric(b).verdict] == ["A", "B"]
+    with pytest.raises(DegenerateCone, match="cone contains a line; not pointed"):
+        classify_toric(line)
+    assert calls == [True, True, True]
 
 
 def test_classify_degenerate_cones():
@@ -692,3 +718,139 @@ def test_line_factor_existence_is_pinned_on_non_spanning_cones(rays, has_line):
     assert (found is not None) == has_line
     if found is not None:
         assert root_of(found.vector, cone) == found
+
+
+# ---- toric path against the dossier path ------------------------------------
+
+
+def _pair(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def dual_hilbert_basis(rays):
+    """The Hilbert basis of the dual cone's lattice points, by brute force.
+
+    The dual cone's extremal rays u are the primitive normals of the
+    facets of a 2- or 3-dimensional cone. Each Hilbert basis element lies
+    in a parallelepiped spanned by some of them, so within max-norm
+    sum |u|; in that box, a point is irreducible iff no element of
+    smaller degree found before it leaves a dual-cone point when taken off.
+    """
+    dim = len(rays[0])
+    normals = set()
+    for face in combinations(rays, dim - 1):
+        if dim == 2:
+            n = (-face[0][1], face[0][0])
+        else:
+            (a, b, c), (d, e, f) = face
+            n = (b * f - c * e, c * d - a * f, a * e - b * d)
+        if not any(n):
+            continue
+        g = gcd(*n)
+        for u in ((x // g for x in n), (-x // g for x in n)):
+            u = tuple(u)
+            if all(_pair(u, v) >= 0 for v in rays):
+                normals.add(u)
+    box = sum(max(map(abs, u)) for u in normals)
+    points = [
+        m for m in product(range(-box, box + 1), repeat=dim)
+        if any(m) and all(_pair(m, v) >= 0 for v in rays)
+    ]
+    points.sort(key=lambda m: sum(_pair(m, v) for v in rays))
+    basis = []
+    for m in points:
+        if not any(all(_pair(m, v) >= _pair(h, v) for v in rays) for h in basis):
+            basis.append(m)
+    return basis
+
+
+def toric_ideal(H):
+    """The relations of x_j -> chi^{H[j]}: the binomials of a kernel basis
+    of the lattice map, saturated by x_1...x_k through t*x_1...x_k - 1,
+    with t eliminated under lex."""
+    k = len(H)
+    _, V, pivots = column_echelon([list(row) for row in zip(*H)])
+    kernel = [[row[j] for row in V] for j in range(len(pivots), k)]
+
+    def monomial(exponents):
+        return Polynomial.monomial(k + 1, exponents)
+
+    gens = [
+        monomial([0] + [max(c, 0) for c in col]) - monomial([0] + [max(-c, 0) for c in col])
+        for col in kernel
+    ]
+    gens.append(monomial([1] * (k + 1)) - 1)
+    basis = groebner(Ideal.of(gens, k + 1), LEX).basis
+    return [
+        Polynomial(k, [(m[1:], c) for m, c in g.terms])
+        for g in basis
+        if not any(m[0] for m in g.num)
+    ]
+
+
+def semigroup_exponents(point, H, rays):
+    """An a with sum a_j H[j] = point, for a point of the dual cone: take
+    off any Hilbert basis element that leaves a dual-cone point."""
+    a = [0] * len(H)
+    while any(point):
+        j, point = next(
+            (j, rest)
+            for j, h in enumerate(H)
+            for rest in [tuple(x - y for x, y in zip(point, h))]
+            if all(_pair(rest, v) >= 0 for v in rays)
+        )
+        a[j] += 1
+    return a
+
+
+CROSS_PATH_CONES = [  # rays, whether X has a line factor
+    ([[1, 0], [0, 1]], True),
+    ([[1, 0], [1, 2]], False),
+    ([[1, 0], [2, 5]], False),  # degree-2 binomials miss relations
+    ([[1, 0], [-1, 3]], False),
+    ([[2, -1], [1, 1]], False),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], True),
+    ([[1, 0, 0], [0, 1, 0], [0, 1, 2]], True),
+    ([[1, 0, 0], [1, 1, 0], [1, 1, 3]], True),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 2]], False),
+    ([[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]], False),  # xy = zw
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], False),
+]
+
+
+@pytest.mark.parametrize("rays, has_line", CROSS_PATH_CONES)
+def test_toric_verdict_matches_the_dossier_of_the_toric_variety(rays, has_line):
+    # X_sigma presented by the Hilbert basis of the dual cone, with the
+    # homogeneous LND x_j -> <rho, h_j> x^a, deg x^a = h_j + e, of each
+    # Demazure root e on ray rho (Demazure): a line factor makes some
+    # image 1 (A); otherwise every image vanishes at the origin (B)
+    cone = Cone.of(rays)
+    H = dual_hilbert_basis(cone.rays)
+    k = len(H)
+    relations = toric_ideal(H)
+    for r in relations:  # each binomial's two monomials have one M-degree
+        degrees = {tuple(_pair(m, column) for column in zip(*H)) for m in r.num}
+        assert len(r.num) == 2 and len(degrees) == 1
+    algebra = PresentedAlgebra([f"x{j}" for j in range(k)], relations)
+    roots = enumerate_roots(cone, 2)
+    lnds = []
+    for root in roots:
+        rho = cone.rays[root.distinguished]
+        images = [
+            Polynomial.monomial(
+                k,
+                semigroup_exponents([x + y for x, y in zip(h, root.vector)], H, cone.rays),
+                _pair(rho, h),
+            )
+            if _pair(rho, h)
+            else Polynomial.zero(k)
+            for h in H
+        ]
+        D = Derivation(algebra, images)
+        D.require_lnd()
+        lnds.append(D)
+    report = classify_toric(cone)
+    assert report.verdict == ("A" if has_line else "B")
+    assert tuple(report.evidence[0].data["root"]) in {r.vector for r in roots}
+    V = VarietyDossier.create(algebra, lnds, tags={"invariant_line": [0] * k})
+    assert classify(V).verdict == report.verdict

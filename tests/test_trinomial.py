@@ -87,6 +87,14 @@ def test_validate_rejects_bad_data():
         TrinomialData.type2([[2], [2], [2]], [[1, 2, 1], [2, 4, 1]])
     with pytest.raises(InvalidData, match="zero column in coefficient matrix"):
         TrinomialData.type2([[2], [2], [2]], [[0, 1, 1], [0, 1, 2]])
+    with pytest.raises(InvalidData, match="variant must be 1 or 2, got 3"):
+        TrinomialData(3, 0, ((2,), (2,), (2,)))
+    with pytest.raises(InvalidData, match="empty exponent tuple"):
+        TrinomialData.type1([[], [2]], [0, 1])
+    with pytest.raises(InvalidData, match="need 2 constants a_i"):
+        TrinomialData.type1([[2], [2]], [0, 1, 2])
+    with pytest.raises(InvalidData, match=r"need a 2x3 coefficient matrix"):
+        TrinomialData.type2([[2], [2], [2]], [[1, 0], [0, 1]])
 
 
 def test_variable_layout_type1():
@@ -322,6 +330,8 @@ def test_type1_lnd_rejects_bad_choices():
         type1_lnd(T2, {1: 1})  # missing block
     with pytest.raises(InvalidData):
         type1_lnd(TrinomialData.type2([[2], [2], [2]], A_STD), {0: 1, 1: 1, 2: 1})
+    with pytest.raises(InvalidData, match="canonical derivation requires m = 0"):
+        type1_lnd(TrinomialData.type1([[1], [2]], [0, 1], m=1), {1: 1, 2: 1})
 
 
 def test_type1_lnd_random_nonrigid():
@@ -425,6 +435,17 @@ def test_suspension_rejects_bad_weights():
         suspension_lnd(Z, dz, Z.parse("z^2 - 1"), [])
     with pytest.raises(BadWeights):
         suspension_lnd(Z, dz, Z.parse("z^2 - 1"), [1, 0])
+
+
+def test_suspension_rejects_a_bad_base():
+    X = PresentedAlgebra(["x", "y"], [parse_poly("x*y - 1", ["x", "y"])])
+    not_well_defined = Derivation.from_strings(X, {"x": "1", "y": "0"})
+    with pytest.raises(InvalidData, match="base derivation is not well-defined"):
+        suspension_lnd(X, not_well_defined, X.parse("x"), [1, 1])
+    Y = PresentedAlgebra(["y1"])
+    dy = Derivation.from_strings(Y, {"y1": "1"})
+    with pytest.raises(ValueError, match="names collide with the base"):
+        suspension_lnd(Y, dy, Y.parse("y1"), [1])
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.9, True])
