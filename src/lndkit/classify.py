@@ -270,18 +270,21 @@ def classify(V: VarietyDossier) -> ClassificationReport:
     A or B (`classify_toric`). Otherwise the verdict rests on the
     supplied LNDs and assertions, and may be Inconclusive. A rigidity
     assertion gives C, unless a supplied nonzero derivation is a verified
-    LND, which contradicts it: that raises ValueError.
+    LND or the structural verdict is A or B, either of which contradicts
+    it: that raises ValueError.
     """
+    structural = None
     if "trinomial" in V.tags:
-        T: TrinomialData = V.tags["trinomial"]
-        return classify_trinomial(T).with_evidence(
-            Evidence("structural tag: trinomial datum", {})
-        )
-    if "toric" in V.tags:
-        cone: Cone = V.tags["toric"]
-        return classify_toric(cone).with_evidence(
-            Evidence("structural tag: toric cone", {})
-        )
+        structural = "trinomial datum", classify_trinomial(V.tags["trinomial"])
+    elif "toric" in V.tags:
+        structural = "toric cone", classify_toric(V.tags["toric"])
+    if structural is not None:
+        what, report = structural
+        if V.tags.get("rigid_asserted") and report.verdict != "C":
+            raise ValueError(
+                f"rigidity is asserted, but the {what} gives verdict {report.verdict}"
+            )
+        return report.with_evidence(Evidence(f"structural tag: {what}", {}))
     if V.tags.get("rigid_asserted"):
         for idx, D in enumerate(V.lnds):
             if not D.is_zero():

@@ -5,12 +5,19 @@ calls the library and prints the result as text, or with `--json` as one
 JSON object with sorted keys. Exit codes: 0 success/verified/member,
 1 semantic failure (failed verification, from every subcommand that
 verifies, or non-membership), 2 usage or input error (including a
-rigidity assertion that a verified nonzero LND contradicts).
+rigidity assertion that a verified nonzero LND or a structural A or B
+verdict contradicts).
+
+Importing this module builds nothing. The `argparse` parser is built on
+the first `main` call and kept for the life of the process, so a caller
+that runs many commands in one process pays for it once; parsing reads
+the parser and never changes it, so no call sees state from another.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -199,7 +206,9 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; do not change it."""
     parser = _Parser(
         prog="lndkit",
         description="Verify locally nilpotent derivations and classify cylinders",
@@ -254,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (NotVerifiedLND, NotASlice) as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, lcm
+from operator import add
 from typing import Sequence
 
 from .errors import DegenerateCone, DimensionMismatch
@@ -128,9 +129,13 @@ def enumerate_roots(cone: Cone, box: int) -> list[DemazureRoot]:
     increasing value, which is lexicographic order, and carries every
     ray's partial pairing along the path. It drops a prefix as soon as
     some ray can no longer come back up to -1, or two rays would both
-    have to end negative, and it solves for the last coordinate instead
-    of scanning it. The list is the one a scan of every point of the box
-    with `root_of` gives, in the same order.
+    have to end negative. Each leaf takes one pass over the rays: in the
+    window of last coordinates x that keep every pairing >= -1, it maps
+    each x where some ray pairs to exactly -1 to that ray, or marks it
+    when two rays do, and emits the unmarked x in increasing order (a ray
+    with last entry 0 that already pairs to -1 claims the whole window,
+    so only the other rays are checked there). The list is the one a
+    scan of every point of the box with `root_of` gives, in that order.
     """
     if not _is_int(box) or box < 1:
         raise ValueError(f"box must be an integer >= 1, got {box!r}")
@@ -146,63 +151,49 @@ def enumerate_roots(cone: Cone, box: int) -> list[DemazureRoot]:
 
     def walk(partial: list[int], k: int):
         column, slack = columns[k], reach[k + 1]
-        window = _window(partial, column, slack, box)
-        if window is None:
+        # the x with s + x*c + r >= -1 for every ray; a ray with c = 0
+        # bounds nothing, since the level above kept s + r >= -1
+        lo, hi = -box, box
+        for s, c, r in zip(partial, column, slack):
+            if c > 0 and -((1 + s + r) // c) > lo:
+                lo = -((1 + s + r) // c)
+            elif c < 0 and (-1 - s - r) // c < hi:
+                hi = (-1 - s - r) // c
+        if lo > hi:
             return
-        if k == last:
-            for x, ray in _last_coordinate_roots(partial, column, window):
-                found.append(DemazureRoot((*prefix, x), ray))
+        if k < last:
+            nxt = [s + lo * c for s, c in zip(partial, column)]
+            for x in range(lo, hi + 1):
+                # a ray whose best is -1 must end at -1; two such cannot both
+                if list(map(add, nxt, slack)).count(-1) < 2:
+                    prefix.append(x)
+                    walk(nxt, k + 1)
+                    prefix.pop()
+                nxt = list(map(add, nxt, column))
             return
-        for x in range(window[0], window[1] + 1):
-            nxt = [s + x * c for s, c in zip(partial, column)]
-            # a ray whose best is -1 must end at -1; two such cannot both
-            if sum(s + r == -1 for s, r in zip(nxt, slack)) > 1:
-                continue
-            prefix.append(x)
-            walk(nxt, k + 1)
-            prefix.pop()
+        # every pairing s + x*c in the window is >= -1, so x gives a root
+        # iff exactly one ray pairs to -1 there: hits maps each x where
+        # some ray does to that ray, or to None where two do
+        hits, flat = {}, []
+        for i, (s, c) in enumerate(zip(partial, column)):
+            if c:
+                x = (-1 - s) // c
+                if s + x * c == -1 and lo <= x <= hi:
+                    hits[x] = None if x in hits else i
+            elif s == -1:
+                flat.append(i)
+        if flat:
+            ray = flat[0] if len(flat) == 1 else None
+            hits = {x: None if x in hits else ray for x in range(lo, hi + 1)}
+        head = tuple(prefix)
+        found.extend(
+            DemazureRoot((*head, x), ray)
+            for x, ray in sorted(hits.items())
+            if ray is not None
+        )
 
     walk([0] * len(cone.rays), 0)
     return found
-
-
-def _window(partial, column, slack, box: int) -> tuple[int, int] | None:
-    """The x in [-box, box] with s + x*c + r >= -1 for every ray's
-    partial pairing s, next entry c and remaining reach r; None if empty.
-    A ray with c = 0 bounds nothing: the level above kept s + r >= -1."""
-    lo, hi = -box, box
-    for s, c, r in zip(partial, column, slack):
-        need = -1 - s - r  # x*c must be at least this
-        if c > 0:
-            lo = max(lo, -(-need // c))
-        elif c < 0:
-            hi = min(hi, need // c)
-    return (lo, hi) if lo <= hi else None
-
-
-def _last_coordinate_roots(partial, column, window: tuple[int, int]):
-    """The (x, distinguished ray) in the window that complete a prefix.
-
-    In the window every pairing s + x*c is >= -1, so x gives a root iff
-    exactly one pairing is -1 there. The candidates are the x where some
-    ray pairs to exactly -1, or the whole window when a ray with last
-    entry 0 already pairs to -1.
-    """
-    lo, hi = window
-    if any(c == 0 and s == -1 for s, c in zip(partial, column)):
-        candidates = range(lo, hi + 1)
-    else:
-        candidates = sorted(
-            {
-                (-1 - s) // c
-                for s, c in zip(partial, column)
-                if c and (-1 - s) % c == 0 and lo <= (-1 - s) // c <= hi
-            }
-        )
-    for x in candidates:
-        hits = [i for i, (s, c) in enumerate(zip(partial, column)) if s + x * c == -1]
-        if len(hits) == 1:
-            yield x, hits[0]
 
 
 def detect_line_factor(cone: Cone) -> DemazureRoot | None:
@@ -212,7 +203,11 @@ def detect_line_factor(cone: Cone) -> DemazureRoot | None:
     <p, v_j> = 0 (j != i); such a root splits off a line factor. All
     the systems share one matrix, so one column echelon form serves them.
     """
-    echelon = column_echelon([list(v) for v in cone.rays])
+    return _line_factor(cone, column_echelon(cone.rays))
+
+
+def _line_factor(cone: Cone, echelon) -> DemazureRoot | None:
+    """`detect_line_factor` from the column echelon form of the rays."""
     for i in range(len(cone.rays)):
         rhs = [-1 if j == i else 0 for j in range(len(cone.rays))]
         p = _solve_echelon(echelon, rhs)
@@ -224,20 +219,23 @@ def detect_line_factor(cone: Cone) -> DemazureRoot | None:
 def classify_toric(cone: Cone) -> ClassificationReport:
     """Type A on a line factor, else type B; both with a Demazure root.
 
-    Requires a pointed full-dimensional cone. One solve decides both: an
-    m pairing to 0 with the first ray and >= 1 with the others exists iff
-    the cone is pointed (the first ray is then extremal; a line, a zero
-    nonnegative sum of rays, rules m out), and without a line factor m
-    builds the B root on the first ray (Demazure).
+    Requires a pointed full-dimensional cone. One column echelon form of
+    the rays gives their rank and the line-factor solves. One
+    Fourier-Motzkin solve decides the rest: an m pairing to 0 with the
+    first ray and >= 1 with the others exists iff the cone is pointed
+    (the first ray is then extremal; a line, a zero nonnegative sum of
+    rays, rules m out), and without a line factor m builds the B root on
+    the first ray (Demazure).
     """
-    if matrix_rank(cone.rays) != cone.dim:
+    echelon = column_echelon(cone.rays)
+    if len(echelon[2]) != cone.dim:
         raise DegenerateCone("rays do not span; cone is not full-dimensional")
     rho = cone.rays[0]
     rows = [(rho, 0), ([-x for x in rho], 0)] + [(v, 1) for v in cone.rays[1:]]
     m = _fourier_motzkin(rows, cone.dim, point=True)
     if m is None:
         raise DegenerateCone("cone contains a line; not pointed")
-    root = detect_line_factor(cone)
+    root = _line_factor(cone, echelon)
     verdict, criterion = "A", "line factor: root vanishing on all other rays"
     if root is None:
         root = _witness_root(cone, m)

@@ -309,6 +309,30 @@ def test_classify_rigid_assertion():
     assert classify(V).verdict == "C"
 
 
+def test_classify_refuses_a_rigidity_assertion_a_structural_verdict_contradicts():
+    # a structural A or B shows Y is not rigid; a structural C agrees
+    for name, verdict in [
+        ("toric_plane.json", "A"),
+        ("toric_quadric.json", "B"),
+        ("trinomial_type1.json", "A"),
+        ("trinomial_type2.json", "B"),
+    ]:
+        doc = json.loads((DATA / name).read_text())
+        assert classify(VarietyDossier.from_json(doc)).verdict == verdict
+        doc["assertions"] = {"rigid": True}
+        what = "toric cone" if "toric" in doc else "trinomial datum"
+        with pytest.raises(ValueError) as caught:
+            classify(VarietyDossier.from_json(doc))
+        assert str(caught.value) == (
+            f"rigidity is asserted, but the {what} gives verdict {verdict}"
+        )
+    doc = json.loads((DATA / "trinomial_rigid.json").read_text())
+    plain = classify(VarietyDossier.from_json(doc))
+    doc["assertions"] = {"rigid": True}
+    assert classify(VarietyDossier.from_json(doc)) == plain
+    assert plain.verdict == "C"
+
+
 def test_classify_refuses_a_rigidity_assertion_a_verified_lnd_contradicts():
     # a verified nonzero LND shows Y is not rigid, whether the LNDs alone
     # would give B (the quadric cone) or A (W_1)

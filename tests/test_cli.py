@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lndkit.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, main
+from lndkit.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, build_parser, main
 
 from helpers import cli_env
 
@@ -97,6 +97,30 @@ def test_classify_refuses_a_contradicted_rigidity_assertion(tmp_path, capsys):
         "error: rigidity is asserted, but derivation 'canonical' is a verified"
         " nonzero LND\n",
     )
+
+
+def test_classify_refuses_a_rigidity_assertion_a_structural_verdict_contradicts(
+    tmp_path, capsys
+):
+    def asserting_rigid(name):
+        doc = json.loads((DATA / name).read_text())
+        doc["assertions"] = {"rigid": True}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    for name, what, verdict in [
+        ("toric_plane.json", "toric cone", "A"),
+        ("trinomial_type2.json", "trinomial datum", "B"),
+    ]:
+        assert run_main(capsys, "classify", asserting_rigid(name)) == (
+            EXIT_INPUT,
+            "",
+            f"error: rigidity is asserted, but the {what} gives verdict {verdict}\n",
+        )
+    code, out, _ = run_main(capsys, "classify", asserting_rigid("trinomial_rigid.json"))
+    assert code == EXIT_OK
+    assert out.startswith("verdict: C\n")
 
 
 def test_classify_text_output(capsys):
@@ -545,6 +569,18 @@ def test_rigid_reads_only_a_json_boolean(tmp_path, capsys):
     assert json.loads(outputs[True])["verdict"] == "C"
     assert outputs[False] == outputs["absent"]
     assert json.loads(outputs[False])["verdict"] == "Inconclusive"
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    assert build_parser() is build_parser()
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import lndkit.cli as cli; print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert result.stdout == "0\n"
 
 
 def test_module_entry_point_subprocess():

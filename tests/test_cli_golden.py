@@ -84,6 +84,20 @@ def test_cli_stdout_matches_golden(golden, argv):
     assert run(argv) == golden[tuple(argv)]
 
 
+def test_one_parser_serves_every_row_in_one_process(golden):
+    # the parser is built once per process: every recorded row, in reverse
+    # order, with a --help call and a usage error between rows, still
+    # prints its recorded output
+    for argv, expected in reversed(golden.items()):
+        assert run(list(argv)) == expected, argv
+        for extra, code in (["--help"], 0), (["--nosuch"], 2):
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(
+                io.StringIO()
+            ), contextlib.redirect_stderr(io.StringIO()):
+                main([argv[0], *extra])
+            assert exc.value.code == code
+
+
 if __name__ == "__main__":
     old = _golden() if GOLDEN.exists() else {}
     rows = []

@@ -240,6 +240,28 @@ def test_enumerate_roots_is_the_box_scan_on_examples():
         assert enumerate_roots(cone, box) == scan_roots(cone, box)
 
 
+def test_enumerate_roots_leaf_branches_are_the_box_scan():
+    # last coordinates of a prefix: a ray with last entry 0 at -1 claims
+    # the window, two rays at -1 on one x leave no root there, and two
+    # rays with last entry 0 at -1 leave no root on the whole prefix
+    quadrant = Cone.of([[1, 0], [0, 1]])
+    roots = enumerate_roots(quadrant, 3)
+    assert roots == scan_roots(quadrant, 3)
+    assert [r.vector for r in roots if r.vector[0] == -1] == [(-1, x) for x in range(4)]
+    assert {r.distinguished for r in roots if r.vector[0] == -1} == {0}
+    twin = Cone.of([[1, 1], [-1, 1]])
+    roots = enumerate_roots(twin, 4)
+    assert roots == scan_roots(twin, 4)
+    assert (0, -1) not in {r.vector for r in roots}
+    flat = Cone.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    roots = enumerate_roots(flat, 2)
+    assert roots == scan_roots(flat, 2)
+    assert not [r for r in roots if r.vector[:2] == (-1, -1)]
+    assert [r.vector for r in roots if r.vector[:2] == (-1, 0)] == [
+        (-1, 0, x) for x in range(3)
+    ]
+
+
 def test_enumerate_roots_rejects_empty_box():
     cone = Cone.of([[1, 0], [0, 1]])
     for box in (0, -1):
