@@ -6,21 +6,22 @@ a structural tag (toric cone, trinomial datum) makes it absolute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .derivations import DEFAULT_NILPOTENCY_BOUND, Derivation, PresentedAlgebra
+from .derivations import (
+    DEFAULT_NILPOTENCY_BOUND, Derivation, PresentedAlgebra, check_bound
+)
 from .errors import ArityMismatch, NoLNDs
 from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
 from .poly import Polynomial, _from_num, _is_int, parse_poly
+from .record import Frozen, Record
 from .report import ClassificationReport, Evidence
 from .toric import Cone, classify_toric
 from .trinomial import TrinomialData, classify_trinomial
 
 
-@dataclass
-class VarietyDossier:
+class VarietyDossier(Record):
     """An algebra for Y plus whatever LNDs and structural tags are known.
 
     tags may carry: "toric" (Cone), "trinomial" (TrinomialData),
@@ -28,10 +29,19 @@ class VarietyDossier:
     cylinder line is asserted invariant).
     """
 
-    algebra: PresentedAlgebra | None
-    lnds: tuple[Derivation, ...] = ()
-    tags: dict = field(default_factory=dict)
-    names: tuple[str, ...] = ()  # names of the lnds, set by from_json
+    _fields = ("algebra", "lnds", "tags", "names")
+
+    def __init__(
+        self,
+        algebra: PresentedAlgebra | None,
+        lnds: tuple[Derivation, ...] = (),
+        tags: dict | None = None,
+        names: tuple[str, ...] = (),  # names of the lnds, set by from_json
+    ):
+        self.algebra = algebra
+        self.lnds = lnds
+        self.tags = {} if tags is None else tags
+        self.names = names
 
     @staticmethod
     def from_json(
@@ -112,8 +122,10 @@ class VarietyDossier:
     ) -> "VarietyDossier":
         """A dossier whose every derivation passed `Derivation.require_lnd`.
 
-        Raises NotVerifiedLND for the first one that fails verification.
+        Raises NotVerifiedLND for the first one that fails verification,
+        and ValueError unless `bound` is an int >= 1, derivations or not.
         """
+        check_bound(bound)
         lnds = tuple(lnds)
         for D in lnds:
             D.require_lnd(bound)
@@ -216,13 +228,13 @@ def conjectured_hdstar_member(
     return True
 
 
-@dataclass(frozen=True)
-class JiCertificate:
+class JiCertificate(Frozen):
     """Exhibits image-ideal generators inside J_i via lifted LNDs."""
 
-    i: int
-    entries: tuple[dict, ...]
-    degenerate: bool = False
+    _fields = ("i", "entries", "degenerate")
+
+    def __init__(self, i: int, entries: tuple[dict, ...], degenerate: bool = False):
+        self.__dict__.update(i=i, entries=entries, degenerate=degenerate)
 
 
 def ji_lower_bound_check(
@@ -238,13 +250,14 @@ def ji_lower_bound_check(
     nilpotent exactly when D is, with the same orders. So each entry is
     read off D's images and the verdict of `D.require_lnd(bound)`, and
     nothing is lifted. As in `VarietyDossier.create`, `bound` verifies a
-    D not verified yet; a verified verdict decides at whatever bound it
-    was reached.
+    D not verified yet, and must be an int >= 1 even when every D is
+    zero; a verified verdict decides at whatever bound it was reached.
     """
     if not V.lnds:
         raise NoLNDs("dossier supplies no derivations")
     if not _is_int(i) or i < 0:
         raise ValueError("i must be an int >= 0")
+    check_bound(bound)
     entries = []
     for idx, D in enumerate(V.lnds):
         if D.is_zero():

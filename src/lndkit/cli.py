@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .classify import (
@@ -50,7 +49,8 @@ def _verified(args) -> VarietyDossier:
     """The dossier file with every derivation verified as an LND."""
     V = _load(args.file, _order(args))
     verified = VarietyDossier.create(V.algebra, V.lnds, V.tags, args.bound)
-    return replace(verified, names=V.names)
+    verified.names = V.names
+    return verified
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]):
@@ -83,7 +83,7 @@ def cmd_check_lnd(args) -> int:
         "name": args.name,
         "well_defined": ok,
         "certificate": cert_rows,
-        "verdict": None if verdict is None else asdict(verdict),
+        "verdict": None if verdict is None else verdict.to_dict(),
     }
     _emit(payload, args.json, lines)
     return EXIT_OK if ok and verdict.verified else EXIT_FAILED

@@ -14,13 +14,12 @@ chains through `Derivation.iterate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import factorial, lcm
 from operator import add
-from typing import Sequence
 
 from .errors import (
     ArityMismatch,
@@ -32,6 +31,7 @@ from .groebner import (
     GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, integer_weights, normal_form
 )
 from .poly import Polynomial, _from_num, _is_int, _mul, _sum, parse_poly
+from .record import Frozen
 
 FORMAL_PARAMETER = "_s"
 
@@ -127,15 +127,33 @@ def cylinder(algebra: PresentedAlgebra, name: str = "u") -> PresentedAlgebra:
     return cyl
 
 
-@dataclass(frozen=True)
-class NilpotencyVerdict:
+def check_bound(bound: int) -> None:
+    """ValueError unless the nilpotency bound is an int >= 1."""
+    if not _is_int(bound):
+        raise ValueError(f"bound must be an int, got {bound!r}")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+
+
+class NilpotencyVerdict(Frozen):
     """Outcome of a bounded local-nilpotency check on the generators."""
 
-    status: str  # "verified" | "not_nilpotent" | "inconclusive"
-    max_order: int | None = None
-    witness_var: str | None = None
-    witness_order: int | None = None
-    bound: int | None = None
+    _fields = ("status", "max_order", "witness_var", "witness_order", "bound")
+
+    def __init__(
+        self,
+        status: str,
+        max_order: int | None = None,
+        witness_var: str | None = None,
+        witness_order: int | None = None,
+        bound: int | None = None,
+    ):
+        if status not in ("verified", "not_nilpotent", "inconclusive"):
+            raise ValueError(f"unknown nilpotency status {status!r}")
+        self.__dict__.update(
+            status=status, max_order=max_order, witness_var=witness_var,
+            witness_order=witness_order, bound=bound,
+        )
 
     @property
     def verified(self) -> bool:
@@ -150,6 +168,9 @@ class NilpotencyVerdict:
                 f" order={self.witness_order})"
             )
         return f"Inconclusive(bound={self.bound})"
+
+    def to_dict(self) -> dict:
+        return {f: getattr(self, f) for f in self._fields}
 
 
 class Derivation:
@@ -250,10 +271,7 @@ class Derivation:
         verdict about an LND. A verified verdict is kept and reused at any
         bound.
         """
-        if not _is_int(bound):
-            raise ValueError(f"bound must be an int, got {bound!r}")
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
+        check_bound(bound)
         if not self.is_well_defined()[0]:
             raise NotVerifiedLND(
                 f"derivation {self!r} failed verification:"

@@ -7,19 +7,20 @@ of an LND are again LNDs, which the tests check on examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .derivations import Derivation
 from .errors import ArityMismatch, IncompatibleGrading, ZeroDerivation
 from .groebner import integer_weights
 from .poly import Polynomial
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class GradedDerivationPart:
-    degree: int
-    part: Derivation
+class GradedDerivationPart(Frozen):
+    _fields = ("degree", "part")
+
+    def __init__(self, degree: int, part: Derivation):
+        self.__dict__.update(degree=degree, part=part)
 
 
 def decompose(D: Derivation, w: Sequence[int]) -> list[GradedDerivationPart]:

@@ -66,15 +66,15 @@ basis and every normal form are reproducible bit for bit.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter, le, mul
-from typing import Sequence
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
 from .poly import Monomial, Polynomial, _add_into, _from_num, _is_int, grevlex_key
+from .record import Frozen
 from .toric import matrix_rank
 
 DEFAULT_PAIR_BUDGET = 100_000
@@ -92,8 +92,7 @@ def integer_weights(w: Sequence[int]) -> tuple[int, ...]:
     return w
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Frozen):
     """Total order on monomials, compatible with multiplication, 1 minimal.
 
     kind is one of "lex", "grevlex", "weighted"; weighted orders break
@@ -102,26 +101,25 @@ class MonomialOrder:
     minimal, and division need not terminate.
     """
 
-    kind: str
-    weights: tuple[int, ...] | None = None
+    _fields = ("kind", "weights")
 
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "weighted"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind != "weighted":
-            if self.weights is not None:
-                raise ValueError(f"{self.kind} order takes no weights")
-            return
-        if self.weights is None:
+    def __init__(self, kind: str, weights: Sequence[int] | None = None):
+        if kind not in ("lex", "grevlex", "weighted"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        if kind != "weighted":
+            if weights is not None:
+                raise ValueError(f"{kind} order takes no weights")
+        elif weights is None:
             raise ValueError("weighted order requires a weight vector")
-        try:
-            weights = integer_weights(self.weights)
-        except TypeError:
-            raise ValueError(f"weights {self.weights!r} are not a sequence") from None
-        for w in weights:
-            if w < 0:
-                raise ValueError(f"weight {w!r} is not a non-negative integer")
-        object.__setattr__(self, "weights", weights)
+        else:
+            try:
+                weights = integer_weights(weights)
+            except TypeError:
+                raise ValueError(f"weights {weights!r} are not a sequence") from None
+            for w in weights:
+                if w < 0:
+                    raise ValueError(f"weight {w!r} is not a non-negative integer")
+        self.__dict__.update(kind=kind, weights=weights)
 
     def key(self, m: Monomial):
         if self.kind == "lex":
@@ -141,15 +139,16 @@ LEX = MonomialOrder("lex")
 # ---- ideals ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Frozen):
     """Finitely generated ideal; zero generators are dropped.
 
     The empty generator tuple denotes the zero ideal.
     """
 
-    generators: tuple[Polynomial, ...]
-    arity: int
+    _fields = ("generators", "arity")
+
+    def __init__(self, generators: tuple[Polynomial, ...], arity: int):
+        self.__dict__.update(generators=generators, arity=arity)
 
     @staticmethod
     def of(generators: Sequence[Polynomial], arity: int | None = None) -> "Ideal":
@@ -398,11 +397,13 @@ class _Divisors:
             return _from_num(f.arity, remainder, f.den * scale)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    order: MonomialOrder
-    basis: tuple[Polynomial, ...]
-    arity: int
+class GroebnerBasis(Frozen):
+    _fields = ("order", "basis", "arity")
+
+    def __init__(
+        self, order: MonomialOrder, basis: tuple[Polynomial, ...], arity: int
+    ):
+        self.__dict__.update(order=order, basis=basis, arity=arity)
 
     def is_trivial(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant()

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,

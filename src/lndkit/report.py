@@ -2,28 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Frozen
 
 VERDICTS = ("A", "B", "C", "Inconclusive")
 
 
-@dataclass(frozen=True)
-class Evidence:
-    criterion: str
-    data: dict
+class Evidence(Frozen):
+    _fields = ("criterion", "data")
+
+    def __init__(self, criterion: str, data: dict):
+        self.__dict__.update(criterion=criterion, data=data)
 
     def to_dict(self) -> dict:
         return {"criterion": self.criterion, "data": self.data}
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    verdict: str
-    evidence: tuple[Evidence, ...] = field(default_factory=tuple)
+class ClassificationReport(Frozen):
+    _fields = ("verdict", "evidence")
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
+    def __init__(self, verdict: str, evidence: tuple[Evidence, ...] = ()):
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        self.__dict__.update(verdict=verdict, evidence=evidence)
 
     def with_evidence(self, *more: Evidence) -> "ClassificationReport":
         return ClassificationReport(self.verdict, self.evidence + more)

@@ -15,19 +15,18 @@ with `root_of`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, lcm
 from operator import add
-from typing import Sequence
 
 from .errors import DegenerateCone, DimensionMismatch
 from .poly import _is_int
+from .record import Frozen
 from .report import ClassificationReport, Evidence
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Frozen):
     """Pointed-or-not polyhedral cone given by primitive ray generators.
 
     `Cone.of` drops, in input order, each generator that lies in the cone
@@ -35,8 +34,10 @@ class Cone:
     its extremal rays, in input order.
     """
 
-    dim: int
-    rays: tuple[tuple[int, ...], ...]
+    _fields = ("dim", "rays")
+
+    def __init__(self, dim: int, rays: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(dim=dim, rays=rays)
 
     @staticmethod
     def of(rays: Sequence[Sequence[int]]) -> "Cone":
@@ -74,12 +75,13 @@ class Cone:
         return Cone(dim, tuple(kept))
 
 
-@dataclass(frozen=True)
-class DemazureRoot:
+class DemazureRoot(Frozen):
     """Lattice vector pairing to -1 on one ray and >= 0 on the rest."""
 
-    vector: tuple[int, ...]
-    distinguished: int
+    _fields = ("vector", "distinguished")
+
+    def __init__(self, vector: tuple[int, ...], distinguished: int):
+        self.__dict__.update(vector=vector, distinguished=distinguished)
 
 
 def _pair(m: Sequence[int], v: Sequence[int]) -> int:

@@ -9,9 +9,8 @@ pairwise independent columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .derivations import Derivation, PresentedAlgebra
 from .errors import (
@@ -21,21 +20,28 @@ from .errors import (
     UnreducedPresentation,
 )
 from .poly import Polynomial, _is_int
+from .record import Frozen
 from .report import ClassificationReport, Evidence
 
 
-@dataclass(frozen=True)
-class TrinomialData:
+class TrinomialData(Frozen):
     """Input datum; blocks are indexed from 1 (variant 1) or 0 (variant 2).
 
     Construction raises InvalidData unless the datum is valid.
     """
 
-    variant: int
-    m: int
-    l: tuple[tuple[int, ...], ...]
-    a: tuple[Fraction, ...] | None = None
-    A: tuple[tuple[Fraction, ...], ...] | None = None
+    _fields = ("variant", "m", "l", "a", "A")
+
+    def __init__(
+        self,
+        variant: int,
+        m: int,
+        l: tuple[tuple[int, ...], ...],
+        a: tuple[Fraction, ...] | None = None,
+        A: tuple[tuple[Fraction, ...], ...] | None = None,
+    ):
+        self.__dict__.update(variant=variant, m=m, l=l, a=a, A=A)
+        self._validate()
 
     @staticmethod
     def type1(l: Sequence[Sequence[int]], a: Sequence, m: int = 0) -> "TrinomialData":
@@ -66,7 +72,7 @@ class TrinomialData:
     def block(self, i: int) -> tuple[int, ...]:
         return self.l[i - 1] if self.variant == 1 else self.l[i]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.variant not in (1, 2):
             raise InvalidData(f"variant must be 1 or 2, got {self.variant}")
         if not _is_int(self.m) or self.m < 0:
@@ -100,11 +106,11 @@ class TrinomialData:
                         )
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
-    rigid: bool
-    witness: str
-    condition: int | None = None
+class RigidityVerdict(Frozen):
+    _fields = ("rigid", "witness", "condition")
+
+    def __init__(self, rigid: bool, witness: str, condition: int | None = None):
+        self.__dict__.update(rigid=rigid, witness=witness, condition=condition)
 
 
 def _var_name(i: int, j: int) -> str:

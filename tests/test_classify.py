@@ -64,6 +64,23 @@ def test_create_rejects_unverified_derivation():
         VarietyDossier.create(algebra, [euler])
 
 
+@pytest.mark.parametrize(
+    "tags",
+    [
+        {"toric": Cone.of([[1, 0], [0, 1]])},
+        {"trinomial": TrinomialData.type1([[1], [2], [3]], [0, 1, 2])},
+    ],
+    ids=["toric", "trinomial"],
+)
+@pytest.mark.parametrize(
+    "bound, message",
+    [(0, "bound must be >= 1"), (-3, "bound must be >= 1"), (2.5, "bound must be an int")],
+)
+def test_create_checks_the_bound_without_derivations(tags, bound, message):
+    with pytest.raises(ValueError, match=message):
+        VarietyDossier.create(None, (), tags, bound)
+
+
 def test_create_rejects_ill_defined_derivation():
     algebra = PresentedAlgebra(["x", "y"], [parse_poly("x^2", ["x", "y"])])
     D = Derivation.from_strings(algebra, {"x": "1", "y": "0"})
@@ -271,6 +288,14 @@ def test_ji_skips_zero_derivations(w1_dossier):
     assert cert.entries == tuple(
         dict(e, derivation=1) for e in ji_lower_bound_check(w1_dossier, 1).entries
     )
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_ji_checks_the_bound_when_every_derivation_is_zero(bound):
+    algebra = w1_algebra()
+    zero = Derivation(algebra, [Polynomial.zero(3)] * 3)
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        ji_lower_bound_check(VarietyDossier(algebra, (zero,)), 1, bound)
 
 
 def test_ji_requires_lnds():

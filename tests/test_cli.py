@@ -198,6 +198,22 @@ QUADRIC = str(DATA / "quadric.json")
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "toric_plane.json", "--bound", "0"),
+        ("classify", "trinomial_type1.json", "--bound", "-3"),
+        ("classify", "trinomial_rigid.json", "--bound", "0"),
+        ("classify", "w1.json", "--bound", "0"),
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_bound_below_one_is_refused_on_every_dossier(capsys, argv):
+    command, name, *rest = argv
+    code, out, err = run_main(capsys, command, str(DATA / name), *rest)
+    assert (code, out, err) == (EXIT_INPUT, "", "error: bound must be >= 1\n")
+
+
+@pytest.mark.parametrize(
     "argv, after_dashes",
     [
         (
@@ -581,6 +597,18 @@ def test_parser_is_built_once_per_process_and_not_at_import():
         env=cli_env(),
     )
     assert result.stdout == "0\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site, and whatever its .pth files import, out of the check
+    code = (
+        "import sys, lndkit.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=cli_env()
+    )
+    assert (result.stdout, result.stderr) == ("[]\n", "")
 
 
 def test_module_entry_point_subprocess():

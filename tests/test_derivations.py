@@ -14,6 +14,7 @@ from lndkit import (
     Derivation,
     Ideal,
     MonomialOrder,
+    NilpotencyVerdict,
     PresentedAlgebra,
     cylinder,
     groebner,
@@ -507,6 +508,12 @@ def test_require_lnd_is_the_gate():
     euler = Derivation.from_strings(PresentedAlgebra(["x"]), {"x": "x"})
     with pytest.raises(NotVerifiedLND, match="failed verification: NotNilpotent"):
         euler.require_lnd()
+
+
+@pytest.mark.parametrize("status", ["bogus", "Verified", None])
+def test_nilpotency_verdict_refuses_an_unknown_status(status):
+    with pytest.raises(ValueError, match="unknown nilpotency status"):
+        NilpotencyVerdict(status)
 
 
 @pytest.mark.parametrize(
