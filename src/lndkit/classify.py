@@ -94,6 +94,12 @@ class VarietyDossier(Record):
                 for text in _shape(doc.get("relations", []), "relations", list, str)
             ]
             algebra = PresentedAlgebra(vars, relations, gradings, order)
+            line = tags.get("invariant_line")
+            if line is not None and len(line) != len(vars):
+                raise ValueError(
+                    "invariant_line must have one entry per variable"
+                    f" ({len(vars)}), not {len(line)}"
+                )
         elif "relations" in doc:
             raise ValueError("relations require vars")
         derivations = _shape(doc.get("derivations", {}), "derivations", dict, dict)

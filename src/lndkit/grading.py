@@ -45,7 +45,7 @@ def decompose(D: Derivation, w: Sequence[int]) -> list[GradedDerivationPart]:
             images = by_degree.setdefault(
                 d, [Polynomial.zero(algebra.arity) for _ in range(algebra.arity)]
             )
-            images[j] = images[j] + comp
+            images[j] = comp  # each degree comes once per generator
     return [
         GradedDerivationPart(d, Derivation(algebra, by_degree[d]))
         for d in sorted(by_degree)

@@ -158,7 +158,7 @@ class Polynomial:
 
     @staticmethod
     def variable(arity: int, index: int) -> "Polynomial":
-        if not 0 <= index < arity:
+        if not (_is_int(index) and 0 <= index < arity):
             raise IndexOutOfRange(f"variable index {index} in arity {arity}")
         mono = tuple(1 if i == index else 0 for i in range(arity))
         return _from_num(arity, {mono: 1})
@@ -289,7 +289,7 @@ class Polynomial:
 
     def partial_derivative(self, var_index: int) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
-        if not 0 <= var_index < self.arity:
+        if not (_is_int(var_index) and 0 <= var_index < self.arity):
             raise IndexOutOfRange(f"index {var_index} in arity {self.arity}")
         out = {}
         for m, c in self.num.items():
@@ -343,6 +343,8 @@ class Polynomial:
 
     def extend(self, extra: int) -> "Polynomial":
         """Embed into a ring with `extra` fresh variables appended."""
+        if not _is_int(extra):
+            raise ValueError(f"extra must be an integer, not {extra!r}")
         if extra < 0:
             raise ValueError("extra must be >= 0")
         pad = (0,) * extra

@@ -5,18 +5,19 @@ to the extremal rays. The toric verdict needs no search: a pointed
 full-dimensional cone has a line factor (type A) or else a Demazure root
 built on its first ray (type B); the one solve that builds that root
 also refuses a cone that is not pointed. Ranks and integer solutions
-come from one column echelon form A*V = H. Root enumeration, for listing
-roots, is box-bounded (root sets can be infinite). It is a depth-first
-search over the box, one coordinate at a time, that prunes a prefix as
-soon as no completion can be a root and solves for the last coordinate;
-its output, order included, is that of testing every point of the box
-with `root_of`.
+come from each cone's one column echelon form A*V = H of its rays,
+built on first use. Root enumeration, for listing roots, is box-bounded
+(root sets can be infinite). It is a depth-first search over the box,
+one coordinate at a time, that prunes a prefix as soon as no completion
+can be a root and solves for the last coordinate; its output, order
+included, is that of testing every point of the box with `root_of`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd, inf, lcm
 from operator import add
 
@@ -31,13 +32,18 @@ class Cone(Frozen):
 
     `Cone.of` drops, in input order, each generator that lies in the cone
     of the generators it still keeps, so the rays of a pointed cone are
-    its extremal rays, in input order.
+    its extremal rays, in input order. `_echelon`, each cone's one column
+    echelon form of its rays, is built on first use, unseen by == and hash.
     """
 
     _fields = ("dim", "rays")
 
     def __init__(self, dim: int, rays: tuple[tuple[int, ...], ...]):
         self.__dict__.update(dim=dim, rays=rays)
+
+    @cached_property
+    def _echelon(self):
+        return column_echelon(self.rays)
 
     @staticmethod
     def of(rays: Sequence[Sequence[int]]) -> "Cone":
@@ -64,15 +70,17 @@ class Cone(Frozen):
             for s in rays[:i]:
                 if s == r or s == negated:
                     raise ValueError(f"rays {s} and {r} are proportional")
+        cone = Cone(dim, rays)
+        if len(cone._echelon[2]) == len(rays):
+            return cone  # independent rays are all extremal
         kept = list(rays)
-        if matrix_rank(rays) < len(rays):
-            for r in rays:
-                others = [v for v in kept if v != r]
-                # r lies in cone(others) iff no m has <m, others> >= 0 > <m, r>
-                rows = [(v, 0) for v in others] + [([-x for x in r], 1)]
-                if not _fourier_motzkin(rows, dim):
-                    kept = others
-        return Cone(dim, tuple(kept))
+        for r in rays:
+            others = [v for v in kept if v != r]
+            # r lies in cone(others) iff no m has <m, others> >= 0 > <m, r>
+            rows = [(v, 0) for v in others] + [([-x for x in r], 1)]
+            if not _fourier_motzkin(rows, dim):
+                kept = others
+        return cone if len(kept) == len(rays) else Cone(dim, tuple(kept))
 
 
 class DemazureRoot(Frozen):
@@ -203,16 +211,11 @@ def detect_line_factor(cone: Cone) -> DemazureRoot | None:
 
     Solves, per ray, the integer linear system <p, v_i> = -1,
     <p, v_j> = 0 (j != i); such a root splits off a line factor. All
-    the systems share one matrix, so one column echelon form serves them.
+    the systems share one matrix, so the cone's echelon form serves them.
     """
-    return _line_factor(cone, column_echelon(cone.rays))
-
-
-def _line_factor(cone: Cone, echelon) -> DemazureRoot | None:
-    """`detect_line_factor` from the column echelon form of the rays."""
-    for i in range(len(cone.rays)):
-        rhs = [-1 if j == i else 0 for j in range(len(cone.rays))]
-        p = _solve_echelon(echelon, rhs)
+    n = len(cone.rays)
+    for i in range(n):
+        p = _solve_echelon(cone._echelon, [-1 if j == i else 0 for j in range(n)])
         if p is not None:
             return DemazureRoot(tuple(p), i)
     return None
@@ -221,23 +224,22 @@ def _line_factor(cone: Cone, echelon) -> DemazureRoot | None:
 def classify_toric(cone: Cone) -> ClassificationReport:
     """Type A on a line factor, else type B; both with a Demazure root.
 
-    Requires a pointed full-dimensional cone. One column echelon form of
-    the rays gives their rank and the line-factor solves. One
+    Requires a pointed full-dimensional cone. The cone's column echelon
+    form gives the rank of its rays and the line-factor solves. One
     Fourier-Motzkin solve decides the rest: an m pairing to 0 with the
     first ray and >= 1 with the others exists iff the cone is pointed
     (the first ray is then extremal; a line, a zero nonnegative sum of
     rays, rules m out), and without a line factor m builds the B root on
     the first ray (Demazure).
     """
-    echelon = column_echelon(cone.rays)
-    if len(echelon[2]) != cone.dim:
+    if len(cone._echelon[2]) != cone.dim:
         raise DegenerateCone("rays do not span; cone is not full-dimensional")
     rho = cone.rays[0]
     rows = [(rho, 0), ([-x for x in rho], 0)] + [(v, 1) for v in cone.rays[1:]]
     m = _fourier_motzkin(rows, cone.dim, point=True)
     if m is None:
         raise DegenerateCone("cone contains a line; not pointed")
-    root = _line_factor(cone, echelon)
+    root = detect_line_factor(cone)
     verdict, criterion = "A", "line factor: root vanishing on all other rays"
     if root is None:
         root = _witness_root(cone, m)
@@ -247,14 +249,16 @@ def classify_toric(cone: Cone) -> ClassificationReport:
 
 
 def _witness_root(cone: Cone, m) -> DemazureRoot:
-    """The root e0 + k*m on ray rho = rays[0]: <rho, e0> = -1, and m (made
-    integral) pairs to 0 with rho and >= 1 with every other ray v, so
+    """The root e0 + k*m on ray rho = rays[0]: e0 = -H[0][0] * (column 0 of
+    V) pairs to -1 with rho, as the echelon form reduces the primitive rho
+    first, to +-1, and leaves that column alone after; m (made integral)
+    pairs to 0 with rho and >= 1 with every other ray v, so
     k = max(0, ceil(-<v, e0> / <v, m>)) lifts each <v, .> to >= 0."""
-    rho, others = cone.rays[0], cone.rays[1:]
-    e0 = solve_integer_system([list(rho)], [-1])
+    H, V, _ = cone._echelon
+    e0 = [-H[0][0] * row[0] for row in V]
     scale = lcm(*(x.denominator for x in m))
     m = [int(x * scale) for x in m]
-    k = max([0] + [-(_pair(e0, v) // _pair(m, v)) for v in others])
+    k = max([0] + [-(_pair(e0, v) // _pair(m, v)) for v in cone.rays[1:]])
     root = root_of([a + k * b for a, b in zip(e0, m)], cone)
     if root is None:
         raise AssertionError(f"constructed witness is not a root of {cone}")
@@ -356,17 +360,12 @@ def column_echelon(A: list[list[int]]):
     return H, V, pivots
 
 
-def solve_integer_system(A: list[list[int]], b: list[int]):
-    """One integer solution of A x = b, or None if none exists."""
-    return _solve_echelon(column_echelon(A), b)
-
-
 def _solve_echelon(echelon, b: list[int]):
-    """`solve_integer_system` for the matrix whose (H, V, pivots) is
-    `echelon`. Forward substitution on the pivot rows, with floor
-    division, gives y (entries not yet solved, and those past the last
-    pivot, are 0); x = V y if H y = b holds in every row, which fails
-    when a pivot does not divide."""
+    """One integer solution of A x = b, or None if none exists, for the
+    matrix A whose (H, V, pivots) is `echelon`. Forward substitution on
+    the pivot rows, with floor division, gives y (entries not yet solved,
+    and those past the last pivot, are 0); x = V y if H y = b holds in
+    every row, which fails when a pivot does not divide."""
     H, V, pivots = echelon
     y = [0] * len(V)
     for k, r in enumerate(pivots):

@@ -423,6 +423,16 @@ def test_from_json_loads_every_data_file(path):
     assert ("trinomial" in V.tags) == ("trinomial" in doc)
 
 
+@pytest.mark.parametrize("name", ["quadric.json", "w1.json"])
+def test_from_json_needs_an_invariant_line_entry_per_variable(name):
+    # w1's LND gives A, so classify would never read the assertion
+    doc = json.loads((DATA / name).read_text())
+    doc["assertions"] = {"invariant_line": [0]}
+    message = r"invariant_line must have one entry per variable \(3\), not 1"
+    with pytest.raises(ValueError, match=message):
+        VarietyDossier.from_json(doc)
+
+
 def test_from_json_reads_tags_and_gradings():
     V = VarietyDossier.from_json(json.loads((DATA / "quadric.json").read_text()))
     assert V.tags == {"invariant_line": [0, 0, 0]}

@@ -540,6 +540,15 @@ def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):
          "derivations must be an object of dicts, not ''"),
         ({"vars": ["x"], "derivations": None},
          "derivations must be an object of dicts, not None"),
+        # the first verdict reads the assertion; w1's LND gives A without it
+        ({"vars": ["x", "y", "z"], "relations": ["x*y - z^2"],
+          "derivations": {"d": {"x": "0", "y": "2*z", "z": "x"}},
+          "assertions": {"invariant_line": [0]}},
+         "invariant_line must have one entry per variable (3), not 1"),
+        ({"vars": ["x", "y", "z"], "relations": ["x*y - z^2 + 1"],
+          "derivations": {"d": {"x": "0", "y": "2*z", "z": "x"}},
+          "assertions": {"invariant_line": [0]}},
+         "invariant_line must have one entry per variable (3), not 1"),
     ],
     ids=[
         "derivation missing a variable",
@@ -564,6 +573,8 @@ def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):
         "derivations zero",
         "derivations empty string",
         "derivations null",
+        "invariant_line too short, verdict B",
+        "invariant_line too short, verdict A",
     ],
 )
 def test_bad_dossier_exits_2_naming_the_fault(tmp_path, capsys, doc, message):

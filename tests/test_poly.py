@@ -523,6 +523,17 @@ def test_polynomial_methods_refuse_bad_arguments(call, error, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, True, "1"], ids=repr)
+def test_indices_must_be_ints(index):
+    # a float or a bool is not an index, even where it equals one
+    with pytest.raises(IndexOutOfRange, match=f"index {index} in arity 2"):
+        Polynomial.variable(2, index)
+    with pytest.raises(IndexOutOfRange, match=f"index {index} in arity 2"):
+        XY_MIXED.partial_derivative(index)
+    with pytest.raises(ValueError, match=f"extra must be an integer, not {index!r}"):
+        XY_MIXED.extend(index)
+
+
 # ---- integer numerators over one denominator ------------------------------
 
 # denominators with common factors, so sums and products cancel some of them

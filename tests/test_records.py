@@ -40,6 +40,12 @@ def _basis():
     return gb
 
 
+def _cone():
+    cone = Cone(2, ((1, 0), (1, 2)))
+    cone._echelon  # a filled cache that ==, hash and repr must not see
+    return cone
+
+
 DDX = Derivation.from_strings(PresentedAlgebra(XY), {"x": "1", "y": "0"})
 
 
@@ -120,6 +126,11 @@ SAMPLES = [
         "JiCertificate(i=1, entries=({'derivation': 0, 'generator': 'x'},),"
         " degenerate=False)",
         False, True,
+    ),
+    (
+        _cone,
+        "Cone(dim=2, rays=((1, 0), (1, 2)))",
+        True, True,
     ),
 ]
 IDS = [f"{make().__class__.__name__}-{k}" for k, (make, *_) in enumerate(SAMPLES)]

@@ -23,6 +23,7 @@ from lndkit.errors import DegenerateCone, DimensionMismatch
 from lndkit.poly import Polynomial
 from lndkit.toric import (
     _fourier_motzkin,
+    _solve_echelon,
     Cone,
     DemazureRoot,
     classify_toric,
@@ -33,7 +34,6 @@ from lndkit.toric import (
     matrix_rank,
     phi_degree,
     root_of,
-    solve_integer_system,
 )
 
 
@@ -397,6 +397,49 @@ def test_classify_solves_one_system_per_cone(monkeypatch):
     assert calls == [True, True, True]
 
 
+def test_one_column_echelon_form_per_cone(monkeypatch):
+    # Cone.of returns the cone whose form it built, unless it drops a
+    # generator; then the kept rays need a form of their own
+    calls = []
+
+    def counted(A):
+        calls.append([list(r) for r in A])
+        return column_echelon(A)
+
+    monkeypatch.setattr(lndkit.toric, "column_echelon", counted)
+    square = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]  # all extremal
+    for rays, kept, verdict in [
+        ([[1, 0], [1, 2]], None, "B"),
+        (square, None, "B"),
+        ([[1, 0], [1, 1], [0, 1]], [[1, 0], [0, 1]], "A"),
+    ]:
+        calls.clear()
+        cone = Cone.of(rays)
+        assert classify_toric(cone).verdict == verdict
+        detect_line_factor(cone)
+        assert calls == [rays] + ([kept] if kept else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+            min_size=1, max_size=6,
+        )
+    )
+)
+def test_witness_start_is_read_off_the_echelon_form(rays):
+    # the echelon form reduces the first ray first and leaves column 0 of
+    # V alone after, so it holds the solution of <rho, e0> = -1
+    rho = rays[0]
+    assume(gcd(*rho) == 1)
+    H, V, _ = Cone(len(rho), tuple(map(tuple, rays)))._echelon
+    e0 = [-H[0][0] * row[0] for row in V]
+    assert e0 == _solve_echelon(column_echelon([rho]), [-1])
+    assert sum(a * b for a, b in zip(e0, rho)) == -1
+
+
 def test_classify_degenerate_cones():
     with pytest.raises(DegenerateCone):
         classify_toric(Cone.of([[1, 0]]))  # not full-dimensional
@@ -643,7 +686,7 @@ def test_solve_integer_system_round_trip():
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(-6, 6) for _ in range(m)]
-        x = solve_integer_system(A, b)
+        x = _solve_echelon(column_echelon(A), b)
         if x is not None:
             solved += 1
             for i in range(m):
@@ -652,8 +695,8 @@ def test_solve_integer_system_round_trip():
 
 
 def test_solve_integer_system_detects_infeasible():
-    assert solve_integer_system([[2]], [1]) is None
-    assert solve_integer_system([[1, 1], [1, 1]], [0, 1]) is None
+    assert _solve_echelon(column_echelon([[2]]), [1]) is None
+    assert _solve_echelon(column_echelon([[1, 1], [1, 1]]), [0, 1]) is None
 
 
 # ---- output pinned on a seeded corpus -------------------------------------
