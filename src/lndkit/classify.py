@@ -12,9 +12,9 @@ from fractions import Fraction
 from .derivations import (
     DEFAULT_NILPOTENCY_BOUND, Derivation, PresentedAlgebra, check_bound
 )
-from .errors import ArityMismatch, NoLNDs
+from .errors import ArityMismatch, NoLNDs, ParseError
 from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
-from .poly import Polynomial, _from_num, _is_int, parse_poly
+from .poly import Polynomial, _from_num, _is_int, _rational, parse_poly
 from .record import Frozen, Record
 from .report import ClassificationReport, Evidence
 from .toric import Cone, classify_toric
@@ -160,12 +160,16 @@ def _shape(value, what: str, kind: type = list, item: type = object):
 
 def _rationals(value, what: str) -> list[Fraction]:
     """The entries of a JSON list as Fractions, else a ValueError naming
-    what. A boolean is not a rational here."""
+    what. A string is read as `parse_poly` reads a number, such as -1/3
+    or 2^10; a boolean is not a rational here."""
     entries = _shape(value, what)
     try:
         if not any(isinstance(x, bool) for x in entries):
-            return [Fraction(x) for x in entries]
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            return [
+                parse_poly(x, ()).coefficient(()) if isinstance(x, str) else Fraction(x)
+                for x in entries
+            ]
+    except (TypeError, ValueError, OverflowError, ParseError):
         pass
     raise ValueError(f"{what} must be a list of rationals, not {value!r}")
 
@@ -348,14 +352,14 @@ def classify(V: VarietyDossier) -> ClassificationReport:
                 Evidence(
                     "non-rigid (verified nonzero LND) with a stable point"
                     " on an asserted invariant line",
-                    {"point": [str(x) for x in point]},
+                    {"point": [_rational(x) for x in point]},
                 )
             )
             return ClassificationReport("B", tuple(evidence))
         evidence.append(
             Evidence(
                 "asserted invariant-line point is not in the fixed locus",
-                {"point": [str(x) for x in point]},
+                {"point": [_rational(x) for x in point]},
             )
         )
     return ClassificationReport("Inconclusive", tuple(evidence))

@@ -113,13 +113,8 @@ def cmd_exp(args) -> int:
 
 
 def _parameter(text: str) -> Fraction | None:
-    """The `exp` parameter: None for "formal", else a rational number."""
-    if text == "formal":
-        return None
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"parameter {text!r} has denominator 0") from None
+    """The `exp` parameter: None for "formal", else a number as `parse_poly` reads it."""
+    return None if text == "formal" else parse_poly(text, ()).coefficient(())
 
 
 def cmd_decompose(args) -> int:

@@ -14,6 +14,7 @@ chains through `Derivation.iterate`.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +31,7 @@ from .errors import (
 from .groebner import (
     GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, integer_weights, normal_form
 )
-from .poly import Polynomial, _from_num, _is_int, _mul, _sum, parse_poly
+from .poly import _TOKEN, Polynomial, _from_num, _is_int, _mul, _sum, parse_poly
 from .record import Frozen
 
 FORMAL_PARAMETER = "_s"
@@ -56,6 +57,9 @@ class PresentedAlgebra:
         self.vars = tuple(vars)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable names")
+        for v in self.vars:  # one token of the parser, read as a variable
+            if re.findall(_TOKEN, str(v)) != [v] or not (v[0].isalpha() or v[0] == "_"):
+                raise ValueError(f"variable name {v!r} is not an identifier")
         arity = len(self.vars)
         self.relations = tuple(r for r in relations if not r.is_zero())
         for r in self.relations:

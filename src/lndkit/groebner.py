@@ -69,13 +69,13 @@ import heapq
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, le, mul
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
 from .poly import Monomial, Polynomial, _add_into, _from_num, _is_int, grevlex_key
 from .record import Frozen
-from .toric import matrix_rank
+from .toric import column_echelon
 
 DEFAULT_PAIR_BUDGET = 100_000
 
@@ -600,7 +600,9 @@ def jacobian_rank_at_point(
 ) -> int:
     """Exact rank over Q of the Jacobian of `relations` at `point`.
 
-    The point must satisfy every relation.
+    The point must satisfy every relation. Scaling a row by a nonzero
+    integer keeps the rank, so each row is cleared of denominators and
+    the rank is the number of pivots of the column echelon form.
     """
     if not relations:
         return 0
@@ -611,8 +613,9 @@ def jacobian_rank_at_point(
     for rel in relations:
         if rel.evaluate(pt) != 0:
             raise PointNotOnVariety(f"relation {rel!r} nonzero at {pt}")
-    rows = [
-        [rel.partial_derivative(j).evaluate(pt) for j in range(arity)]
-        for rel in relations
-    ]
-    return matrix_rank(rows)
+    rows = []
+    for rel in relations:
+        row = [rel.partial_derivative(j).evaluate(pt) for j in range(arity)]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    return len(column_echelon(rows)[2])

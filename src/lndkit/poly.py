@@ -367,13 +367,13 @@ class Polynomial:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            mag = abs(c)
-            if factors and mag == 1:
+            mag = _rational(abs(c))
+            if factors and mag == "1":
                 body = "*".join(factors)
             elif factors:
                 body = f"{mag}*" + "*".join(factors)
             else:
-                body = str(mag)
+                body = mag
             if i == 0:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -398,6 +398,25 @@ def _int(tok: str) -> int:
         return int(tok)
     except ValueError:  # past the interpreter's limit on digits
         raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
+
+
+def _digits(n: int) -> str:
+    """str(n) for an int n >= 0, also past the limit on digits that `_int`
+    holds literals to: a long n is split in two at a power of ten."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half: a bit is worth 0.30103 digits
+        high, low = divmod(n, 10**k)
+        return _digits(high) + _digits(low).zfill(k)
+
+
+def _rational(c: Fraction) -> str:
+    """str(c) for a Fraction c, however many digits it has."""
+    text = _digits(abs(c.numerator))
+    if c.denominator != 1:
+        text += f"/{_digits(c.denominator)}"
+    return text if c >= 0 else "-" + text
 
 
 def _check_power(k: int, *numbers: int) -> None:

@@ -310,21 +310,6 @@ def _fourier_motzkin(rows, nvars: int, point: bool = False):
 # ---- exact linear algebra ------------------------------------------------
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank over Q of a matrix with integer or rational entries.
-
-    Scaling a row by a nonzero integer keeps the rank, so each row is
-    cleared of denominators and the rank is the number of pivots of the
-    column echelon form.
-    """
-    integral = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        integral.append([int(x * scale) for x in row])
-    return len(column_echelon(integral)[2])
-
-
 def column_echelon(A: list[list[int]]):
     """Return (H, V, pivots) with A*V = H, V unimodular, and H in column
     echelon form: row pivots[k] is the first row with a nonzero entry in

@@ -651,3 +651,130 @@ def test_json_output_is_deterministic():
             for _ in range(2)
         ]
         assert runs[0] and runs[0] == runs[1]
+
+
+# ---- numbers and variable names ----------------------------------------------
+
+
+def run_cli(*argv):
+    """`python -m lndkit` in a child process; a hang fails the test after
+    10 s instead of holding the suite."""
+    result = subprocess.run(
+        [sys.executable, "-m", "lndkit", *argv],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+        timeout=10,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize(
+    "parameter, out",
+    [
+        ("-1/3", "1/9*x + y - 2/3*z"),
+        ("2^10", "1048576*x + y + 2048*z"),
+        ("(1/2)^3", "1/64*x + y + 1/4*z"),
+    ],
+)
+def test_exp_reads_its_parameter_as_parse_poly_reads_a_number(parameter, out):
+    argv = ("exp", str(DATA / "w1.json"), "canonical", "y", parameter)
+    assert run_cli(*argv) == (EXIT_OK, out + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "parameter, message",
+    [
+        ("0.5", "unexpected character '.' at position 1"),
+        ("1e5", "trailing input at token 'e5'"),
+        # Fraction's grammar would compute 10^99999999 first
+        ("1e99999999", "trailing input at token 'e99999999'"),
+    ],
+)
+def test_exp_refuses_decimals_and_exponent_notation(parameter, message):
+    argv = ("exp", str(DATA / "w1.json"), "canonical", "y", parameter)
+    assert run_cli(*argv) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
+def test_a_dossier_rational_in_exponent_notation_exits_2_at_once(tmp_path):
+    path = tmp_path / "tri.json"
+    a = ["1e99999999", 0]
+    path.write_text(json.dumps({"trinomial": {"type": 1, "l": [[1], [2]], "a": a}}))
+    message = f"error: trinomial a must be a list of rationals, not {a!r}\n"
+    assert run_cli("classify", str(path)) == (EXIT_INPUT, "", message)
+
+
+@pytest.mark.parametrize(
+    "written, plain",
+    [
+        ({"trinomial": {"type": 1, "l": [[2], [2], [2]], "a": ["2^10", "(1/2)^3", "-1/3"]}},
+         {"trinomial": {"type": 1, "l": [[2], [2], [2]], "a": [1024, "1/8", "-1/3"]}}),
+        ({"trinomial": {"type": 2, "l": [[2], [2], [2]], "A": [["1", "0", "3^2"], [0, "(1)", 1]]}},
+         {"trinomial": {"type": 2, "l": [[2], [2], [2]], "A": [[1, 0, 9], [0, 1, 1]]}}),
+        ({"vars": ["x", "y", "z"], "relations": ["x*y - z^2"],
+          "derivations": {"d": {"x": "0", "y": "2*z", "z": "x"}},
+          "assertions": {"invariant_line": ["0", "2^0 - 1", "0/5"]}},
+         {"vars": ["x", "y", "z"], "relations": ["x*y - z^2"],
+          "derivations": {"d": {"x": "0", "y": "2*z", "z": "x"}},
+          "assertions": {"invariant_line": [0, 0, 0]}}),
+    ],
+    ids=["trinomial a", "trinomial A", "invariant_line"],
+)
+def test_dossier_strings_are_numbers_as_parse_poly_reads_them(tmp_path, capsys, written, plain):
+    outputs = []
+    for doc in (written, plain):
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_main(capsys, "classify", str(path), "--json")
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "doc, what",
+    [
+        ({"trinomial": {"type": 1, "l": [[2], [2]], "a": ["0.5", 1]}}, "trinomial a"),
+        ({"trinomial": {"type": 1, "l": [[2], [2]], "a": ["1e5", 1]}}, "trinomial a"),
+        ({"trinomial": {"type": 1, "l": [[2], [2]], "a": ["x", 1]}}, "trinomial a"),
+        ({"trinomial": {"type": 2, "l": [[2], [2], [2]], "A": [["1.0", 0, 1], [0, 1, 1]]}},
+         "a trinomial A row"),
+        ({"vars": ["x"], "assertions": {"invariant_line": ["2E3"]}}, "invariant_line"),
+    ],
+    ids=["a decimal", "a exponent", "a variable", "A decimal", "invariant_line exponent"],
+)
+def test_decimal_and_exponent_strings_exit_2_naming_the_field(tmp_path, capsys, doc, what):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_main(capsys, "classify", str(path))
+    assert code == EXIT_INPUT
+    assert err.startswith(f"error: {what} must be a list of rationals, not ")
+
+
+def test_exp_prints_coefficients_past_the_digit_limit(tmp_path):
+    # (x + 10^30)^150 ends in 10^4500, past the 4300 digits str() allows
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"vars": ["x"], "derivations": {"d": {"x": "1"}}}))
+    code, out, err = run_cli("exp", str(path), "d", "x^150", "10^30", "--bound", "200")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("x^150 + 150000000000000000000000000000000*x^149 + ")
+    assert out.endswith(" + 1" + "0" * 4500 + "\n")
+
+
+def test_classify_prints_an_invariant_point_past_the_digit_limit(tmp_path, capsys):
+    doc = json.loads((DATA / "quadric.json").read_text())
+    doc["assertions"]["invariant_line"] = ["10^3000*10^3000", 0, 0]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_main(capsys, "classify", str(path), "--json")
+    assert code == EXIT_OK
+    evidence = json.loads(out)["evidence"][-1]
+    assert evidence["data"]["point"] == ["1" + "0" * 6000, "0", "0"]
+
+
+@pytest.mark.parametrize("name", ["1x", "", "x y", "x+y", "-"])
+def test_a_variable_the_parser_cannot_read_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "vars.json"
+    path.write_text(json.dumps({"vars": ["y", name]}))
+    message = f"error: variable name {name!r} is not an identifier\n"
+    assert run_main(capsys, "classify", str(path)) == (EXIT_INPUT, "", message)

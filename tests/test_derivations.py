@@ -59,6 +59,23 @@ def ddu(w1_cyl):
     return Derivation(w1_cyl, images)
 
 
+@pytest.mark.parametrize("name", ["1x", "", "x y", "x-1", "\u00b2", 1])
+def test_algebra_refuses_a_variable_name_the_parser_cannot_read(name):
+    # parse_poly splits each of these, so no relation or image could name it
+    with pytest.raises(ValueError) as caught:
+        PresentedAlgebra(["x", name])
+    assert str(caught.value) == f"variable name {name!r} is not an identifier"
+
+
+def test_generated_variable_names_are_identifiers():
+    # cylinder's fresh names and the trinomial layout's names
+    base = PresentedAlgebra(["u", "_s", "T11", "T1_12", "S1", "x\u00b2"])
+    ext = cylinder(cylinder(base), "_s")
+    assert ext.vars[-2:] == ("u1", "_s1")
+    for j, name in enumerate(ext.vars):
+        assert parse_poly(name, ext.vars) == Polynomial.variable(ext.arity, j)
+
+
 def test_algebra_repr_names_variables_and_relations(w1):
     assert repr(w1) == "PresentedAlgebra(K[x, y, z] / (x*y - z^2 + 1))"
     assert repr(PresentedAlgebra(["x", "y"], [])) == "PresentedAlgebra(K[x, y] / (0))"

@@ -183,6 +183,26 @@ def test_format_parse_round_trip():
         assert parse_poly(p.format(names), names) == p
 
 
+def test_format_prints_numbers_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    n = limit + 700
+    p = Polynomial(2, [((1, 0), 10**n + 1), ((0, 0), Fraction(-1, 2 * 10**n))])
+    ones = "1" + "0" * (n - 1) + "1"
+    assert p.format(["x", "y"]) == f"{ones}*x - 1/2{'0' * n}"
+    assert repr(Polynomial.constant(1, 10**5000)) == f"Polynomial('1{'0' * 5000}')"
+    # the digits read back in chunks short enough for int()
+    rng = random.Random(26)
+    for _ in range(20):
+        big = rng.randrange(10 ** (2 * limit), 10 ** (3 * limit))
+        text = Polynomial.constant(0, -big).format([])
+        assert text[0] == "-" and text[1] != "0"
+        value = 0
+        for i in range(1, len(text), 1000):
+            chunk = text[i : i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == big
+
+
 # ---- arithmetic -------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from lndkit import (
     VarietyDossier,
     classify,
     groebner,
+    jacobian_rank_at_point,
 )
 from lndkit.errors import DegenerateCone, DimensionMismatch
 from lndkit.poly import Polynomial
@@ -31,7 +32,6 @@ from lndkit.toric import (
     detect_line_factor,
     dual_membership,
     enumerate_roots,
-    matrix_rank,
     phi_degree,
     root_of,
 )
@@ -473,7 +473,8 @@ def _solve(columns, target):
 
 def _rank(rows):
     """Rank over Q by Gaussian elimination on Fractions, independent of
-    `matrix_rank`, which counts the pivots of a column echelon form."""
+    `jacobian_rank_at_point`, which counts the pivots of a column echelon
+    form."""
     rows = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -511,10 +512,20 @@ def _rank(rows):
     )
 )
 def test_matrix_rank_matches_elimination(rows):
-    assert matrix_rank(rows) == _rank(rows)
+    # the Jacobian of linear forms at the origin is their coefficient matrix
+    def jacobian_rank(rows):
+        n = len(rows[0]) if rows else 0
+        forms = [
+            Polynomial(n, [(tuple(int(i == j) for i in range(n)), c)
+                           for j, c in enumerate(row)])
+            for row in rows
+        ]
+        return jacobian_rank_at_point(forms, [0] * n)
+
+    assert jacobian_rank(rows) == _rank(rows)
     if rows:  # a combination of two rows leaves the rank as it is
         dependent = rows + [[a - 2 * b for a, b in zip(rows[0], rows[-1])]]
-        assert matrix_rank(dependent) == _rank(dependent) == _rank(rows)
+        assert jacobian_rank(dependent) == _rank(dependent) == _rank(rows)
 
 
 def caratheodory_redundant(g, others):
@@ -555,7 +566,7 @@ def pointed_cones(draw):
             v = _primitive([x if side > 0 else -x for x in v])
             if all(not _prop(v, r) for r in rays):
                 rays.append(v)
-    assume(len(rays) >= dim and matrix_rank(rays) == dim)
+    assume(len(rays) >= dim and len(column_echelon(rays)[2]) == dim)
     return rays
 
 
@@ -587,6 +598,75 @@ def test_cone_verdicts_are_exact(rays, rng):
     other = Cone.of(more)
     assert set(other.rays) == set(cone.rays)
     assert classify_toric(other).verdict == report.verdict
+
+
+def unimodular(rng, dim, steps=6):
+    """A random U with det +-1 and its inverse W, as a product of
+    elementary row operations on the identity: add k times one row to
+    another, swap two rows, or negate one. Each operation E on U's rows
+    is undone on W's columns, so U*W stays the identity."""
+    U = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    W = [row[:] for row in U]
+    for _ in range(steps):
+        i, j = rng.sample(range(dim), 2)
+        op = rng.randrange(3)
+        if op == 0:  # row i += k row j; then column j of W -= k column i
+            k = rng.choice([-2, -1, 1, 2])
+            U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+            for row in W:
+                row[j] -= k * row[i]
+        elif op == 1:
+            U[i], U[j] = U[j], U[i]
+            for row in W:
+                row[i], row[j] = row[j], row[i]
+        else:
+            U[i] = [-a for a in U[i]]
+            for row in W:
+                row[i] = -row[i]
+    return U, W
+
+
+def _times(M, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in M)
+
+
+def _transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
+def check_lattice_invariance(generators, rng, box=2):
+    """U*sigma is the same toric variety as sigma for a unimodular U: the
+    cone's rays, verdict, evidence and line factor move with U, and
+    <e, U*r> = <U^T*e, r> maps its roots onto those of sigma."""
+    cone = Cone.of(generators)
+    U, W = unimodular(rng, cone.dim)
+    assert [_times(U, col) for col in _transpose(W)] == [
+        tuple(int(i == j) for i in range(cone.dim)) for j in range(cone.dim)
+    ]
+    moved = Cone.of([_times(U, g) for g in generators])
+    assert moved.rays == tuple(_times(U, r) for r in cone.rays)
+    report, moved_report = classify_toric(cone), classify_toric(moved)
+    assert moved_report.verdict == report.verdict
+    data = moved_report.evidence[0].data
+    root = root_of(data["root"], moved)
+    assert root is not None and root.distinguished == data["distinguished_ray"]
+    assert (detect_line_factor(moved) is None) == (detect_line_factor(cone) is None)
+    for source, target, M in ((moved, cone, _transpose(U)), (cone, moved, _transpose(W))):
+        for e in enumerate_roots(source, box):
+            image = root_of(_times(M, e.vector), target)
+            assert image is not None and image.distinguished == e.distinguished
+
+
+def test_toric_verdicts_are_lattice_invariants():
+    rng = random.Random(26)
+    for n in range(60):
+        check_lattice_invariance(rand_pointed_cone(rng, 2 + n % 3).rays, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointed_cones(), st.randoms(use_true_random=False))
+def test_toric_verdicts_are_lattice_invariants_on_redundant_generators(rays, rng):
+    check_lattice_invariance(rays, rng)
 
 
 def plain_fourier_motzkin(rows, nvars):
