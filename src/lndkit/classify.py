@@ -14,7 +14,7 @@ from .derivations import (
 )
 from .errors import ArityMismatch, NoLNDs, ParseError
 from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
-from .poly import Polynomial, _from_num, _is_int, _rational, parse_poly
+from .poly import Polynomial, _from_num, _is_int, _number, _rational, parse_poly
 from .record import Frozen, Record
 from .report import ClassificationReport, Evidence
 from .toric import Cone, classify_toric
@@ -100,8 +100,12 @@ class VarietyDossier(Record):
                     "invariant_line must have one entry per variable"
                     f" ({len(vars)}), not {len(line)}"
                 )
-        elif "relations" in doc:
-            raise ValueError("relations require vars")
+        else:
+            for field in ("relations", "gradings"):
+                if field in doc:
+                    raise ValueError(f"{field} require vars")
+            if "invariant_line" in assertions:
+                raise ValueError("invariant_line requires vars")
         derivations = _shape(doc.get("derivations", {}), "derivations", dict, dict)
         if derivations and algebra is None:
             raise ValueError("derivations require vars/relations")
@@ -159,19 +163,12 @@ def _shape(value, what: str, kind: type = list, item: type = object):
 
 
 def _rationals(value, what: str) -> list[Fraction]:
-    """The entries of a JSON list as Fractions, else a ValueError naming
-    what. A string is read as `parse_poly` reads a number, such as -1/3
-    or 2^10; a boolean is not a rational here."""
+    """The entries of a JSON list as `_number` reads them, else a ValueError."""
     entries = _shape(value, what)
     try:
-        if not any(isinstance(x, bool) for x in entries):
-            return [
-                parse_poly(x, ()).coefficient(()) if isinstance(x, str) else Fraction(x)
-                for x in entries
-            ]
+        return [_number(x) for x in entries]
     except (TypeError, ValueError, OverflowError, ParseError):
-        pass
-    raise ValueError(f"{what} must be a list of rationals, not {value!r}")
+        raise ValueError(f"{what} must be a list of rationals, not {value!r}") from None
 
 
 def combined_image_ideal(V: VarietyDossier) -> Ideal:
@@ -308,7 +305,14 @@ def classify(V: VarietyDossier) -> ClassificationReport:
                 f"rigidity is asserted, but the {what} gives verdict {report.verdict}"
             )
         return report.with_evidence(Evidence(f"structural tag: {what}", {}))
+    evidence = [
+        Evidence(
+            "classification relative to supplied LND generators",
+            {"lnd_count": len(V.lnds)},
+        )
+    ]
     if V.tags.get("rigid_asserted"):
+        # past this loop every D is 0, and the relations are never a unit ideal: no A
         for idx, D in enumerate(V.lnds):
             if not D.is_zero():
                 D.require_lnd()
@@ -317,12 +321,8 @@ def classify(V: VarietyDossier) -> ClassificationReport:
                     f"rigidity is asserted, but derivation {name} is a"
                     " verified nonzero LND"
                 )
-    evidence = [
-        Evidence(
-            "classification relative to supplied LND generators",
-            {"lnd_count": len(V.lnds)},
-        )
-    ]
+        evidence.append(Evidence("rigidity asserted by the caller", {}))
+        return ClassificationReport("C", tuple(evidence))
     if V.lnds:
         certificate = test_type_a(V)
         if certificate is not None:
@@ -337,12 +337,9 @@ def classify(V: VarietyDossier) -> ClassificationReport:
                 )
             )
             return ClassificationReport("A", tuple(evidence))
-    if V.tags.get("rigid_asserted"):
-        evidence.append(Evidence("rigidity asserted by the caller", {}))
-        return ClassificationReport("C", tuple(evidence))
     nonzero = [D for D in V.lnds if not D.is_zero()]
     if nonzero and "invariant_line" in V.tags:
-        point = [Fraction(x) for x in V.tags["invariant_line"]]
+        point = [_number(x) for x in V.tags["invariant_line"]]
         locus = fixed_locus(V)
         # the tagged point must lie in the fixed locus (which is then
         # nonempty, so the image ideal is proper: a not-type-A witness)

@@ -32,7 +32,7 @@ from .derivations import DEFAULT_NILPOTENCY_BOUND, cylinder
 from .errors import LndkitError, NotASlice, NotVerifiedLND
 from .grading import decompose
 from .groebner import GREVLEX, LEX
-from .poly import parse_poly
+from .poly import _number, parse_poly
 from .toric import detect_line_factor, enumerate_roots
 
 EXIT_OK = 0
@@ -48,9 +48,8 @@ def _load(path: str, order=GREVLEX) -> VarietyDossier:
 def _verified(args) -> VarietyDossier:
     """The dossier file with every derivation verified as an LND."""
     V = _load(args.file, _order(args))
-    verified = VarietyDossier.create(V.algebra, V.lnds, V.tags, args.bound)
-    verified.names = V.names
-    return verified
+    VarietyDossier.create(V.algebra, V.lnds, V.tags, args.bound)
+    return V
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]):
@@ -113,8 +112,8 @@ def cmd_exp(args) -> int:
 
 
 def _parameter(text: str) -> Fraction | None:
-    """The `exp` parameter: None for "formal", else a number as `parse_poly` reads it."""
-    return None if text == "formal" else parse_poly(text, ()).coefficient(())
+    """The `exp` parameter: None for "formal", else a number as `_number` reads it."""
+    return None if text == "formal" else _number(text)
 
 
 def cmd_decompose(args) -> int:

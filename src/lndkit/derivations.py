@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import factorial, lcm
@@ -31,7 +30,7 @@ from .errors import (
 from .groebner import (
     GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, integer_weights, normal_form
 )
-from .poly import _TOKEN, Polynomial, _from_num, _is_int, _mul, _sum, parse_poly
+from .poly import _TOKEN, Polynomial, _from_num, _is_int, _mul, _number, _sum, parse_poly
 from .record import Frozen
 
 FORMAL_PARAMETER = "_s"
@@ -370,7 +369,7 @@ class Derivation:
                 for i, term in enumerate(self.iterate(f))
             ]
             return _sum(ext.arity, parts), ext
-        s = Fraction(s)
+        s = _number(s)
         p, q = s.numerator, s.denominator
         # s^i D^i(f) / i! over its denominator; for s = 0 only i = 0 counts
         parts = [

@@ -68,12 +68,11 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, le, mul
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
-from .poly import Monomial, Polynomial, _add_into, _from_num, _is_int, grevlex_key
+from .poly import Monomial, Polynomial, _add_into, _from_num, _is_int, _number, grevlex_key
 from .record import Frozen
 from .toric import column_echelon
 
@@ -607,7 +606,7 @@ def jacobian_rank_at_point(
     if not relations:
         return 0
     arity = relations[0].arity
-    pt = [Fraction(x) for x in point]
+    pt = [_number(x) for x in point]
     if len(pt) != arity:
         raise ArityMismatch(f"point length {len(pt)} vs arity {arity}")
     for rel in relations:

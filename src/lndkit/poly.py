@@ -130,7 +130,7 @@ class Polynomial:
                 )
             if not all(_is_int(e) and e >= 0 for e in mono):
                 raise ValueError(f"exponents must be non-negative ints, got {mono}")
-            c = Fraction(coeff)
+            c = _number(coeff)
             if c:
                 parts.append(({mono: c.numerator}, c.denominator))
         return _sum(arity, parts)
@@ -151,7 +151,7 @@ class Polynomial:
 
     @staticmethod
     def constant(arity: int, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _number(c)
         return _from_num(
             arity, {(0,) * arity: c.numerator} if c else {}, c.denominator
         )
@@ -278,7 +278,7 @@ class Polynomial:
         return _from_num(self.arity, result, den)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _number(c)
         if not c:
             return Polynomial.zero(self.arity)
         k = c.numerator
@@ -329,7 +329,7 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.arity:
             raise ArityMismatch(f"point length {len(point)} vs arity {self.arity}")
-        pt = [Fraction(x) for x in point]
+        pt = [_number(x) for x in point]
         total = Fraction(0)
         for m, c in self.num.items():
             v = c
@@ -555,3 +555,13 @@ def parse_poly(text: str, vars: Sequence[str]) -> Polynomial:
             raise ParseError("parentheses nested too deeply") from None
         raise
     return _from_num(len(vars), num, den)
+
+
+def _number(x) -> Fraction:
+    """The rational a number argument names: a str as `parse_poly` reads a
+    number, a bool refused with TypeError, anything else by `Fraction`."""
+    if isinstance(x, str):
+        return parse_poly(x, ()).coefficient(())
+    if isinstance(x, bool):
+        raise TypeError(f"a boolean is not a number here: {x!r}")
+    return Fraction(x)

@@ -19,7 +19,7 @@ from .errors import (
     InvalidData,
     UnreducedPresentation,
 )
-from .poly import Polynomial, _is_int
+from .poly import Polynomial, _is_int, _number
 from .record import Frozen
 from .report import ClassificationReport, Evidence
 
@@ -49,7 +49,7 @@ class TrinomialData(Frozen):
             1,
             m,
             tuple(tuple(li) for li in l),
-            a=tuple(Fraction(x) for x in a),
+            a=tuple(_number(x) for x in a),
         )
 
     @staticmethod
@@ -58,7 +58,7 @@ class TrinomialData(Frozen):
             2,
             m,
             tuple(tuple(li) for li in l),
-            A=tuple(tuple(Fraction(x) for x in row) for row in A),
+            A=tuple(tuple(_number(x) for x in row) for row in A),
         )
 
     @property

@@ -15,6 +15,7 @@ from lndkit import (
     NilpotencyVerdict,
     PresentedAlgebra,
     TrinomialData,
+    VarietyDossier,
     build_relations,
     parse_poly,
     suspension_lnd,
@@ -198,3 +199,67 @@ def walk_nilpotency(D: Derivation, bound: int) -> NilpotencyVerdict:
             return NilpotencyVerdict("inconclusive", bound=bound)
         max_order = max(max_order, order)
     return NilpotencyVerdict("verified", max_order=max_order, bound=bound)
+
+
+# ---- isomorphic dossiers ------------------------------------------------------
+
+
+def substitute(f: Polynomial, images) -> Polynomial:
+    """f(images[0], ..., images[n-1]): each variable of f replaced by its
+    image, all images of one arity."""
+    arity = images[0].arity
+    total = Polynomial.zero(arity)
+    for m, c in f.coeffs.items():
+        term = Polynomial.constant(arity, c)
+        for g, e in zip(images, m):
+            if e:
+                term = term * g**e
+        total = total + term
+    return total
+
+
+def triangular_automorphism(rng: random.Random, arity: int, degree: int = 2):
+    """A seeded automorphism phi: x_i -> x_i + p_i(x_<i) of K[x] and its
+    inverse psi, as the lists of the images of x_0, ..., x_{arity-1}.
+
+    Each shift p_i is zero or has up to two terms of degree 0 to `degree`
+    (p_0 is a constant); psi is found by back-substitution,
+    psi(x_i) = x_i - p_i(psi(x_0), ..., psi(x_{i-1})).
+    """
+    xs = [Polynomial.variable(arity, i) for i in range(arity)]
+    phi: list[Polynomial] = []
+    psi: list[Polynomial] = []
+    for i, x in enumerate(xs):
+        terms = []
+        for _ in range(rng.randint(0, 2)):
+            mono = [0] * arity
+            for _ in range(rng.randint(0, degree) if i else 0):
+                mono[rng.randrange(i)] += 1
+            terms.append((mono, rand_rational(rng, 2)))
+        shift = Polynomial(arity, terms)
+        phi.append(x + shift)
+        psi.append(x - substitute(shift, psi + xs[i:]))
+    return phi, psi
+
+
+def transformed_dossier(V: VarietyDossier, phi, psi) -> VarietyDossier:
+    """The dossier of the same variety, presented through phi (inverse psi).
+
+    Each relation r becomes r o phi; each derivation D becomes phi D psi,
+    x_i -> phi(D(psi(x_i))); a point p of `invariant_line` becomes
+    Psi(p) = Phi^{-1}(p), Phi and Psi being the polynomial maps of phi and
+    psi. Gradings are dropped, since phi need not respect them. Every
+    conjugated derivation must pass `require_lnd` again.
+    """
+    base = V.algebra
+    algebra = PresentedAlgebra(
+        base.vars, [substitute(r, phi) for r in base.relations], order=base.order
+    )
+    lnds = [
+        Derivation(algebra, [substitute(D.apply(g), phi) for g in psi])
+        for D in V.lnds
+    ]
+    tags = dict(V.tags)
+    if "invariant_line" in tags:
+        tags["invariant_line"] = [g.evaluate(tags["invariant_line"]) for g in psi]
+    return VarietyDossier.create(algebra, lnds, tags)

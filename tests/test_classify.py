@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,11 @@ from lndkit import test_type_a as type_a_certificate
 from lndkit.derivations import cylinder, lift
 from lndkit.errors import ArityMismatch, NoLNDs, NotVerifiedLND
 from lndkit.poly import Polynomial, parse_poly
-from lndkit.report import ClassificationReport
+from lndkit.report import ClassificationReport, Evidence
 
-from helpers import w1_algebra, w1_canonical
+from helpers import (
+    substitute, transformed_dossier, triangular_automorphism, w1_algebra, w1_canonical
+)
 
 XYZ = ["x", "y", "z"]
 DATA = Path(__file__).parent / "data"
@@ -504,3 +507,43 @@ def test_ji_lower_bound_check_on_weighted_algebra():
         ("y", "2*z"),
         ("z", "x"),
     ]
+
+
+def test_a_rigidity_assertion_gives_c_before_any_groebner_basis(monkeypatch):
+    # past the contradiction check every derivation is zero, and zero images
+    # plus relations never give the unit ideal, so no basis could give A
+    algebra, _ = quadric_cone()
+    zero = Derivation(algebra, [Polynomial.zero(3)] * 3)
+    V = VarietyDossier.create(algebra, [zero], tags={"rigid_asserted": True})
+    module = sys.modules["lndkit.classify"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return groebner(*args)
+
+    monkeypatch.setattr(module, "groebner", counted)
+    report = classify(V)
+    assert len(calls) == 0
+    assert report == ClassificationReport("C", (
+        Evidence("classification relative to supplied LND generators", {"lnd_count": 1}),
+        Evidence("rigidity asserted by the caller", {}),
+    ))
+
+
+@pytest.mark.parametrize("name, verdict", [("w1.json", "A"), ("quadric.json", "B")])
+def test_dossier_verdict_is_an_isomorphism_invariant(name, verdict):
+    # the same variety presented through ten seeded triangular automorphisms
+    # x_i -> x_i + p_i(x_<i): relations, LNDs and the stable point all move
+    V = VarietyDossier.from_json(json.loads((DATA / name).read_text()))
+    assert classify(VarietyDossier.create(V.algebra, V.lnds, V.tags)).verdict == verdict
+    xs = [Polynomial.variable(3, i) for i in range(3)]
+    rng = random.Random(1)
+    moved = 0
+    for _ in range(10):
+        phi, psi = triangular_automorphism(rng, 3)
+        assert [substitute(g, phi) for g in psi] == xs
+        W = transformed_dossier(V, phi, psi)
+        moved += W.algebra.relations != V.algebra.relations
+        assert classify(W).verdict == verdict
+    assert moved >= 8

@@ -549,6 +549,15 @@ def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):
           "derivations": {"d": {"x": "0", "y": "2*z", "z": "x"}},
           "assertions": {"invariant_line": [0]}},
          "invariant_line must have one entry per variable (3), not 1"),
+        # without vars nothing could check these, so nothing may keep them
+        ({"gradings": {"g": [1, 2, 3]}, "toric": {"rays": [[1, 0], [0, 1]]}},
+         "gradings require vars"),
+        ({"toric": {"rays": [[1, 0], [0, 1]]}, "assertions": {"invariant_line": [0]}},
+         "invariant_line requires vars"),
+        ({"gradings": {}}, "gradings require vars"),
+        ({"trinomial": {"type": 1, "l": [[1], [2]], "a": [0, 1]},
+          "assertions": {"invariant_line": [0, 0, 0, 0]}},
+         "invariant_line requires vars"),
     ],
     ids=[
         "derivation missing a variable",
@@ -575,6 +584,10 @@ def test_malformed_dossier_shape_is_an_input_error(tmp_path, capsys, doc):
         "derivations null",
         "invariant_line too short, verdict B",
         "invariant_line too short, verdict A",
+        "gradings without vars",
+        "invariant_line without vars",
+        "empty gradings without vars",
+        "invariant_line without vars, trinomial",
     ],
 )
 def test_bad_dossier_exits_2_naming_the_fault(tmp_path, capsys, doc, message):

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -20,7 +21,7 @@ from lndkit.errors import (
 from lndkit.groebner import GREVLEX, LEX, MonomialOrder
 from lndkit.poly import Polynomial, grevlex_key, parse_poly
 
-from helpers import assert_reduced_form, rand_poly
+from helpers import assert_reduced_form, cli_env, rand_poly
 
 
 # ---- parsing -------------------------------------------------------------
@@ -632,3 +633,73 @@ def test_copy_deepcopy_and_pickle_keep_the_polynomial(text):
         assert q == p and hash(q) == hash(p)
         with pytest.raises(AttributeError, match="immutable"):
             q.den = 2
+
+
+# ---- numbers from outside ----------------------------------------------------
+
+# Every library call that takes a number, with the number as `v`; the
+# names are defined by NUMBER_SETUP. One reader, `poly._number`, serves all.
+NUMBER_SETUP = """
+from lndkit import (
+    Derivation, PresentedAlgebra, TrinomialData, VarietyDossier, classify,
+    jacobian_rank_at_point, parse_poly,
+)
+from lndkit.errors import ParseError
+from lndkit.poly import Polynomial
+XYZ = ["x", "y", "z"]
+Q = PresentedAlgebra(XYZ, [parse_poly("x*y - z^2", XYZ)])
+D = Derivation.from_strings(Q, {"x": "0", "y": "2*z", "z": "x"})
+p = parse_poly("x*y", XYZ)
+"""
+NUMBER_CALLS = {
+    "Polynomial": "Polynomial(3, [((0, 0, 0), v)])",
+    "Polynomial.monomial": "Polynomial.monomial(3, (1, 0, 0), v)",
+    "Polynomial.constant": "Polynomial.constant(3, v)",
+    "p + v": "p + v",
+    "scale": "p.scale(v)",
+    "evaluate": "p.evaluate([1, v, 0])",
+    "Derivation.exp_action": "D.exp_action(Q.parse('y'), v)",
+    "jacobian_rank_at_point": "jacobian_rank_at_point([p], [0, v, 0])",
+    "TrinomialData.type1": "TrinomialData.type1([[1], [2]], [v, 7])",
+    "TrinomialData.type2": "TrinomialData.type2([[1], [2], [2]], [[v, 0, 1], [0, 1, 1]])",
+    "classify invariant_line": (
+        "classify(VarietyDossier.create(Q, [D], {'invariant_line': [0, 0, v]}))"
+    ),
+}
+
+
+def number_call(name, v):
+    names = {}
+    exec(NUMBER_SETUP, names)
+    return eval(NUMBER_CALLS[name], {**names, "v": v})
+
+
+@pytest.mark.parametrize("name", NUMBER_CALLS)
+def test_every_number_argument_is_read_by_one_rule(name):
+    # a str as parse_poly reads a number; a float still passes
+    for text, value in [("-1/3", Fraction(-1, 3)), ("2^10", 1024),
+                        ("(1/2)^3", Fraction(1, 8)), (0.5, Fraction(1, 2))]:
+        assert number_call(name, text) == number_call(name, value)
+    with pytest.raises(TypeError, match="a boolean is not a number here: True"):
+        number_call(name, True)
+    for text, message in [("0.5", "unexpected character '.' at position 1"),
+                          ("1e5", "trailing input at token 'e5'"),
+                          ("1/0", "zero denominator")]:
+        with pytest.raises(ParseError) as caught:
+            number_call(name, text)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("name", NUMBER_CALLS)
+def test_exponent_notation_is_refused_at_once(name):
+    # Fraction's grammar would compute 10^99999999 first; a child process
+    # lets a hang fail the test after 10 s instead of holding the suite
+    code = (
+        NUMBER_SETUP + "v = '1e99999999'\ntry:\n"
+        f"    {NUMBER_CALLS[name]}\nexcept ParseError as exc:\n    print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=cli_env(), timeout=10,
+    )
+    assert (result.stdout, result.stderr) == ("trailing input at token 'e99999999'\n", "")

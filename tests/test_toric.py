@@ -36,6 +36,8 @@ from lndkit.toric import (
     root_of,
 )
 
+from helpers import transformed_dossier, triangular_automorphism
+
 
 def naive_roots(cone, box):
     """Independent brute-force oracle for the box-bounded root set."""
@@ -999,3 +1001,40 @@ def test_toric_verdict_matches_the_dossier_of_the_toric_variety(rays, has_line):
     assert tuple(report.evidence[0].data["root"]) in {r.vector for r in roots}
     V = VarietyDossier.create(algebra, lnds, tags={"invariant_line": [0] * k})
     assert classify(V).verdict == report.verdict
+
+
+def toric_variety_dossier(cone):
+    """The dossier of X_sigma that the test above builds: the toric ideal
+    of the dual Hilbert basis, the LND of every Demazure root in box 2,
+    and the origin as the invariant-line point."""
+    H = dual_hilbert_basis(cone.rays)
+    k = len(H)
+    algebra = PresentedAlgebra([f"x{j}" for j in range(k)], toric_ideal(H))
+    lnds = []
+    for root in enumerate_roots(cone, 2):
+        rho = cone.rays[root.distinguished]
+        images = [
+            Polynomial.monomial(
+                k,
+                semigroup_exponents([x + y for x, y in zip(h, root.vector)], H, cone.rays),
+                _pair(rho, h),
+            )
+            if _pair(rho, h)
+            else Polynomial.zero(k)
+            for h in H
+        ]
+        lnds.append(Derivation(algebra, images))
+    return VarietyDossier.create(algebra, lnds, tags={"invariant_line": [0] * k})
+
+
+@pytest.mark.parametrize("rays, has_line", CROSS_PATH_CONES)
+def test_dossier_verdict_of_the_toric_variety_is_an_isomorphism_invariant(rays, has_line):
+    # X_sigma presented through three seeded triangular automorphisms of
+    # degree 2: relations, LNDs and the stable point all move, the verdict not
+    V = toric_variety_dossier(Cone.of(rays))
+    verdict = "A" if has_line else "B"
+    assert classify(V).verdict == verdict
+    rng = random.Random(1)
+    for _ in range(3):
+        phi, psi = triangular_automorphism(rng, V.algebra.arity)
+        assert classify(transformed_dossier(V, phi, psi)).verdict == verdict
