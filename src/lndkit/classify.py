@@ -288,7 +288,10 @@ def classify(V: VarietyDossier) -> ClassificationReport:
 
     A trinomial or toric tag decides absolutely; a toric cone is always
     A or B (`classify_toric`). Otherwise the verdict rests on the
-    supplied LNDs and assertions, and may be Inconclusive. A rigidity
+    supplied LNDs and assertions, and may be Inconclusive. B, a nonzero
+    LND with the asserted invariant-line point in the fixed locus, is
+    checked before A, which needs a Gröbner basis; both verify every
+    derivation first. A rigidity
     assertion gives C, unless a supplied nonzero derivation is a verified
     LND or the structural verdict is A or B, either of which contradicts
     it: that raises ValueError.
@@ -324,6 +327,24 @@ def classify(V: VarietyDossier) -> ClassificationReport:
         evidence.append(Evidence("rigidity asserted by the caller", {}))
         return ClassificationReport("C", tuple(evidence))
     if V.lnds:
+        off_locus = None
+        if "invariant_line" in V.tags and any(not D.is_zero() for D in V.lnds):
+            point = [_number(x) for x in V.tags["invariant_line"]]
+            data = {"point": [_rational(x) for x in point]}
+            # a point of the fixed locus makes the image ideal proper, so
+            # no basis could give A: B needs none
+            if all(g.evaluate(point) == 0 for g in fixed_locus(V).generators):
+                evidence.append(
+                    Evidence(
+                        "non-rigid (verified nonzero LND) with a stable point"
+                        " on an asserted invariant line",
+                        data,
+                    )
+                )
+                return ClassificationReport("B", tuple(evidence))
+            off_locus = Evidence(
+                "asserted invariant-line point is not in the fixed locus", data
+            )
         certificate = test_type_a(V)
         if certificate is not None:
             evidence.append(
@@ -337,26 +358,6 @@ def classify(V: VarietyDossier) -> ClassificationReport:
                 )
             )
             return ClassificationReport("A", tuple(evidence))
-    nonzero = [D for D in V.lnds if not D.is_zero()]
-    if nonzero and "invariant_line" in V.tags:
-        point = [_number(x) for x in V.tags["invariant_line"]]
-        locus = fixed_locus(V)
-        # the tagged point must lie in the fixed locus (which is then
-        # nonempty, so the image ideal is proper: a not-type-A witness)
-        stable = all(g.evaluate(point) == 0 for g in locus.generators)
-        if stable:
-            evidence.append(
-                Evidence(
-                    "non-rigid (verified nonzero LND) with a stable point"
-                    " on an asserted invariant line",
-                    {"point": [_rational(x) for x in point]},
-                )
-            )
-            return ClassificationReport("B", tuple(evidence))
-        evidence.append(
-            Evidence(
-                "asserted invariant-line point is not in the fixed locus",
-                {"point": [_rational(x) for x in point]},
-            )
-        )
+        if off_locus is not None:
+            evidence.append(off_locus)
     return ClassificationReport("Inconclusive", tuple(evidence))

@@ -28,9 +28,11 @@ significant first lex (e_0, ..., e_{n-1}, deg), grevlex (deg, e_{n-1},
 field is a guard bit, clear in every packed monomial. XOR with a fixed
 mask that flips the variable fields of grevlex and weighted makes the
 int its order key. A product is one add; a divides b iff (b - a) has no
-guard bit set; the lcm is a masked field-wise maximum of the variable
-fields. The pair loop keys every term by its order key, so a plain `max`
-finds a leading term, and a product stays one add of keys: while no
+guard bit set; the lcm is a plus the masked field-wise max(b - a, 0)
+of the variable fields, whose degree is that value modulo 2^width - 1
+(a weighted order rebuilds its weight field from the exponents). The
+pair loop keys every term by its order key, so a plain `max` finds a
+leading term, and a product stays one add of keys: while no
 field reaches its guard bit, (a + b) ^ mask == (a ^ mask) + (b ^ mask) -
 mask. An element is held as (packed leading monomial, its key, leading
 coefficient, tail keyed by order key, tail maximum, sugar);
@@ -53,6 +55,10 @@ strategies in the Buchberger algorithm", 1991). A generator's sugar is
 its total degree, a pair's is max(sug_i - deg lm_i, sug_j - deg lm_j) +
 deg lcm, and a remainder's is the largest of its pair's and deg t +
 sug g over every step t*g of its division. Only lex reads degrees.
+
+Buchberger stops at the first generator or remainder whose packed
+leading monomial is 0, a nonzero constant: the ideal is then the whole
+ring, and its reduced basis is (1,), whatever pairs are left.
 
 At exit the minimal basis is unpacked, each element made monic by
 taking its leading coefficient as the denominator, and `reduce_poly`
@@ -189,17 +195,21 @@ class _Packing:
         if order.kind == "weighted" and len(order.weights) != n:
             raise ArityMismatch(f"weights length {len(order.weights)} vs arity {n}")
         self.width, self.value = width, (1 << width - 1) - 1
+        self.ones = (1 << width) - 1  # 2^width is 1 modulo it
         # grevlex and weighted keys lead with a degree; lex keys end with one
         self.graded = order.kind != "lex"
-        fields = [width * f for f in range(n + 1 + (order.kind == "weighted"))]
+        self.weighted = order.kind == "weighted"
+        fields = [width * f for f in range(n + 1 + self.weighted)]
         self.guard = sum(1 << s + width - 1 for s in fields)
         # the bit offset of each variable's field, and the degree's unit
         self.shifts = fields[:n] if self.graded else fields[1:][::-1]
-        deg = 1 << (width * n if self.graded else 0)
-        self.flip = sum(self.value << s for s in self.shifts) if self.graded else 0
+        self.deg = 1 << (width * n if self.graded else 0)
+        # the value bits of the variable fields
+        self.vars = sum(self.value << s for s in self.shifts)
+        self.flip = self.vars if self.graded else 0
         weights = order.weights or (0,) * n
         self.units = [
-            (1 << s) + deg + (w << width * (n + 1))
+            (1 << s) + self.deg + (w << width * (n + 1))
             for s, w in zip(self.shifts, weights)
         ]
 
@@ -220,16 +230,21 @@ class _Packing:
         return top
 
     def lcm(self, a: int, b: int) -> int:
-        """a times the field-wise max(b - a, 0) of the variable fields,
-        whose degree fields are rebuilt from `units`. Every field of b - a
-        is taken against its own guard bit, so that no field borrows from
-        the one above it."""
+        """a times d, the field-wise max(b - a, 0) of the variable fields.
+        Every field of b - a is taken against its own guard bit, so that
+        no field borrows from the one above it. The degree of d is the sum
+        of its fields, d mod `ones`: the sum is at most deg b, below
+        2^(width - 1). A weighted field is rebuilt from `units`. So a
+        degree or weighted field of the lcm that reaches its guard bit
+        sets it and carries no further, for the caller to test."""
         d = (b | self.guard) - a
         t = d & self.guard
-        d &= t - (t >> self.width - 1)
-        return a + sum(
-            (d >> s & self.value) * u for s, u in zip(self.shifts, self.units)
-        )
+        d &= (t - (t >> self.width - 1)) & self.vars
+        if self.weighted:
+            return a + sum(
+                (d >> s & self.value) * u for s, u in zip(self.shifts, self.units)
+            )
+        return a + d + d % self.ones * self.deg
 
 
 @lru_cache(maxsize=256)
@@ -472,8 +487,10 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
 
     Each generator is `_pack`ed and each nonzero remainder made
     `_primitive`, so every basis element is an `_element`; the loop
-    returns them. The pair heap, the criteria, the lcm and the overflow
-    tests use the packed leading monomials; the S-polynomial shifts each
+    returns them, or only the first element whose packed leading
+    monomial is 0: a nonzero constant, which generates the whole ring.
+    The pair heap, the criteria, the lcm and the overflow tests use the
+    packed leading monomials; the S-polynomial shifts each
     tail key by the lcm's key minus the element's, which is exact for the
     reason `_pseudo_reduce` gives. Under lex each element carries its
     sugar, which `_pseudo_reduce` hands on to a remainder.
@@ -506,7 +523,10 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
 
     for g in gens:
         # a generator's sugar is its total degree
-        enter(_pack(g, packing, max(map(sum, g)) if dmask else 0))
+        e = _pack(g, packing, max(map(sum, g)) if dmask else 0)
+        if not e[0]:  # a nonzero constant: the ideal is the whole ring
+            return [e]
+        enter(e)
     processed = 0
     while heap:
         sugar, key, i, j = heapq.heappop(heap)
@@ -540,7 +560,10 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
         _add_into(acc, {k + dj: cj * c for k, c in tailj})
         r, _, sugar = _pseudo_reduce(acc, G, flip, guard, dmask, sugar)
         if r:
-            enter(_element(_primitive(r), packing, sugar))
+            e = _element(_primitive(r), packing, sugar)
+            if not e[0]:
+                return [e]
+            enter(e)
     return G
 
 
@@ -549,7 +572,8 @@ def _autoreduce(
 ) -> tuple[Polynomial, ...]:
     # minimalize: in ascending order, keep an element unless the leading
     # monomial of one kept before it divides its own (a divisor is never
-    # larger; of equal leading monomials the first is kept)
+    # larger; of equal leading monomials the first is kept). After a stop
+    # at a unit, G is that one constant, and the result is (1,)
     flip, guard = packing.flip, packing.guard
     minimal: list[tuple] = []
     for e in sorted(G, key=itemgetter(1)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 from operator import add, le
@@ -12,11 +13,13 @@ from pathlib import Path
 import lndkit
 from lndkit import (
     Derivation,
+    MonomialOrder,
     NilpotencyVerdict,
     PresentedAlgebra,
     TrinomialData,
     VarietyDossier,
     build_relations,
+    classify,
     parse_poly,
     suspension_lnd,
     type1_lnd,
@@ -263,3 +266,80 @@ def transformed_dossier(V: VarietyDossier, phi, psi) -> VarietyDossier:
     if "invariant_line" in tags:
         tags["invariant_line"] = [g.evaluate(tags["invariant_line"]) for g in psi]
     return VarietyDossier.create(algebra, lnds, tags)
+
+
+def refuse_groebner_bases(monkeypatch) -> None:
+    """Make every Gröbner basis that `classify` asks for raise."""
+
+    def refused(*args):
+        raise AssertionError("classify built a Gröbner basis")
+
+    monkeypatch.setattr(sys.modules["lndkit.classify"], "groebner", refused)
+
+
+# identifiers to rename variables to; old and new names may collide
+NAMES = ["x", "y", "z", "u", "v", "w", "t", "p", "q", "a1", "b_2", "T11", "Q", "s_t"]
+
+
+def permuted_dossier(V: VarietyDossier, perm, names) -> VarietyDossier:
+    """The dossier of the same variety with its variables permuted and
+    renamed: new variable j is old variable perm[j], named names[j].
+
+    Relations, derivation images, gradings, a weighted order and the
+    `invariant_line` point move with the variables. The result is read
+    back from a dossier document in the new names and verified by
+    `create`, so parsing sees the new names too.
+    """
+    base = V.algebra
+    n = base.arity
+
+    def moved(f: Polynomial) -> str:
+        permuted = [(tuple(m[k] for k in perm), c) for m, c in f.terms]
+        return Polynomial(n, permuted).format(names)
+
+    doc = {
+        "vars": list(names),
+        "relations": [moved(r) for r in base.relations],
+        "gradings": {g: [w[k] for k in perm] for g, w in base.gradings.items()},
+        "derivations": {
+            f"d{i}": {names[j]: moved(D.images[perm[j]]) for j in range(n)}
+            for i, D in enumerate(V.lnds)
+        },
+    }
+    if "invariant_line" in V.tags:
+        point = V.tags["invariant_line"]
+        doc["assertions"] = {"invariant_line": [str(Fraction(point[k])) for k in perm]}
+    order = base.order
+    if order.kind == "weighted":
+        order = MonomialOrder("weighted", [order.weights[k] for k in perm])
+    W = VarietyDossier.from_json(doc, order)
+    return VarietyDossier.create(W.algebra, W.lnds, W.tags)
+
+
+def assert_permutations_keep_the_verdict(V, verdict, seed, draws):
+    """Seeded permutations and renamings of V's variables, alone and on
+    either side of a triangular automorphism, keep its verdict; a B
+    point moves with its variables."""
+    rng = random.Random(seed)
+    n = V.algebra.arity
+
+    def check(W, expected_point):
+        report = classify(W)
+        assert report.verdict == verdict
+        if verdict == "B":
+            assert report.evidence[-1].data["point"] == [str(x) for x in expected_point]
+
+    for _ in range(draws):
+        perm, names = rng.sample(range(n), n), rng.sample(NAMES, n)
+        W = permuted_dossier(V, perm, names)
+        assert W.algebra.vars == tuple(names)
+        point = W.tags.get("invariant_line")
+        if point is not None:
+            assert point == [V.tags["invariant_line"][k] for k in perm]
+        check(W, point)
+        phi, psi = triangular_automorphism(rng, n)
+        U = transformed_dossier(W, phi, psi)
+        check(U, U.tags.get("invariant_line"))
+        U = transformed_dossier(V, phi, psi)
+        point = U.tags.get("invariant_line")
+        check(permuted_dossier(U, perm, names), point and [point[k] for k in perm])

@@ -29,7 +29,13 @@ from lndkit.poly import Polynomial, parse_poly
 from lndkit.report import ClassificationReport, Evidence
 
 from helpers import (
-    substitute, transformed_dossier, triangular_automorphism, w1_algebra, w1_canonical
+    assert_permutations_keep_the_verdict,
+    refuse_groebner_bases,
+    substitute,
+    transformed_dossier,
+    triangular_automorphism,
+    w1_algebra,
+    w1_canonical,
 )
 
 XYZ = ["x", "y", "z"]
@@ -428,7 +434,7 @@ def test_from_json_loads_every_data_file(path):
 
 @pytest.mark.parametrize("name", ["quadric.json", "w1.json"])
 def test_from_json_needs_an_invariant_line_entry_per_variable(name):
-    # w1's LND gives A, so classify would never read the assertion
+    # from_json refuses the assertion itself, before any verdict reads it
     doc = json.loads((DATA / name).read_text())
     doc["assertions"] = {"invariant_line": [0]}
     message = r"invariant_line must have one entry per variable \(3\), not 1"
@@ -531,6 +537,53 @@ def test_a_rigidity_assertion_gives_c_before_any_groebner_basis(monkeypatch):
     ))
 
 
+def test_b_is_found_before_any_groebner_basis(monkeypatch):
+    # a point of the fixed locus makes the image ideal proper: no A to try
+    V = VarietyDossier.from_json(json.loads((DATA / "quadric.json").read_text()))
+    refuse_groebner_bases(monkeypatch)
+    assert classify(V) == ClassificationReport("B", (
+        Evidence("classification relative to supplied LND generators", {"lnd_count": 1}),
+        Evidence(
+            "non-rigid (verified nonzero LND) with a stable point on an asserted"
+            " invariant line",
+            {"point": ["0", "0", "0"]},
+        ),
+    ))
+
+
+def test_b_first_still_verifies_every_derivation(monkeypatch):
+    doc = json.loads((DATA / "quadric.json").read_text())
+    doc["derivations"]["bad"] = {"x": "1", "y": "0", "z": "0"}
+    V = VarietyDossier.from_json(doc)
+    refuse_groebner_bases(monkeypatch)
+    with pytest.raises(NotVerifiedLND, match="does not preserve the relations"):
+        classify(V)
+
+
+def test_a_point_off_the_fixed_locus_still_tries_a_then_says_why(monkeypatch):
+    algebra, D = quadric_cone()
+    V = VarietyDossier.create(algebra, [D], tags={"invariant_line": (1, "1/2", 1)})
+    assert classify(V) == ClassificationReport("Inconclusive", (
+        Evidence("classification relative to supplied LND generators", {"lnd_count": 1}),
+        Evidence(
+            "asserted invariant-line point is not in the fixed locus",
+            {"point": ["1", "1/2", "1"]},
+        ),
+    ))
+    # the point decides nothing, so the basis for A is still built
+    refuse_groebner_bases(monkeypatch)
+    with pytest.raises(AssertionError, match="built a Gröbner basis"):
+        classify(V)
+    # and an A verdict carries no word of the point
+    monkeypatch.undo()
+    w1 = w1_algebra()
+    W = VarietyDossier.create(w1, [w1_canonical(w1)], tags={"invariant_line": (1, 1, 1)})
+    assert [e.criterion for e in classify(W).evidence] == [
+        "classification relative to supplied LND generators",
+        "image ideal contains 1 (no stable points)",
+    ]
+
+
 @pytest.mark.parametrize("name, verdict", [("w1.json", "A"), ("quadric.json", "B")])
 def test_dossier_verdict_is_an_isomorphism_invariant(name, verdict):
     # the same variety presented through ten seeded triangular automorphisms
@@ -547,3 +600,9 @@ def test_dossier_verdict_is_an_isomorphism_invariant(name, verdict):
         moved += W.algebra.relations != V.algebra.relations
         assert classify(W).verdict == verdict
     assert moved >= 8
+
+
+@pytest.mark.parametrize("name, verdict", [("w1.json", "A"), ("quadric.json", "B")])
+def test_dossier_verdict_survives_permuting_and_renaming_variables(name, verdict):
+    V = VarietyDossier.from_json(json.loads((DATA / name).read_text()))
+    assert_permutations_keep_the_verdict(V, verdict, seed=3, draws=6)

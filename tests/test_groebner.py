@@ -257,7 +257,9 @@ TRACKED_SUGAR = (
 )
 
 # the fixed locus of a 3-block type-1 trinomial with its LND's images,
-# as test_type_a builds it; selected by sugar, grevlex would take 45 pairs
+# as test_type_a builds it: a unit ideal. Buchberger stops at its first
+# constant remainder, after 9 grevlex pairs and 6 lex pairs; a full basis
+# took 36 and 45
 TRINOMIAL3_LOCUS = (
     ["T11", "T12", "T21", "T22", "T31"],
     ["3*T22^2*T31^2", "3*T12^3*T31^2", "T12^3*T22^2",
@@ -267,8 +269,8 @@ TRINOMIAL3_LOCUS = (
 
 @pytest.mark.parametrize(
     "system, budget",
-    [(_cyclic(4), 55), (KATSURA3, 120), (TRACKED_SUGAR, 36)],
-    ids=["cyclic4", "katsura3", "tracked-sugar"],
+    [(_cyclic(4), 55), (KATSURA3, 120), (TRACKED_SUGAR, 36), (TRINOMIAL3_LOCUS, 6)],
+    ids=["cyclic4", "katsura3", "tracked-sugar", "trinomial3-locus"],
 )
 def test_lex_pair_budget_boundary(system, budget):
     # the number of S-pairs taken is part of the contract: the smallest
@@ -278,7 +280,7 @@ def test_lex_pair_budget_boundary(system, budget):
 
 @pytest.mark.parametrize(
     "system, budget",
-    [(_cyclic(4), 45), (KATSURA3, 36), (TRINOMIAL3_LOCUS, 36)],
+    [(_cyclic(4), 45), (KATSURA3, 36), (TRINOMIAL3_LOCUS, 9)],
     ids=["cyclic4", "katsura3", "trinomial3-locus"],
 )
 def test_grevlex_pair_budget_boundary(system, budget):
@@ -543,6 +545,61 @@ def test_groebner_matches_textbook_buchberger_on_systems(system, order):
     assert groebner(ideal, order).basis == _reference_groebner(ideal.generators, order)
 
 
+def _random_unit_ideals(seed, count):
+    """`count` seeded ideals (f, g, 1 - u*f - v*g), none with a constant
+    generator: each contains 1, which only S-pairs can show."""
+    rng = random.Random(seed)
+    one = Polynomial.constant(3, 1)
+    while count:
+        f, g = rand_poly(rng, 3, 3, 3), rand_poly(rng, 3, 3, 3)
+        u, v = rand_poly(rng, 3, 1, 2), rand_poly(rng, 3, 1, 2)
+        gens = [f, g, one - u * f - v * g]
+        if not any(h.is_constant() for h in gens):
+            count -= 1
+            yield Ideal.of(gens, 3)
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
+def test_groebner_matches_textbook_buchberger_on_unit_ideals(order):
+    for ideal in _random_unit_ideals(28, 30):
+        basis = groebner(ideal, order).basis
+        assert basis == (Polynomial.constant(3, 1),)
+        assert basis == _reference_groebner(ideal.generators, order)
+        with pytest.raises(ResourceLimit):
+            groebner(ideal, order, pair_budget=0)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex", "weighted"])
+@pytest.mark.parametrize(
+    "system",
+    [
+        (XYZ, ["2*z", "x", "y", "x*y - z^2 + 1"]),  # W_1's fixed locus
+        (XYZ, ["x*y - 1", "x*z", "y^2 - z"]),  # z = 0 forces y = 0
+        TRINOMIAL3_LOCUS,
+    ],
+    ids=["w1-locus", "binomials", "trinomial3-locus"],
+)
+def test_buchberger_stops_at_the_first_unit(system, order):
+    names, texts = system
+    if order.kind == "weighted":
+        order = MonomialOrder("weighted", range(1, len(names) + 1))
+    ideal = Ideal.of([parse_poly(t, names) for t in texts])
+    gens = [g.num for g in ideal.generators]
+    packing = groebner_module._packing(order, ideal.arity, 16)
+    (e,) = groebner_module._buchberger(gens, packing, 10**6)
+    assert e[0] == 0 and not e[3]  # a constant, with no tail
+    gb = groebner(ideal, order)
+    assert gb.basis == (Polynomial.constant(ideal.arity, 1),) and gb.is_trivial()
+    assert contains_one(ideal, order)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex", "weighted"])
+def test_a_constant_generator_needs_no_pair(order):
+    # the constant enters after two generators whose pair is never taken
+    ideal = Ideal.of([p("x^2 - y"), p("y^2 - x"), p("-3/2"), p("x*z - 1")])
+    assert groebner(ideal, order, pair_budget=0).basis == (Polynomial.constant(3, 1),)
+
+
 # ---- monomial order validation -------------------------------------------
 
 
@@ -636,6 +693,36 @@ def test_packed_product_divisibility_lcm_and_max(case):
     top = P.max(pa, pb)
     for f in range(len(_fields(a, order))):
         assert field(top, f) == max(field(pa, f), field(pb, f))
+
+
+@st.composite
+def _lcm_case(draw):
+    """(order, packing, a, b): every field of a and of b is below the
+    guard bits, each under the field limit or half of it; the degree or
+    weighted field of their lcm may reach the guard bit."""
+    order = draw(st.sampled_from(PACKED_ORDERS))
+    width = draw(st.sampled_from([8, 12, 70]))
+    monomials = []
+    for _ in range(2):
+        limit = ((1 << width - 1) - 1) // draw(st.sampled_from([1, 2]))
+        m = draw(st.tuples(*[st.integers(0, limit)] * 3))
+        top = max(_fields(m, order))
+        if top > limit:
+            m = tuple(e * limit // top for e in m)
+        monomials.append(m)
+    return order, _Packing(order, 3, width), *monomials
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lcm_case())
+def test_packed_lcm_sets_a_guard_bit_exactly_on_overflow(case):
+    order, P, a, b = case
+    c = tuple(map(max, a, b))
+    lcm = P.lcm(P.pack(a), P.pack(b))
+    overflow = max(_fields(c, order)) > P.value
+    assert bool(lcm & P.guard) == overflow
+    if not overflow:
+        assert lcm == P.pack(c)
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,7 +20,7 @@ from lndkit import (
     groebner,
     jacobian_rank_at_point,
 )
-from lndkit.errors import DegenerateCone, DimensionMismatch
+from lndkit.errors import DegenerateCone, DimensionMismatch, NotVerifiedLND
 from lndkit.poly import Polynomial
 from lndkit.toric import (
     _fourier_motzkin,
@@ -36,7 +36,12 @@ from lndkit.toric import (
     root_of,
 )
 
-from helpers import transformed_dossier, triangular_automorphism
+from helpers import (
+    assert_permutations_keep_the_verdict,
+    refuse_groebner_bases,
+    transformed_dossier,
+    triangular_automorphism,
+)
 
 
 def naive_roots(cone, box):
@@ -1025,6 +1030,30 @@ def toric_variety_dossier(cone):
         ]
         lnds.append(Derivation(algebra, images))
     return VarietyDossier.create(algebra, lnds, tags={"invariant_line": [0] * k})
+
+
+@pytest.mark.parametrize("rays", [r for r, has_line in CROSS_PATH_CONES if not has_line])
+def test_b_dossier_of_the_toric_variety_needs_no_groebner_basis(rays, monkeypatch):
+    # the origin is in the fixed locus of every LND, so classify answers B
+    # before any basis; a non-LND among them still raises
+    V = toric_variety_dossier(Cone.of(rays))
+    k = V.algebra.arity
+    euler = Derivation(V.algebra, [Polynomial.variable(k, j) for j in range(k)])
+    refuse_groebner_bases(monkeypatch)
+    assert classify(V).verdict == "B"
+    bad = VarietyDossier(V.algebra, (*V.lnds, euler), V.tags)
+    with pytest.raises(NotVerifiedLND, match="failed verification"):
+        classify(bad)
+
+
+@pytest.mark.parametrize("rays, has_line", CROSS_PATH_CONES)
+def test_dossier_verdict_of_the_toric_variety_survives_permuting_variables(
+    rays, has_line
+):
+    # the variables permuted and renamed, alone and composed with seeded
+    # triangular automorphisms; a B point moves with its variables
+    V = toric_variety_dossier(Cone.of(rays))
+    assert_permutations_keep_the_verdict(V, "A" if has_line else "B", seed=5, draws=2)
 
 
 @pytest.mark.parametrize("rays, has_line", CROSS_PATH_CONES)
