@@ -15,18 +15,20 @@ from .derivations import (
 from .errors import ArityMismatch, NoLNDs, ParseError
 from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
 from .poly import Polynomial, _from_num, _is_int, _number, _rational, parse_poly
-from .record import Frozen, Record
+from .record import Frozen
 from .report import ClassificationReport, Evidence
 from .toric import Cone, classify_toric
 from .trinomial import TrinomialData, classify_trinomial
 
 
-class VarietyDossier(Record):
+class VarietyDossier(Frozen):
     """An algebra for Y plus whatever LNDs and structural tags are known.
 
     tags may carry: "toric" (Cone), "trinomial" (TrinomialData),
     "rigid_asserted" (bool), "invariant_line" (rational point of Y whose
-    cylinder line is asserted invariant).
+    cylinder line is asserted invariant). A dossier keeps its own copy of
+    tags, so it is unhashable, and refuses a derivation whose algebra has
+    other vars or another reduced basis `gb` (ValueError).
     """
 
     _fields = ("algebra", "lnds", "tags", "names")
@@ -34,14 +36,16 @@ class VarietyDossier(Record):
     def __init__(
         self,
         algebra: PresentedAlgebra | None,
-        lnds: tuple[Derivation, ...] = (),
+        lnds: Sequence[Derivation] = (),
         tags: dict | None = None,
         names: tuple[str, ...] = (),  # names of the lnds, set by from_json
     ):
-        self.algebra = algebra
-        self.lnds = lnds
-        self.tags = {} if tags is None else tags
-        self.names = names
+        lnds = tuple(lnds)
+        ring = None if algebra is None else (algebra.vars, algebra.gb)
+        for idx, D in enumerate(lnds):
+            if (D.algebra.vars, D.algebra.gb) != ring:
+                raise ValueError(f"derivation #{idx} is not a derivation of {algebra!r}")
+        self.__dict__.update(algebra=algebra, lnds=lnds, tags=dict(tags or {}), names=names)
 
     @staticmethod
     def from_json(
@@ -136,10 +140,10 @@ class VarietyDossier(Record):
         and ValueError unless `bound` is an int >= 1, derivations or not.
         """
         check_bound(bound)
-        lnds = tuple(lnds)
-        for D in lnds:
+        V = VarietyDossier(algebra, lnds, tags)
+        for D in V.lnds:
             D.require_lnd(bound)
-        return VarietyDossier(algebra, lnds, dict(tags or {}))
+        return V
 
 
 def _shape(value, what: str, kind: type = list, item: type = object):
@@ -183,7 +187,7 @@ def combined_image_ideal(V: VarietyDossier) -> Ideal:
     for D in V.lnds:
         D.require_lnd()
         gens.extend(D.image_ideal().generators)
-    return Ideal.of(gens, V.algebra.arity)
+    return Ideal(gens, V.algebra.arity)
 
 
 def test_type_a(V: VarietyDossier) -> GroebnerBasis | None:
@@ -198,10 +202,7 @@ def test_type_a(V: VarietyDossier) -> GroebnerBasis | None:
 
 def fixed_locus(V: VarietyDossier) -> Ideal:
     """All LND images plus the relations; its zero set is the fixed locus."""
-    ideal = combined_image_ideal(V)
-    return Ideal.of(
-        ideal.generators + V.algebra.relations, V.algebra.arity
-    )
+    return Ideal(combined_image_ideal(V).generators + V.algebra.relations, V.algebra.arity)
 
 
 def conjectured_hdstar_member(
@@ -218,9 +219,7 @@ def conjectured_hdstar_member(
         )
     if ideal.arity != base.arity:
         raise ArityMismatch("ideal must live in the base ring")
-    gb = groebner(
-        Ideal.of(ideal.generators + base.relations, base.arity), base.order
-    )
+    gb = groebner(Ideal(ideal.generators + base.relations, base.arity), base.order)
     w = (0,) * base.arity + (1,)
     for degree, component in f.weighted_components(w):
         if degree == 0:
@@ -327,13 +326,15 @@ def classify(V: VarietyDossier) -> ClassificationReport:
         evidence.append(Evidence("rigidity asserted by the caller", {}))
         return ClassificationReport("C", tuple(evidence))
     if V.lnds:
-        off_locus = None
+        point = None
         if "invariant_line" in V.tags and any(not D.is_zero() for D in V.lnds):
             point = [_number(x) for x in V.tags["invariant_line"]]
+        locus = fixed_locus(V)
+        if point is not None:
             data = {"point": [_rational(x) for x in point]}
             # a point of the fixed locus makes the image ideal proper, so
             # no basis could give A: B needs none
-            if all(g.evaluate(point) == 0 for g in fixed_locus(V).generators):
+            if all(g.evaluate(point) == 0 for g in locus.generators):
                 evidence.append(
                     Evidence(
                         "non-rigid (verified nonzero LND) with a stable point"
@@ -342,22 +343,15 @@ def classify(V: VarietyDossier) -> ClassificationReport:
                     )
                 )
                 return ClassificationReport("B", tuple(evidence))
-            off_locus = Evidence(
-                "asserted invariant-line point is not in the fixed locus", data
-            )
-        certificate = test_type_a(V)
-        if certificate is not None:
+        gb = groebner(locus, V.algebra.order)
+        if gb.is_trivial():
+            basis = [V.algebra.format(g) for g in gb.basis]
             evidence.append(
-                Evidence(
-                    "image ideal contains 1 (no stable points)",
-                    {
-                        "basis": [
-                            V.algebra.format(g) for g in certificate.basis
-                        ]
-                    },
-                )
+                Evidence("image ideal contains 1 (no stable points)", {"basis": basis})
             )
             return ClassificationReport("A", tuple(evidence))
-        if off_locus is not None:
-            evidence.append(off_locus)
+        if point is not None:
+            evidence.append(
+                Evidence("asserted invariant-line point is not in the fixed locus", data)
+            )
     return ClassificationReport("Inconclusive", tuple(evidence))

@@ -187,15 +187,14 @@ def _order(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads an argument that starts with one "-" and names no option,
-    such as the rational -1/3 or the polynomial -y, as a positional;
-    plain argparse takes it for an unknown option."""
+    """Reads an argument that starts with one "-" and is not exactly an
+    option string, such as the rational -1/3 or the polynomials -y and
+    -h*y, as a positional; plain argparse takes it for an unknown option,
+    or for -h with an attached value."""
 
     def _parse_optional(self, arg_string):
-        short = arg_string[:2]
-        if short[:1] == "-" and short != "--" and not any(
-            option.startswith(short) for option in self._option_string_actions
-        ):
+        single = arg_string[:1] == "-" and arg_string[:2] != "--"
+        if single and arg_string not in self._option_string_actions:
             return None
         return super()._parse_optional(arg_string)
 

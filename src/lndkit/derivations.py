@@ -66,7 +66,7 @@ class PresentedAlgebra:
                 raise ArityMismatch("relation arity differs from variable count")
         self.order = order
         if basis is None and self.relations:
-            basis = groebner(Ideal.of(self.relations, arity), order).basis
+            basis = groebner(Ideal(self.relations, arity), order).basis
         self.gb = GroebnerBasis(order, tuple(basis or ()), arity)
         if self.gb.is_trivial():
             raise ValueError("relations generate the unit ideal; algebra is zero")
@@ -404,7 +404,7 @@ class Derivation:
 
     def image_ideal(self) -> Ideal:
         """Ideal generated by the images of the generators."""
-        return Ideal.of(self.images, self.algebra.arity)
+        return Ideal(self.images, self.algebra.arity)
 
     def __repr__(self) -> str:
         imgs = ", ".join(

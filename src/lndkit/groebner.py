@@ -145,27 +145,27 @@ LEX = MonomialOrder("lex")
 
 
 class Ideal(Frozen):
-    """Finitely generated ideal; zero generators are dropped.
-
-    The empty generator tuple denotes the zero ideal.
-    """
+    """Finitely generated ideal; zero generators are dropped, and one of
+    another arity is refused. No generators: the zero ideal. `Ideal.of`
+    reads the arity off the first nonzero generator."""
 
     _fields = ("generators", "arity")
 
-    def __init__(self, generators: tuple[Polynomial, ...], arity: int):
-        self.__dict__.update(generators=generators, arity=arity)
-
-    @staticmethod
-    def of(generators: Sequence[Polynomial], arity: int | None = None) -> "Ideal":
+    def __init__(self, generators: Sequence[Polynomial], arity: int):
         gens = tuple(g for g in generators if not g.is_zero())
-        if arity is None:
-            if not gens:
-                raise ValueError("arity required for an empty generator list")
-            arity = gens[0].arity
         for g in gens:
             if g.arity != arity:
                 raise ArityMismatch("generators of mixed arity")
-        return Ideal(gens, arity)
+        self.__dict__.update(generators=gens, arity=arity)
+
+    @staticmethod
+    def of(generators: Sequence[Polynomial], arity: int | None = None) -> "Ideal":
+        generators = tuple(generators)
+        if arity is None:
+            arity = next((g.arity for g in generators if not g.is_zero()), None)
+            if arity is None:
+                raise ValueError("arity required for an empty generator list")
+        return Ideal(generators, arity)
 
 
 # ---- packed monomials ----------------------------------------------------
@@ -412,6 +412,9 @@ class _Divisors:
 
 
 class GroebnerBasis(Frozen):
+    """A reduced Gröbner basis under `order`, built by `groebner` and
+    `cylinder`; unchecked, so a basis built by hand is taken as reduced."""
+
     _fields = ("order", "basis", "arity")
 
     def __init__(
@@ -469,7 +472,7 @@ def groebner(
     if not _is_int(pair_budget) or pair_budget < 0:
         raise ValueError(f"pair_budget must be a non-negative int, got {pair_budget!r}")
     # the numerators: a generator's denominator does not change its ideal
-    gens = [f.num for f in ideal.generators if f.num]
+    gens = [f.num for f in ideal.generators]
     width = _field_width(gens, order)
     while True:
         packing = _packing(order, ideal.arity, width)

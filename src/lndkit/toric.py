@@ -1,6 +1,6 @@
 """Lattice-cone combinatorics: dual cones, Demazure roots, line factors.
 
-Everything works on exact lattice data. `Cone.of` reduces its generators
+Everything works on exact lattice data. A `Cone` reduces its generators
 to the extremal rays. The toric verdict needs no search: a pointed
 full-dimensional cone has a line factor (type A) or else a Demazure root
 built on its first ray (type B); the one solve that builds that root
@@ -30,23 +30,18 @@ from .report import ClassificationReport, Evidence
 class Cone(Frozen):
     """Pointed-or-not polyhedral cone given by primitive ray generators.
 
-    `Cone.of` drops, in input order, each generator that lies in the cone
-    of the generators it still keeps, so the rays of a pointed cone are
-    its extremal rays, in input order. `_echelon`, each cone's one column
-    echelon form of its rays, is built on first use, unseen by == and hash.
+    The constructor refuses a generator that is not a nonzero primitive
+    integer vector of `dim` entries, or is proportional to another, and
+    drops, in input order, each generator that lies in the cone of the
+    generators it still keeps, so the rays of a pointed cone are its
+    extremal rays, in input order. `_echelon`, each cone's one column
+    echelon form of its rays, is unseen by == and hash; the constructor
+    keeps the form it builds of its input unless it drops a generator.
     """
 
     _fields = ("dim", "rays")
 
-    def __init__(self, dim: int, rays: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(dim=dim, rays=rays)
-
-    @cached_property
-    def _echelon(self):
-        return column_echelon(self.rays)
-
-    @staticmethod
-    def of(rays: Sequence[Sequence[int]]) -> "Cone":
+    def __init__(self, dim: int, rays: Sequence[Sequence[int]]):
         try:
             rays = tuple(tuple(r) for r in rays)
             integral = all(_is_int(x) for r in rays for x in r)
@@ -56,10 +51,9 @@ class Cone(Frozen):
             raise ValueError(f"rays must be integer lists, not {rays!r}")
         if not rays:
             raise ValueError("a cone needs at least one ray")
-        dim = len(rays[0])
         for r in rays:
-            if len(r) != dim:
-                raise DimensionMismatch("rays of mixed dimension")
+            if not _is_int(dim) or len(r) != dim:
+                raise DimensionMismatch(f"ray {r} is not of dimension {dim}")
             if not any(r):
                 raise ValueError("zero vector is not a ray")
             if gcd(*[abs(x) for x in r]) != 1:
@@ -70,17 +64,31 @@ class Cone(Frozen):
             for s in rays[:i]:
                 if s == r or s == negated:
                     raise ValueError(f"rays {s} and {r} are proportional")
-        cone = Cone(dim, rays)
-        if len(cone._echelon[2]) == len(rays):
-            return cone  # independent rays are all extremal
+        echelon = column_echelon(rays)
         kept = list(rays)
-        for r in rays:
-            others = [v for v in kept if v != r]
-            # r lies in cone(others) iff no m has <m, others> >= 0 > <m, r>
-            rows = [(v, 0) for v in others] + [([-x for x in r], 1)]
-            if not _fourier_motzkin(rows, dim):
-                kept = others
-        return cone if len(kept) == len(rays) else Cone(dim, tuple(kept))
+        if len(echelon[2]) < len(rays):  # independent rays are all extremal
+            for r in rays:
+                others = [v for v in kept if v != r]
+                # r lies in cone(others) iff no m has <m, others> >= 0 > <m, r>
+                rows = [(v, 0) for v in others] + [([-x for x in r], 1)]
+                if not _fourier_motzkin(rows, dim):
+                    kept = others
+        self.__dict__.update(dim=dim, rays=tuple(kept))
+        if len(kept) == len(rays):
+            self.__dict__["_echelon"] = echelon
+
+    @cached_property
+    def _echelon(self):
+        return column_echelon(self.rays)
+
+    @staticmethod
+    def of(rays: Sequence[Sequence[int]]) -> "Cone":
+        """The cone of `rays`, of the dimension of the first one."""
+        try:
+            dim = len(rays[0])
+        except (TypeError, IndexError, KeyError):
+            dim = 0  # the constructor says what is wrong with rays
+        return Cone(dim, rays)
 
 
 class DemazureRoot(Frozen):

@@ -97,6 +97,26 @@ def test_create_rejects_ill_defined_derivation():
         VarietyDossier.create(algebra, [D])
 
 
+def test_a_derivation_of_another_algebra_is_refused():
+    # d/dx on K[x, y] does not preserve x*y - 1, and K[x, 1/x] has no
+    # nonzero LND; unchecked, the dossier classified as A with basis ['1']
+    XY = ["x", "y"]
+    torus = PresentedAlgebra(XY, [parse_poly("x*y - 1", XY)])
+    d_x = Derivation.from_strings(PresentedAlgebra(XY), {"x": "1", "y": "0"})
+    with pytest.raises(ValueError, match="derivation #0 is not a derivation of"):
+        VarietyDossier(torus, (d_x,))
+    with pytest.raises(ValueError, match="derivation #0 is not a derivation of"):
+        VarietyDossier.create(torus, [d_x])
+    with pytest.raises(ValueError, match="derivation #0 is not a derivation of None"):
+        VarietyDossier(None, (d_x,))
+    # an equal but distinct algebra: the same vars and reduced basis
+    algebra, D = quadric_cone()
+    twin = PresentedAlgebra(XYZ, [parse_poly("2*z^2 - 2*x*y", XYZ)])
+    assert twin is not algebra and twin.gb == algebra.gb
+    V = VarietyDossier.create(twin, [D], {"invariant_line": [0, 0, 0]})
+    assert V.lnds == (D,) and classify(V).verdict == "B"
+
+
 # ---- image ideals -----------------------------------------------------------
 
 

@@ -236,6 +236,19 @@ def test_leading_minus_is_positional(capsys, argv, after_dashes):
     assert out and run_main(capsys, *after_dashes)[:2] == (code, out)
 
 
+@pytest.mark.parametrize(
+    "poly, s", [("-h*y", "1"), ("-h^2 + y", "1"), ("-1/3*h", "-1/3")]
+)
+def test_leading_minus_before_an_option_letter_is_positional(tmp_path, capsys, poly, s):
+    # -h*y starts like -h, but only "-h" itself is the help option
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"vars": ["h", "y"], "derivations": {"d": {"h": "y", "y": "0"}}}))
+    argv = ["exp", str(path), "d", poly, s]
+    code, out, _ = run_main(capsys, *argv)
+    assert code == EXIT_OK and out
+    assert run_main(capsys, *argv[:3], "--", *argv[3:])[:2] == (code, out)
+
+
 # ---- decompose ------------------------------------------------------------
 
 

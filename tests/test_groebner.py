@@ -196,6 +196,17 @@ def test_arity_faults_are_refused(call, error, message):
     assert str(caught.value) == message
 
 
+def test_the_ideal_constructor_drops_zeros_and_refuses_another_arity():
+    # unchecked, groebner packed both in 2 variables: x*y*z - 1 lost z
+    # and came back as x0*x1 - 1, and x - 1 with z gave the unit ideal
+    for gens in [(p("x*y*z - 1"),), (p("x - 1", ["x", "y"]), p("z"))]:
+        with pytest.raises(ArityMismatch, match="generators of mixed arity"):
+            Ideal(gens, 2)
+    ideal = Ideal([Polynomial.zero(3), p("x*y - z"), Polynomial.zero(3)], 3)
+    assert ideal.generators == (p("x*y - z"),) and ideal == Ideal.of(ideal.generators)
+    assert groebner(Ideal((Polynomial.zero(3),), 3)).basis == ()
+
+
 def test_normal_form_arity_check():
     gb = gb_of(["x^2 - y"], ["x", "y"])
     with pytest.raises(ArityMismatch):

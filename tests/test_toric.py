@@ -112,6 +112,22 @@ def test_cone_rejects_bad_rays():
             Cone.of(rays)
 
 
+def test_the_constructor_checks_and_reduces_like_of():
+    # the quadrant with its interior ray (1, 1): A^2, so type A with 8
+    # roots in box 3; unreduced, the extra ray gave B and 6 roots
+    cone = Cone(2, ((1, 0), (1, 1), (0, 1)))
+    assert cone == Cone.of([[1, 0], [1, 1], [0, 1]])
+    assert cone.rays == ((1, 0), (0, 1))
+    assert classify_toric(cone).verdict == "A"
+    assert len(enumerate_roots(cone, 3)) == 8
+    for dim, rays in [(1, [[2]]), (2, [[0, 0]]), (2, [[1, 0], [-1, 0]]), (1, [[1.0]])]:
+        with pytest.raises(ValueError):
+            Cone(dim, rays)
+    for dim, rays in [(3, [[1, 0]]), (2, [[1, 0], [1, 0, 1]]), (1.0, [[1]])]:
+        with pytest.raises(DimensionMismatch):
+            Cone(dim, rays)
+
+
 @pytest.mark.parametrize("bad", [1.5, -0.5, -1.9, 2.5, True])
 def test_toric_inputs_must_be_integers(bad):
     # entries are checked, not truncated: int(-1.9) would be the root -1
@@ -441,7 +457,7 @@ def test_witness_start_is_read_off_the_echelon_form(rays):
     # V alone after, so it holds the solution of <rho, e0> = -1
     rho = rays[0]
     assume(gcd(*rho) == 1)
-    H, V, _ = Cone(len(rho), tuple(map(tuple, rays)))._echelon
+    H, V, _ = column_echelon(rays)
     e0 = [-H[0][0] * row[0] for row in V]
     assert e0 == _solve_echelon(column_echelon([rho]), [-1])
     assert sum(a * b for a, b in zip(e0, rho)) == -1

@@ -15,6 +15,7 @@ from lndkit.errors import (
 from lndkit.groebner import jacobian_rank_at_point
 from lndkit.poly import parse_poly
 from lndkit.trinomial import (
+    _var_name,
     TrinomialData,
     build_relations,
     classify_trinomial,
@@ -394,6 +395,82 @@ def test_type1_lnds_certify_type_a(T):
         assert type_a_certificate(V) is not None, choice
         tried += 1
     assert tried
+
+
+# ---- relabelled data: the same variety -----------------------------------
+
+
+def relabel(T, rng):
+    """T with the variables of each block reordered and the blocks
+    permuted together with their constants a_i or columns of A, and the
+    map from each variable name of the new datum to the name of the same
+    variable of T: a presentation of the same variety."""
+    old = list(T.block_indices)
+    order = rng.sample(old, len(old))  # new block k is old block order[k]
+    cols = {i: rng.sample(range(len(T.block(i))), len(T.block(i))) for i in old}
+    l = [[T.block(i)[j] for j in cols[i]] for i in order]
+    rename = {f"S{k}": f"S{k}" for k in range(1, T.m + 1)}
+    for k, i in zip(old, order):
+        for j, c in enumerate(cols[i], 1):
+            rename[_var_name(k, j)] = _var_name(i, c + 1)
+    if T.variant == 1:
+        return TrinomialData.type1(l, [T.a[i - 1] for i in order], T.m), rename
+    A = [[row[i] for i in order] for row in T.A]
+    return TrinomialData.type2(l, A, T.m), rename
+
+
+def _renamed(f, algebra, rename, target):
+    """f, a polynomial of `algebra`, in the variables of `target`."""
+    return parse_poly(f.format([rename[v] for v in algebra.vars]), target.vars)
+
+
+def _outcome(T):
+    try:
+        return classify_trinomial(T).verdict, is_rigid(T).condition
+    except UnreducedPresentation:
+        return "unreduced", None
+
+
+def test_relabelled_data_keep_verdict_condition_ideal_and_type1_lnds():
+    rng = random.Random(101)
+    lnds = 0
+    for _ in range(200):
+        T = rand_datum(rng)
+        U, rename = relabel(T, rng)
+        assert sorted(map(sorted, U.l)) == sorted(map(sorted, T.l))
+        assert _outcome(U) == _outcome(T)
+        X, Y = build_relations(T), build_relations(U)
+        back = {v: u for u, v in rename.items()}
+        for f in Y.relations:
+            assert X.normal(_renamed(f, Y, rename, X)).is_zero(), (T, U)
+        for f in X.relations:
+            assert Y.normal(_renamed(f, X, back, Y)).is_zero(), (T, U)
+        if T.variant != 1 or T.m or is_rigid(T).rigid:
+            continue
+        # a choice function of T: non-rigid, T has at most one block
+        # without an exponent 1, and that block may choose any column
+        choice = {}
+        for i in T.block_indices:
+            ones = [j for j, e in enumerate(T.block(i), 1) if e == 1]
+            choice[i] = rng.choice(ones or range(1, len(T.block(i)) + 1))
+        # the same variables, as columns of U's blocks
+        chosen = {_var_name(i, j) for i, j in choice.items()}
+        moved = {
+            k: j
+            for k in U.block_indices
+            for j in range(1, len(U.block(k)) + 1)
+            if rename[_var_name(k, j)] in chosen
+        }
+        D, E = type1_lnd(T, choice), type1_lnd(U, moved)
+        for v, g in zip(Y.vars, E.images):
+            assert _renamed(g, Y, rename, X) == D.images[X.vars.index(rename[v])]
+        certified = [
+            type_a_certificate(VarietyDossier.create(F.algebra, [F])) is not None
+            for F in (D, E)
+        ]
+        assert certified == [True, True]
+        lnds += 1
+    assert lnds >= 10
 
 
 # ---- suspensions -----------------------------------------------------------
