@@ -24,14 +24,18 @@ from .trinomial import TrinomialData, classify_trinomial
 class VarietyDossier(Frozen):
     """An algebra for Y plus whatever LNDs and structural tags are known.
 
-    tags may carry: "toric" (Cone), "trinomial" (TrinomialData),
-    "rigid_asserted" (bool), "invariant_line" (rational point of Y whose
-    cylinder line is asserted invariant). A dossier keeps its own copy of
-    tags, so it is unhashable, and refuses a derivation whose algebra has
-    other vars or another reduced basis `gb` (ValueError).
+    tags may carry only "toric" (a Cone), "trinomial" (a TrinomialData),
+    "rigid_asserted" (a bool) and, given an algebra, "invariant_line" (a
+    point of Y, one `_number` per var, whose cylinder line is asserted
+    invariant); names is empty or names each derivation once, by a str.
+    A dossier copies tags, so it is unhashable; it refuses other tags or
+    names, and a derivation whose algebra has other vars or another
+    reduced basis `gb` (ValueError).
     """
 
     _fields = ("algebra", "lnds", "tags", "names")
+    _tag_types = {"toric": Cone, "trinomial": TrinomialData, "rigid_asserted": bool,
+                  "invariant_line": Sequence}
 
     def __init__(
         self,
@@ -40,12 +44,30 @@ class VarietyDossier(Frozen):
         tags: dict | None = None,
         names: tuple[str, ...] = (),  # names of the lnds, set by from_json
     ):
-        lnds = tuple(lnds)
+        lnds, names, tags = tuple(lnds), tuple(names), dict(tags or {})
         ring = None if algebra is None else (algebra.vars, algebra.gb)
         for idx, D in enumerate(lnds):
             if (D.algebra.vars, D.algebra.gb) != ring:
                 raise ValueError(f"derivation #{idx} is not a derivation of {algebra!r}")
-        self.__dict__.update(algebra=algebra, lnds=lnds, tags=dict(tags or {}), names=names)
+        strs = all(isinstance(n, str) for n in names)
+        if names and (len(names) != len(lnds) or not strs or len(set(names)) < len(names)):
+            raise ValueError(f"names {names!r} must name each of {len(lnds)} derivations once")
+        for key, value in tags.items():
+            kind = self._tag_types.get(key)
+            if kind is None:
+                raise ValueError(f"unknown dossier tag {key!r}")
+            if not isinstance(value, kind) or isinstance(value, str):
+                raise ValueError(f"tag {key!r} must be a {kind.__name__}, not {value!r}")
+            if key == "invariant_line":
+                if algebra is None:
+                    raise ValueError("invariant_line requires vars")
+                line = tags[key] = [_number(x) for x in value]
+                if len(line) != algebra.arity:
+                    raise ValueError(
+                        "invariant_line must have one entry per variable"
+                        f" ({algebra.arity}), not {len(line)}"
+                    )
+        self.__dict__.update(algebra=algebra, lnds=lnds, tags=tags, names=names)
 
     @staticmethod
     def from_json(
@@ -88,9 +110,7 @@ class VarietyDossier(Frozen):
         if _shape(assertions.get("rigid", False), "assertions rigid", bool):
             tags["rigid_asserted"] = True
         if "invariant_line" in assertions:
-            tags["invariant_line"] = _rationals(
-                assertions["invariant_line"], "invariant_line"
-            )
+            tags["invariant_line"] = _rationals(assertions["invariant_line"], "invariant_line")
         if "vars" in doc:
             vars = _shape(doc["vars"], "vars", list, str)
             relations = [
@@ -98,18 +118,10 @@ class VarietyDossier(Frozen):
                 for text in _shape(doc.get("relations", []), "relations", list, str)
             ]
             algebra = PresentedAlgebra(vars, relations, gradings, order)
-            line = tags.get("invariant_line")
-            if line is not None and len(line) != len(vars):
-                raise ValueError(
-                    "invariant_line must have one entry per variable"
-                    f" ({len(vars)}), not {len(line)}"
-                )
         else:
             for field in ("relations", "gradings"):
                 if field in doc:
                     raise ValueError(f"{field} require vars")
-            if "invariant_line" in assertions:
-                raise ValueError("invariant_line requires vars")
         derivations = _shape(doc.get("derivations", {}), "derivations", dict, dict)
         if derivations and algebra is None:
             raise ValueError("derivations require vars/relations")
@@ -326,9 +338,7 @@ def classify(V: VarietyDossier) -> ClassificationReport:
         evidence.append(Evidence("rigidity asserted by the caller", {}))
         return ClassificationReport("C", tuple(evidence))
     if V.lnds:
-        point = None
-        if "invariant_line" in V.tags and any(not D.is_zero() for D in V.lnds):
-            point = [_number(x) for x in V.tags["invariant_line"]]
+        point = None if all(D.is_zero() for D in V.lnds) else V.tags.get("invariant_line")
         locus = fixed_locus(V)
         if point is not None:
             data = {"point": [_rational(x) for x in point]}

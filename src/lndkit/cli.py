@@ -168,8 +168,6 @@ def cmd_roots(args) -> int:
 
 def cmd_hdstar_member(args) -> int:
     V = _verified(args)
-    if V.algebra is None or not V.lnds:
-        raise ValueError("hdstar-member needs vars, relations, and derivations")
     ideal = combined_image_ideal(V)
     cyl = cylinder(V.algebra)
     f = parse_poly(args.poly, cyl.vars)

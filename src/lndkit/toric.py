@@ -85,8 +85,9 @@ class Cone(Frozen):
     def of(rays: Sequence[Sequence[int]]) -> "Cone":
         """The cone of `rays`, of the dimension of the first one."""
         try:
+            rays = list(rays)
             dim = len(rays[0])
-        except (TypeError, IndexError, KeyError):
+        except (TypeError, IndexError):
             dim = 0  # the constructor says what is wrong with rays
         return Cone(dim, rays)
 

@@ -261,8 +261,8 @@ def type1_lnd(T: TrinomialData, choice: dict[int, int]) -> Derivation:
         raise InvalidData("canonical derivation requires m = 0")
     for i in T.block_indices:
         j = choice.get(i)
-        if j is None or not 1 <= j <= len(T.block(i)):
-            raise BadChoiceFunction(f"choice missing or out of range for block {i}")
+        if not _is_int(j) or not 1 <= j <= len(T.block(i)):
+            raise BadChoiceFunction(f"choice for block {i} is not an int in range: {j!r}")
     exceptional = [i for i in T.block_indices if T.block(i)[choice[i] - 1] != 1]
     if len(exceptional) > 1:
         raise BadChoiceFunction(

@@ -1,6 +1,8 @@
 import json
 import random
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,12 +26,14 @@ from lndkit import (
 )
 from lndkit import test_type_a as type_a_certificate
 from lndkit.derivations import cylinder, lift
-from lndkit.errors import ArityMismatch, NoLNDs, NotVerifiedLND
+from lndkit.errors import ArityMismatch, NoLNDs, NotVerifiedLND, ParseError
 from lndkit.poly import Polynomial, parse_poly
 from lndkit.report import ClassificationReport, Evidence
 
 from helpers import (
+    NAMES,
     assert_permutations_keep_the_verdict,
+    permuted_dossier,
     refuse_groebner_bases,
     substitute,
     transformed_dossier,
@@ -115,6 +119,112 @@ def test_a_derivation_of_another_algebra_is_refused():
     assert twin is not algebra and twin.gb == algebra.gb
     V = VarietyDossier.create(twin, [D], {"invariant_line": [0, 0, 0]})
     assert V.lnds == (D,) and classify(V).verdict == "B"
+
+
+def refused_dossiers():
+    """Dossiers the constructor refuses: (algebra, lnds, tags, names, message)."""
+    algebra, D = quadric_cone()
+    quadrant = Cone.of([[1, 0], [0, 1]])
+    return {
+        # classified C, with the string taken for a true assertion
+        "rigid_asserted a string": (
+            algebra, [], {"rigid_asserted": "false"}, (),
+            "tag 'rigid_asserted' must be a bool, not 'false'",
+        ),
+        # the toric B verdict was lost: Inconclusive
+        "misspelt toric": (None, [], {"torc": quadrant}, (), "unknown dossier tag 'torc'"),
+        # classify raised AttributeError
+        "toric a list": (
+            None, [], {"toric": [[1, 0], [0, 1]]}, (),
+            "tag 'toric' must be a Cone, not [[1, 0], [0, 1]]",
+        ),
+        "trinomial a dict": (
+            None, [], {"trinomial": {"type": 1}}, (),
+            "tag 'trinomial' must be a TrinomialData, not {'type': 1}",
+        ),
+        # kept silently, with nothing to check it against
+        "invariant_line without an algebra": (
+            None, [], {"invariant_line": (0, 0, 0)}, (), "invariant_line requires vars",
+        ),
+        "invariant_line not a sequence": (
+            algebra, [D], {"invariant_line": 0}, (),
+            "tag 'invariant_line' must be a Sequence, not 0",
+        ),
+        "invariant_line a string": (
+            algebra, [D], {"invariant_line": "000"}, (),
+            "tag 'invariant_line' must be a Sequence, not '000'",
+        ),
+        "invariant_line with a non-number entry": (
+            algebra, [D], {"invariant_line": (0, float("nan"), 0)}, (),
+            "cannot convert NaN",
+        ),
+        "invariant_line too short": (
+            algebra, [D], {"invariant_line": ["0"]}, (),
+            "invariant_line must have one entry per variable (3), not 1",
+        ),
+        # V.derivation("b") raised IndexError
+        "two names for one derivation": (
+            algebra, [D], {}, ("a", "b"), "names ('a', 'b') must name each of 1 derivations once",
+        ),
+        "a duplicated name": (
+            algebra, [D, D], {}, ("a", "a"), "names ('a', 'a') must name each of 2 derivations once",
+        ),
+        "a name that is not a str": (
+            algebra, [D], {}, (["a"],), "names (['a'],) must name each of 1 derivations once",
+        ),
+        "a name without a derivation": (
+            algebra, [], {}, ("d",), "names ('d',) must name each of 0 derivations once",
+        ),
+    }
+
+
+REFUSED = refused_dossiers()
+
+
+@pytest.mark.parametrize("row", REFUSED)
+def test_a_dossier_refuses_what_it_cannot_hold_when_it_is_built(row):
+    algebra, lnds, tags, names, message = REFUSED[row]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VarietyDossier(algebra, lnds, tags, names)
+    if not names:  # create takes no names
+        with pytest.raises(ValueError, match=re.escape(message)):
+            VarietyDossier.create(algebra, lnds, tags)
+
+
+def test_an_invariant_line_entry_is_read_as_every_number_argument_is():
+    # `_number` refuses a boolean or a string it cannot read, when the
+    # dossier is built; classify no longer reads the point
+    algebra, D = quadric_cone()
+    with pytest.raises(TypeError, match="a boolean is not a number here: True"):
+        VarietyDossier(algebra, [D], {"invariant_line": [0, True, 0]})
+    with pytest.raises(ParseError):
+        VarietyDossier(algebra, [D], {"invariant_line": [0, "w", 0]})
+
+
+def test_from_json_and_the_library_keep_one_invariant_line():
+    loaded = VarietyDossier.from_json(json.loads((DATA / "quadric.json").read_text()))
+    algebra, D = quadric_cone()
+    built = VarietyDossier(algebra, [D], {"invariant_line": ("0", 0, Fraction(0))})
+    assert built.tags == loaded.tags
+    for V in (built, loaded):
+        line = V.tags["invariant_line"]
+        assert type(line) is list and all(type(x) is Fraction for x in line)
+
+
+def test_a_dossier_rebuilt_from_its_fields_is_equal():
+    rng = random.Random(30)
+    dossiers = []
+    for path in sorted(DATA.glob("*.json")):
+        V = VarietyDossier.from_json(json.loads(path.read_text()))
+        dossiers.append(V)
+        if V.algebra is not None:
+            n = V.algebra.arity
+            phi, psi = triangular_automorphism(rng, n)
+            dossiers.append(transformed_dossier(V, phi, psi))
+            dossiers.append(permuted_dossier(V, rng.sample(range(n), n), rng.sample(NAMES, n)))
+    assert len(dossiers) == 9 + 2 * 3
+    for V in dossiers:
+        assert VarietyDossier(V.algebra, V.lnds, V.tags, V.names) == V
 
 
 # ---- image ideals -----------------------------------------------------------

@@ -319,6 +319,13 @@ def test_hdstar_member_accepts_weighted_image(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("name", ["toric_plane.json", "trinomial_type1.json"])
+def test_hdstar_member_without_derivations_is_an_input_error(capsys, name):
+    assert run_main(capsys, "hdstar-member", str(DATA / name), "x") == (
+        EXIT_INPUT, "", "error: dossier supplies no derivations\n"
+    )
+
+
 # ---- error handling and determinism -----------------------------------------
 
 

@@ -117,9 +117,9 @@ SAMPLES = [
         True, True,
     ),
     (
-        lambda: VarietyDossier(None, tags={"rigid_asserted": True}, names=("d",)),
+        lambda: VarietyDossier(None, tags={"rigid_asserted": True}),
         "VarietyDossier(algebra=None, lnds=(), tags={'rigid_asserted': True},"
-        " names=('d',))",
+        " names=())",
         False, True,
     ),
     (

@@ -112,6 +112,14 @@ def test_cone_rejects_bad_rays():
             Cone.of(rays)
 
 
+def test_cone_of_reads_any_iterable_of_rays_once():
+    # of() took the dimension from rays[0], which a generator does not have
+    rays = [[1, 0], [0, 1]]
+    assert Cone.of(r for r in rays) == Cone(2, (r for r in rays)) == Cone.of(rays)
+    with pytest.raises(ValueError, match=r"^rays must be integer lists, not 5$"):
+        Cone.of(5)
+
+
 def test_the_constructor_checks_and_reduces_like_of():
     # the quadrant with its interior ray (1, 1): A^2, so type A with 8
     # roots in box 3; unreduced, the extra ray gave B and 6 roots

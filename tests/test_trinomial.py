@@ -329,6 +329,10 @@ def test_type1_lnd_rejects_bad_choices():
         type1_lnd(T2, {1: 3, 2: 1})  # out of range
     with pytest.raises(BadChoiceFunction):
         type1_lnd(T2, {1: 1})  # missing block
+    T3 = TrinomialData.type1([[1], [2]], [0, 1])
+    for bad in (True, 1.0):  # not an int: a bool acted as 1, a float broke indexing
+        with pytest.raises(BadChoiceFunction, match="choice for block 1 is not an int"):
+            type1_lnd(T3, {1: bad, 2: 1})
     with pytest.raises(InvalidData):
         type1_lnd(TrinomialData.type2([[2], [2], [2]], A_STD), {0: 1, 1: 1, 2: 1})
     with pytest.raises(InvalidData, match="canonical derivation requires m = 0"):
