@@ -76,8 +76,7 @@ class VarietyDossier(Frozen):
         """Parse a dossier document (see the README) without verifying it.
 
         The derivations keep their names for `derivation`; they are not
-        checked to be LNDs, so pass the result through `create` to
-        classify it.
+        checked to be LNDs, so `verify` the result to classify it.
         """
         doc = _shape(doc, "a dossier", dict)
         gradings = {
@@ -148,14 +147,22 @@ class VarietyDossier(Frozen):
     ) -> "VarietyDossier":
         """A dossier whose every derivation passed `Derivation.require_lnd`.
 
-        Raises NotVerifiedLND for the first one that fails verification,
-        and ValueError unless `bound` is an int >= 1, derivations or not.
+        Raises ValueError unless `bound` is an int >= 1, derivations or
+        not, before it checks the dossier; then as `verify`.
         """
         check_bound(bound)
-        V = VarietyDossier(algebra, lnds, tags)
-        for D in V.lnds:
+        return VarietyDossier(algebra, lnds, tags).verify(bound)
+
+    def verify(self, bound: int = DEFAULT_NILPOTENCY_BOUND) -> "VarietyDossier":
+        """This dossier, once every derivation passed `Derivation.require_lnd`.
+
+        Raises ValueError unless `bound` is an int >= 1, and NotVerifiedLND
+        for the first derivation that fails verification.
+        """
+        check_bound(bound)
+        for D in self.lnds:
             D.require_lnd(bound)
-        return V
+        return self
 
 
 def _shape(value, what: str, kind: type = list, item: type = object):

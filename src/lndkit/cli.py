@@ -31,7 +31,7 @@ from .classify import (
 from .derivations import DEFAULT_NILPOTENCY_BOUND, cylinder
 from .errors import LndkitError, NotASlice, NotVerifiedLND
 from .grading import decompose
-from .groebner import GREVLEX, LEX
+from .groebner import GREVLEX, ORDER_KINDS, MonomialOrder
 from .poly import _number, parse_poly
 from .toric import detect_line_factor, enumerate_roots
 
@@ -47,9 +47,7 @@ def _load(path: str, order=GREVLEX) -> VarietyDossier:
 
 def _verified(args) -> VarietyDossier:
     """The dossier file with every derivation verified as an LND."""
-    V = _load(args.file, _order(args))
-    VarietyDossier.create(V.algebra, V.lnds, V.tags, args.bound)
-    return V
+    return _load(args.file, MonomialOrder(args.order)).verify(args.bound)
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]):
@@ -61,7 +59,7 @@ def _emit(payload: dict, as_json: bool, lines: list[str]):
 
 
 def cmd_check_lnd(args) -> int:
-    D = _load(args.file, _order(args)).derivation(args.name)
+    D = _load(args.file, MonomialOrder(args.order)).derivation(args.name)
     ok, cert = D.is_well_defined()
     cert_rows = [
         {
@@ -98,7 +96,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    D = _load(args.file, _order(args)).derivation(args.name)
+    D = _load(args.file, MonomialOrder(args.order)).derivation(args.name)
     f = D.algebra.parse(args.poly)
     s = _parameter(args.parameter)
     D.require_lnd(args.bound)  # exp_action reuses the verified verdict
@@ -117,7 +115,7 @@ def _parameter(text: str) -> Fraction | None:
 
 
 def cmd_decompose(args) -> int:
-    D = _load(args.file, _order(args)).derivation(args.name)
+    D = _load(args.file, MonomialOrder(args.order)).derivation(args.name)
     if args.grading not in D.algebra.gradings:
         raise KeyError(f"no grading named {args.grading!r} in the dossier")
     parts = decompose(D, D.algebra.gradings[args.grading])
@@ -180,10 +178,6 @@ def cmd_hdstar_member(args) -> int:
     return EXIT_OK if member else EXIT_FAILED
 
 
-def _order(args):
-    return LEX if args.order == "lex" else GREVLEX
-
-
 class _Parser(argparse.ArgumentParser):
     """Reads an argument that starts with one "-" and is not exactly an
     option string, such as the rational -1/3 or the polynomials -y and
@@ -206,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    order = ("--order", {"choices": ["lex", "grevlex"], "default": "grevlex"})
+    order = ("--order", {"choices": ORDER_KINDS, "default": "grevlex"})
     bound = ("--bound", {"type": int, "default": DEFAULT_NILPOTENCY_BOUND})
     box = ("--box", {"type": int, "default": 10})
 

@@ -27,15 +27,22 @@ from .errors import (
     NotVerifiedLND,
     ReservedVariable,
 )
-from .groebner import (
-    GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, integer_weights, normal_form
-)
+from .groebner import GREVLEX, GroebnerBasis, Ideal, MonomialOrder, groebner, normal_form
 from .poly import _TOKEN, Polynomial, _from_num, _is_int, _mul, _number, _sum, parse_poly
 from .record import Frozen
 
 FORMAL_PARAMETER = "_s"
 
 DEFAULT_NILPOTENCY_BOUND = 64
+
+
+def integer_weights(w: Sequence[int]) -> tuple[int, ...]:
+    """The weights w as a tuple; ValueError for a non-integer or boolean."""
+    w = tuple(w)
+    for x in w:
+        if not _is_int(x):
+            raise ValueError(f"weight {x!r} is not an integer")
+    return w
 
 
 class PresentedAlgebra:
@@ -104,10 +111,9 @@ class PresentedAlgebra:
 def cylinder(algebra: PresentedAlgebra, name: str = "u") -> PresentedAlgebra:
     """Adjoin one free variable: K[Y] -> K[Y][u], no new relations.
 
-    A weighted order gives u weight 0 (ties still break by grevlex).
-    u is last in lex and grevlex and has weight 0, so the order restricted
-    to K[Y] is Y's, every S-pair of the extended basis is one of Y's, and
-    the base's reduced basis, extended, is the cylinder's.
+    u is last in lex and grevlex, so the order restricted to K[Y] is Y's,
+    every S-pair of the extended basis is one of Y's, and the base's
+    reduced basis, extended, is the cylinder's.
     """
     fresh = name
     k = 0
@@ -116,15 +122,12 @@ def cylinder(algebra: PresentedAlgebra, name: str = "u") -> PresentedAlgebra:
         fresh = f"{name}{k}"
     gradings = {g: w + (0,) for g, w in algebra.gradings.items()}
     gradings[fresh] = (0,) * algebra.arity + (1,)
-    order = algebra.order
-    if order.kind == "weighted":
-        order = MonomialOrder("weighted", (*order.weights, 0))
     cyl = object.__new__(PresentedAlgebra)
     cyl._build(
         algebra.vars + (fresh,),
         [r.extend(1) for r in algebra.relations],
         gradings,
-        order,
+        algebra.order,
         [g.extend(1) for g in algebra.gb.basis],
     )
     return cyl

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .derivations import Derivation
+from .derivations import Derivation, integer_weights
 from .errors import ArityMismatch, IncompatibleGrading, ZeroDerivation
-from .groebner import integer_weights
 from .poly import Polynomial
 from .record import Frozen
 

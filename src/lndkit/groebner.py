@@ -23,18 +23,16 @@ division over Q.
 Monomials (packed exponent vectors, after Monagan & Pearce, "Polynomial
 Division Using Dynamic Arrays, Heaps, and Packed Exponent Vectors"): at
 entry each exponent vector becomes one int of fixed-width fields, most
-significant first lex (e_0, ..., e_{n-1}, deg), grevlex (deg, e_{n-1},
-..., e_0) and weighted (w·e, deg, e_{n-1}, ..., e_0). The top bit of every
-field is a guard bit, clear in every packed monomial. XOR with a fixed
-mask that flips the variable fields of grevlex and weighted makes the
-int its order key. A product is one add; a divides b iff (b - a) has no
-guard bit set; the lcm is a plus the masked field-wise max(b - a, 0)
-of the variable fields, whose degree is that value modulo 2^width - 1
-(a weighted order rebuilds its weight field from the exponents). The
-pair loop keys every term by its order key, so a plain `max` finds a
-leading term, and a product stays one add of keys: while no
-field reaches its guard bit, (a + b) ^ mask == (a ^ mask) + (b ^ mask) -
-mask. An element is held as (packed leading monomial, its key, leading
+significant first lex (e_0, ..., e_{n-1}, deg) and grevlex (deg, e_{n-1},
+..., e_0). The top bit of every field is a guard bit, clear in every
+packed monomial. XOR with a fixed mask that flips the variable fields of
+grevlex makes the int its order key. A product is one add; a divides b
+iff (b - a) has no guard bit set; the lcm is a plus the masked
+field-wise max(b - a, 0) of the variable fields, whose degree is that
+value modulo 2^width - 1. The pair loop keys every term by its order
+key, so a plain `max` finds a leading term, and a product stays one add
+of keys: while no field reaches its guard bit, (a + b) ^ mask ==
+(a ^ mask) + (b ^ mask) - mask. An element is held as (packed leading monomial, its key, leading
 coefficient, tail keyed by order key, tail maximum, sugar);
 divisibility, lcms and the overflow tests use the packed monomial. The
 field width is two bits more than a bound on the largest field value
@@ -46,10 +44,10 @@ or the division starts over with fields twice as wide, so exponents
 stay unbounded.
 
 Pending S-pairs sit in a heap keyed by (sugar, lcm's order key, i, j).
-Grevlex and weighted keys lead with a degree field, so their pairs keep
-the normal strategy: the sugar slot is 0 and the smallest lcm goes
-first. Lex keys do not lead with a degree, and the smallest lcm can be a
-pair of high degree; lex takes the pair of least sugar (Giovini, Mora,
+Grevlex keys lead with a degree field, so their pairs keep the normal
+strategy: the sugar slot is 0 and the smallest lcm goes first. Lex keys
+do not lead with a degree, and the smallest lcm can be a pair of high
+degree; lex takes the pair of least sugar (Giovini, Mora,
 Niesi, Robbiano, Traverso, "One sugar cube, please, or selection
 strategies in the Buchberger algorithm", 1991). A generator's sugar is
 its total degree, a pair's is max(sug_i - deg lm_i, sug_j - deg lm_j) +
@@ -88,53 +86,24 @@ DEFAULT_PAIR_BUDGET = 100_000
 # ---- monomial orders ----------------------------------------------------
 
 
-def integer_weights(w: Sequence[int]) -> tuple[int, ...]:
-    """The weights w as a tuple; ValueError for a non-integer or boolean."""
-    w = tuple(w)
-    for x in w:
-        if not _is_int(x):
-            raise ValueError(f"weight {x!r} is not an integer")
-    return w
+ORDER_KINDS = ("lex", "grevlex")
 
 
 class MonomialOrder(Frozen):
-    """Total order on monomials, compatible with multiplication, 1 minimal.
+    """Total order on monomials, compatible with multiplication, 1 minimal:
+    kind is one of `ORDER_KINDS`, "lex" or "grevlex"."""
 
-    kind is one of "lex", "grevlex", "weighted"; weighted orders break
-    ties by grevlex. The weights of a weighted order are non-negative
-    ints, stored as a tuple; a negative weight would make 1 no longer
-    minimal, and division need not terminate.
-    """
+    _fields = ("kind",)
 
-    _fields = ("kind", "weights")
-
-    def __init__(self, kind: str, weights: Sequence[int] | None = None):
-        if kind not in ("lex", "grevlex", "weighted"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        if kind != "weighted":
-            if weights is not None:
-                raise ValueError(f"{kind} order takes no weights")
-        elif weights is None:
-            raise ValueError("weighted order requires a weight vector")
-        else:
-            try:
-                weights = integer_weights(weights)
-            except TypeError:
-                raise ValueError(f"weights {weights!r} are not a sequence") from None
-            for w in weights:
-                if w < 0:
-                    raise ValueError(f"weight {w!r} is not a non-negative integer")
-        self.__dict__.update(kind=kind, weights=weights)
+    def __init__(self, kind: str):
+        if kind not in ORDER_KINDS:
+            raise ValueError(
+                f"unknown order kind {kind!r}; the kinds are {', '.join(ORDER_KINDS)}"
+            )
+        self.__dict__.update(kind=kind)
 
     def key(self, m: Monomial):
-        if self.kind == "lex":
-            return m
-        if self.kind == "grevlex":
-            return grevlex_key(m)
-        w = self.weights
-        if len(w) != len(m):
-            raise ArityMismatch(f"weights length {len(w)} vs monomial {len(m)}")
-        return (sum(e * wi for e, wi in zip(m, w)), grevlex_key(m))
+        return m if self.kind == "lex" else grevlex_key(m)
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -179,27 +148,23 @@ class _Packing:
     """Exponent vectors under `order` packed into `width`-bit fields of an int.
 
     Fields, most significant first: lex (e_0, ..., e_{n-1}, deg); grevlex
-    (deg, e_{n-1}, ..., e_0); weighted (w·e, deg, e_{n-1}, ..., e_0). The
-    top bit of each field is its guard bit, clear in every packed
-    monomial. `flip` holds the value bits of the variable fields of
-    grevlex and weighted, so that comparing p ^ flip compares order.key.
-    Lex's trailing degree decides no comparison, since the exponents
-    above it already differ; it is there so that p & value is the degree
-    of a lex-packed p. Packing is linear: `units[k]` is the packed k-th
-    unit vector. Every method expects operands and results whose fields
-    stay below the guard bits; the kernel tests that before it relies on
-    it.
+    (deg, e_{n-1}, ..., e_0). The top bit of each field is its guard bit,
+    clear in every packed monomial. `flip` holds the value bits of the
+    variable fields of grevlex, so that comparing p ^ flip compares
+    order.key. Lex's trailing degree decides no comparison, since the
+    exponents above it already differ; it is there so that p & value is
+    the degree of a lex-packed p. Packing is linear: `units[k]` is the
+    packed k-th unit vector. Every method expects operands and results
+    whose fields stay below the guard bits; the kernel tests that before
+    it relies on it.
     """
 
     def __init__(self, order: MonomialOrder, n: int, width: int):
-        if order.kind == "weighted" and len(order.weights) != n:
-            raise ArityMismatch(f"weights length {len(order.weights)} vs arity {n}")
         self.width, self.value = width, (1 << width - 1) - 1
         self.ones = (1 << width) - 1  # 2^width is 1 modulo it
-        # grevlex and weighted keys lead with a degree; lex keys end with one
+        # grevlex keys lead with a degree; lex keys end with one
         self.graded = order.kind != "lex"
-        self.weighted = order.kind == "weighted"
-        fields = [width * f for f in range(n + 1 + self.weighted)]
+        fields = [width * f for f in range(n + 1)]
         self.guard = sum(1 << s + width - 1 for s in fields)
         # the bit offset of each variable's field, and the degree's unit
         self.shifts = fields[:n] if self.graded else fields[1:][::-1]
@@ -207,11 +172,7 @@ class _Packing:
         # the value bits of the variable fields
         self.vars = sum(self.value << s for s in self.shifts)
         self.flip = self.vars if self.graded else 0
-        weights = order.weights or (0,) * n
-        self.units = [
-            (1 << s) + self.deg + (w << width * (n + 1))
-            for s, w in zip(self.shifts, weights)
-        ]
+        self.units = [(1 << s) + self.deg for s in self.shifts]
 
     def pack(self, m: Monomial) -> int:
         return sum(map(mul, m, self.units))
@@ -234,16 +195,11 @@ class _Packing:
         Every field of b - a is taken against its own guard bit, so that
         no field borrows from the one above it. The degree of d is the sum
         of its fields, d mod `ones`: the sum is at most deg b, below
-        2^(width - 1). A weighted field is rebuilt from `units`. So a
-        degree or weighted field of the lcm that reaches its guard bit
-        sets it and carries no further, for the caller to test."""
+        2^(width - 1). So a degree field of the lcm that reaches its guard
+        bit sets it and carries no further, for the caller to test."""
         d = (b | self.guard) - a
         t = d & self.guard
         d &= (t - (t >> self.width - 1)) & self.vars
-        if self.weighted:
-            return a + sum(
-                (d >> s & self.value) * u for s, u in zip(self.shifts, self.units)
-            )
         return a + d + d % self.ones * self.deg
 
 
@@ -254,11 +210,10 @@ def _packing(order: MonomialOrder, n: int, width: int) -> _Packing:
     return _Packing(order, n, width)
 
 
-def _field_width(nums: Sequence[dict], order: MonomialOrder) -> int:
+def _field_width(nums: Sequence[dict]) -> int:
     """Field width for the monomials of the nonzero numerator dicts `nums`:
-    two bits past deg * (1 + largest weight), a bound on every field; >= 8."""
+    two bits past the largest degree, a bound on every field; >= 8."""
     top = max((max(map(sum, g)) for g in nums), default=0)
-    top *= 1 + max(order.weights or (0,))
     return max(8, top.bit_length() + 2)
 
 
@@ -391,8 +346,8 @@ class _Divisors:
         if not any(_divides(lm, m) for m in num for lm in self.lms):
             return f
         if not self.width:
-            self.width = _field_width([g.num for g in self.basis], self.order)
-        width = max(self.width, _field_width([num], self.order))
+            self.width = _field_width([g.num for g in self.basis])
+        width = max(self.width, _field_width([num]))
         while True:
             entry = self.packed.get(width)
             if entry is None:
@@ -460,9 +415,9 @@ def groebner(
 ) -> GroebnerBasis:
     """Reduced Gröbner basis by Buchberger's algorithm.
 
-    Pair selection: under grevlex and weighted orders the normal
-    strategy, smallest lcm in the order; under lex the sugar strategy,
-    least sugar, then smallest lcm. Ties go by index. Each pair is keyed
+    Pair selection: under grevlex the normal strategy, smallest lcm in
+    the order; under lex the sugar strategy, least sugar, then smallest
+    lcm. Ties go by index. Each pair is keyed
     once, when it enters a heap, by (sugar, packed order key of the lcm,
     i, j), with sugar 0 outside lex. The product and chain criteria prune
     pairs. Every pair taken from the heap counts against `pair_budget`,
@@ -473,7 +428,7 @@ def groebner(
         raise ValueError(f"pair_budget must be a non-negative int, got {pair_budget!r}")
     # the numerators: a generator's denominator does not change its ideal
     gens = [f.num for f in ideal.generators]
-    width = _field_width(gens, order)
+    width = _field_width(gens)
     while True:
         packing = _packing(order, ideal.arity, width)
         try:

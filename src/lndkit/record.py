@@ -1,13 +1,14 @@
 """The shared base of lndkit's value types.
 
-A record lists its fields, two or more, in `_fields`, in constructor
-order, and writes its own `__init__`, which stores the fields straight
-into `self.__dict__`, where a `cached_property` also keeps its value,
-unseen by ==, hash and repr. A record refuses assignment, compares equal
-to a record of the same class with equal fields (NotImplemented against
-any other class), hashes as the tuple of its fields (so one holding a
-dict is unhashable) and shows as `Name(field=value, ...)`. Copy,
-deepcopy and pickle restore `__dict__` and need nothing here.
+A record lists its fields in `_fields`, in constructor order, and writes
+its own `__init__`, which stores the fields straight into
+`self.__dict__`, where a `cached_property` also keeps its value, unseen
+by ==, hash and repr. A record's key is the tuple of its fields, or its
+one field's value if it has one. A record refuses assignment, compares
+equal to a record of the same class with an equal key (NotImplemented
+against any other class), hashes as its key (so one holding a dict is
+unhashable) and shows as `Name(field=value, ...)`. Copy, deepcopy and
+pickle restore `__dict__` and need nothing here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ class Frozen:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        # of two or more names, attrgetter returns the tuple of fields
+        # of two or more names attrgetter returns the tuple of fields, of
+        # one name that field's value
         cls._key = staticmethod(attrgetter(*cls._fields))
 
     def __eq__(self, other):

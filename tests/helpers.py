@@ -13,7 +13,6 @@ from pathlib import Path
 import lndkit
 from lndkit import (
     Derivation,
-    MonomialOrder,
     NilpotencyVerdict,
     PresentedAlgebra,
     TrinomialData,
@@ -285,8 +284,8 @@ def permuted_dossier(V: VarietyDossier, perm, names) -> VarietyDossier:
     """The dossier of the same variety with its variables permuted and
     renamed: new variable j is old variable perm[j], named names[j].
 
-    Relations, derivation images, gradings, a weighted order and the
-    `invariant_line` point move with the variables. The result is read
+    Relations, derivation images, gradings and the `invariant_line`
+    point move with the variables. The result is read
     back from a dossier document in the new names and verified by
     `create`, so parsing sees the new names too.
     """
@@ -309,10 +308,7 @@ def permuted_dossier(V: VarietyDossier, perm, names) -> VarietyDossier:
     if "invariant_line" in V.tags:
         point = V.tags["invariant_line"]
         doc["assertions"] = {"invariant_line": [str(Fraction(point[k])) for k in perm]}
-    order = base.order
-    if order.kind == "weighted":
-        order = MonomialOrder("weighted", [order.weights[k] for k in perm])
-    W = VarietyDossier.from_json(doc, order)
+    W = VarietyDossier.from_json(doc, base.order)
     return VarietyDossier.create(W.algebra, W.lnds, W.tags)
 
 

@@ -11,7 +11,6 @@ from lndkit import (
     Cone,
     Derivation,
     Ideal,
-    MonomialOrder,
     PresentedAlgebra,
     TrinomialData,
     VarietyDossier,
@@ -632,17 +631,6 @@ def test_from_json_unknown_derivation_name():
     V = VarietyDossier.from_json(json.loads((DATA / "w1.json").read_text()))
     with pytest.raises(KeyError, match="no derivation named 'nope'"):
         V.derivation("nope")
-
-
-def test_ji_lower_bound_check_on_weighted_algebra():
-    order = MonomialOrder("weighted", (1, 2, 3))
-    algebra = PresentedAlgebra(XYZ, [parse_poly("x*y - z^2 + 1", XYZ)], {}, order)
-    V = VarietyDossier.create(algebra, [w1_canonical(algebra)])
-    cert = ji_lower_bound_check(V, 2)
-    assert [(e["generator"], e["image"]) for e in cert.entries] == [
-        ("y", "2*z"),
-        ("z", "x"),
-    ]
 
 
 def test_a_rigidity_assertion_gives_c_before_any_groebner_basis(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lndkit import VarietyDossier
 from lndkit.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, build_parser, main
 
 from helpers import cli_env
@@ -211,6 +212,33 @@ def test_bound_below_one_is_refused_on_every_dossier(capsys, argv):
     command, name, *rest = argv
     code, out, err = run_main(capsys, command, str(DATA / name), *rest)
     assert (code, out, err) == (EXIT_INPUT, "", "error: bound must be >= 1\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "hdstar-member"])
+def test_a_dossier_error_beats_a_bad_bound(tmp_path, capsys, command):
+    doc = {"vars": ["x"], "assertions": {"invariant_line": [0, 1]}}
+    path = tmp_path / "dossier.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path), *(["x"] if command == "hdstar-member" else [])]
+    assert run_main(capsys, *argv, "--bound", "0") == (
+        EXIT_INPUT, "", "error: invariant_line must have one entry per variable (1), not 2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify", W1], ["hdstar-member", W1, "x*u + u^2"]], ids=lambda a: a[0]
+)
+def test_a_verifying_command_builds_its_dossier_once(monkeypatch, capsys, argv):
+    built = []
+    init = VarietyDossier.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VarietyDossier, "__init__", counted)
+    assert run_main(capsys, *argv)[0] == EXIT_OK
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(

@@ -166,7 +166,7 @@ def test_algebra_and_derivation_refuse_other_arities(call, message):
 @pytest.mark.parametrize("relation_count", [1, 2])
 @pytest.mark.parametrize(
     "order",
-    [LEX, GREVLEX, MonomialOrder("weighted", (3, 1, 2))],
+    [LEX, GREVLEX],
     ids=lambda order: order.kind,
 )
 def test_apply_matches_the_leibniz_oracle(order, relation_count):
@@ -448,9 +448,7 @@ def test_exp_homomorphism_on_corpus():
 @cache
 def exp_case(name: str, order_name: str):
     """An algebra with a verified LND: W_1-W_3 or the suspension surface
-    under grevlex or lex, or W_1 under the weights (1, 2, 3)."""
-    if order_name == "weighted":
-        return weighted_w1()
+    under grevlex or lex."""
     if name == "suspension":
         algebra, D = suspension_surface()
     else:
@@ -468,7 +466,7 @@ EXP_CASES = [
     (name, order_name)
     for name in ("W1", "W2", "W3", "suspension")
     for order_name in ("grevlex", "lex")
-] + [("W1", "weighted")]
+]
 
 
 @st.composite
@@ -675,7 +673,7 @@ def test_cylinder_appends_fresh_variable():
 
 @pytest.mark.parametrize(
     "order",
-    [LEX, MonomialOrder("grevlex"), MonomialOrder("weighted", (2, 1, 3))],
+    [LEX, MonomialOrder("grevlex")],
 )
 def test_cylinder_basis_is_the_extended_base_basis(order):
     vars = ["x", "y", "z"]
@@ -686,30 +684,6 @@ def test_cylinder_basis_is_the_extended_base_basis(order):
     fresh = groebner(Ideal.of([r.extend(1) for r in relations]), cyl.order)
     assert len(fresh.basis) > 1
     assert cyl.gb == fresh
-
-
-def weighted_w1():
-    """W_1 (x*y = z^2 - 1) under a weighted order, with its canonical LND."""
-    vars = ["x", "y", "z"]
-    order = MonomialOrder("weighted", (1, 2, 3))
-    algebra = PresentedAlgebra(vars, [parse_poly("x*y - z^2 + 1", vars)], {}, order)
-    return algebra, w1_canonical(algebra)
-
-
-def test_cylinder_of_weighted_algebra_weighs_u_zero():
-    algebra, _ = weighted_w1()
-    cyl = cylinder(algebra)
-    assert cyl.order == MonomialOrder("weighted", (1, 2, 3, 0))
-    assert cyl.relations == (algebra.relations[0].extend(1),)
-    # z^2 leads the relation under these weights, so it rewrites to x*y + 1
-    assert cyl.normal(cyl.parse("z^2*u")) == cyl.parse("x*y*u + u")
-
-
-def test_exp_formal_on_weighted_algebra():
-    algebra, D = weighted_w1()
-    result, ext = D.exp_action(algebra.parse("y"), None)
-    assert ext.order == MonomialOrder("weighted", (1, 2, 3, 0))
-    assert result == parse_poly("y + 2*_s*z + _s^2*x", ["x", "y", "z", "_s"])
 
 
 def test_lift_multiplies_by_u_power():

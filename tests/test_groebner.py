@@ -3,11 +3,13 @@ import linecache
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lndkit.cli import main
 from lndkit.errors import ArityMismatch, PointNotOnVariety, ResourceLimit
 from lndkit.groebner import (
     GREVLEX,
@@ -31,6 +33,7 @@ from helpers import assert_reduced_form, fraction_reduce, rand_poly
 # exports a function of the same name
 groebner_module = sys.modules["lndkit.groebner"]
 
+DATA = Path(__file__).parent / "data"
 XYZ = ["x", "y", "z"]
 
 
@@ -177,17 +180,13 @@ def test_jacobian_rejects_off_variety_point():
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: MonomialOrder("weighted", (1, 2)).key((1, 2, 3)), ArityMismatch,
-         "weights length 2 vs monomial 3"),
-        (lambda: groebner(Ideal.of([p("x*y - z")]), MonomialOrder("weighted", (1, 2))),
-         ArityMismatch, "weights length 2 vs arity 3"),
         (lambda: Ideal.of([Polynomial.zero(2)]), ValueError,
          "arity required for an empty generator list"),
         (lambda: Ideal.of([p("x"), p("x", ["x"])]), ArityMismatch, "generators of mixed arity"),
         (lambda: jacobian_rank_at_point([p("x*y - z^2")], [0, 0]), ArityMismatch,
          "point length 2 vs arity 3"),
     ],
-    ids=["order key", "packing", "empty ideal", "mixed ideal", "jacobian point"],
+    ids=["empty ideal", "mixed ideal", "jacobian point"],
 )
 def test_arity_faults_are_refused(call, error, message):
     with pytest.raises(error) as caught:
@@ -387,7 +386,7 @@ def _reference_reduce(f, basis, order):
     return Polynomial(f.arity, remainder)
 
 
-ORDERS = [LEX, GREVLEX, MonomialOrder("weighted", (3, 1, 2))]
+ORDERS = [LEX, GREVLEX]
 
 _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 _term = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), _coeff)
@@ -580,7 +579,7 @@ def test_groebner_matches_textbook_buchberger_on_unit_ideals(order):
             groebner(ideal, order, pair_budget=0)
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex", "weighted"])
+@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex"])
 @pytest.mark.parametrize(
     "system",
     [
@@ -592,8 +591,6 @@ def test_groebner_matches_textbook_buchberger_on_unit_ideals(order):
 )
 def test_buchberger_stops_at_the_first_unit(system, order):
     names, texts = system
-    if order.kind == "weighted":
-        order = MonomialOrder("weighted", range(1, len(names) + 1))
     ideal = Ideal.of([parse_poly(t, names) for t in texts])
     gens = [g.num for g in ideal.generators]
     packing = groebner_module._packing(order, ideal.arity, 16)
@@ -604,7 +601,7 @@ def test_buchberger_stops_at_the_first_unit(system, order):
     assert contains_one(ideal, order)
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex", "weighted"])
+@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex"])
 def test_a_constant_generator_needs_no_pair(order):
     # the constant enters after two generators whose pair is never taken
     ideal = Ideal.of([p("x^2 - y"), p("y^2 - x"), p("-3/2"), p("x*z - 1")])
@@ -617,61 +614,52 @@ def test_a_constant_generator_needs_no_pair(order):
 @pytest.mark.parametrize(
     "kind, weights",
     [
-        ("weighted", (-1,)),  # 1 is no longer minimal: division need not end
+        # every weight vector, once taken or refused, is now a TypeError:
+        # no kind takes weights
+        ("weighted", (-1,)),
         ("weighted", (1.5, 2)),
         ("weighted", (True, 1)),
         ("weighted", ("1", "2")),
         ("weighted", 3),
-        ("weighted", None),
+        ("weighted", None),  # no longer a kind
         ("lex", (1, 2)),
         ("grevlex", ()),
-        ("revlex", None),  # no such kind
+        ("revlex", None),  # never one
     ],
 )
-def test_monomial_order_rejects_bad_weights(kind, weights):
-    with pytest.raises(ValueError):
-        MonomialOrder(kind, weights)
-
-
-def test_monomial_order_stores_weights_as_a_tuple():
-    order = MonomialOrder("weighted", [1, 2])
-    assert order == MonomialOrder("weighted", (1, 2))
-    assert order.weights == (1, 2)
-    texts = ["x^2 - y", "x*y - 1"]
-    gb = gb_of(texts, ["x", "y"], order)
-    assert gb == gb_of(texts, ["x", "y"], MonomialOrder("weighted", (1, 2)))
+def test_monomial_order_rejects_bad_weights(capsys, kind, weights):
+    if weights is not None:
+        with pytest.raises(TypeError):
+            MonomialOrder(kind, weights)
+        return
+    with pytest.raises(ValueError) as caught:
+        MonomialOrder(kind)
+    assert str(caught.value).endswith("the kinds are lex, grevlex")
+    # the CLI offers the same kinds: any other is a usage error
+    with pytest.raises(SystemExit) as caught:
+        main(["classify", "--order", kind, str(DATA / "w1.json")])
+    assert caught.value.code == 2
+    assert "(choose from 'lex', 'grevlex')" in capsys.readouterr().err
 
 
 # ---- packed monomials against their tuple definitions --------------------
 
-PACKED_ORDERS = [
-    LEX,
-    GREVLEX,
-    MonomialOrder("weighted", (3, 1, 2)),
-    MonomialOrder("weighted", (1, 0, 2)),
-]
-
-
-def _fields(m, order):
-    """The values a packing stores for m: its exponents, its degree and,
-    for a weighted order, its weighted degree."""
-    extra = [sum(m)]
-    if order.kind == "weighted":
-        extra.append(sum(e * w for e, w in zip(m, order.weights)))
-    return [*m, *extra]
+def _fields(m):
+    """The values a packing stores for m: its exponents and its degree."""
+    return [*m, sum(m)]
 
 
 @st.composite
 def _packed_case(draw, parts=1):
     """(order, packing, monomials): each field of the sum of `parts`
     monomials fits below the guard bits, up to the field limit."""
-    order = draw(st.sampled_from(PACKED_ORDERS))
+    order = draw(st.sampled_from(ORDERS))
     width = draw(st.sampled_from([8, 12, 70]))
     limit = ((1 << width - 1) - 1) // parts
     monomials = []
     for _ in range(parts):
         m = draw(st.tuples(*[st.integers(0, limit)] * 3))
-        top = max(_fields(m, order))
+        top = max(_fields(m))
         if top > limit:  # scale down into range; the largest field meets the limit
             m = tuple(e * limit // top for e in m)
         monomials.append(m)
@@ -702,22 +690,22 @@ def test_packed_product_divisibility_lcm_and_max(case):
         return q >> P.width * f & P.value
 
     top = P.max(pa, pb)
-    for f in range(len(_fields(a, order))):
+    for f in range(len(_fields(a))):
         assert field(top, f) == max(field(pa, f), field(pb, f))
 
 
 @st.composite
 def _lcm_case(draw):
     """(order, packing, a, b): every field of a and of b is below the
-    guard bits, each under the field limit or half of it; the degree or
-    weighted field of their lcm may reach the guard bit."""
-    order = draw(st.sampled_from(PACKED_ORDERS))
+    guard bits, each under the field limit or half of it; the degree
+    field of their lcm may reach the guard bit."""
+    order = draw(st.sampled_from(ORDERS))
     width = draw(st.sampled_from([8, 12, 70]))
     monomials = []
     for _ in range(2):
         limit = ((1 << width - 1) - 1) // draw(st.sampled_from([1, 2]))
         m = draw(st.tuples(*[st.integers(0, limit)] * 3))
-        top = max(_fields(m, order))
+        top = max(_fields(m))
         if top > limit:
             m = tuple(e * limit // top for e in m)
         monomials.append(m)
@@ -730,7 +718,7 @@ def test_packed_lcm_sets_a_guard_bit_exactly_on_overflow(case):
     order, P, a, b = case
     c = tuple(map(max, a, b))
     lcm = P.lcm(P.pack(a), P.pack(b))
-    overflow = max(_fields(c, order)) > P.value
+    overflow = max(_fields(c)) > P.value
     assert bool(lcm & P.guard) == overflow
     if not overflow:
         assert lcm == P.pack(c)
@@ -757,11 +745,9 @@ N = 2**64 + 3
     "texts, order",
     [
         (["x^200*y - z", "y^3 - x*z^150"], GREVLEX),
-        (["x^200*y - z", "y^3 - x*z^150"], MonomialOrder("weighted", (1, 0, 2))),
         (["x^200*y - z", "y^2 - z^3"], LEX),
         ([f"x^{N}*y^2 - z", f"x^{N}*y - z^3"], LEX),
         ([f"x^{N}*y^2 - z", f"x^{N}*y - z^3"], GREVLEX),
-        ([f"x^{N}*y^2 - z", f"x^{N}*y - z^3"], MonomialOrder("weighted", (1, 0, 2))),
         ([f"x^{N}*y - z", "y^2 - z"], LEX),
     ],
 )
@@ -811,7 +797,7 @@ def test_s_polynomial_tail_overflow_restarts_wider(monkeypatch):
         widths.append(packing.width)
         return buchberger(gens, packing, pair_budget)
 
-    monkeypatch.setattr(groebner_module, "_field_width", lambda nums, order: 8)
+    monkeypatch.setattr(groebner_module, "_field_width", lambda nums: 8)
     monkeypatch.setattr(groebner_module, "_buchberger", recording)
     assert groebner(ideal, LEX).basis == expected
     assert widths == [8, 16]
@@ -823,14 +809,14 @@ def test_s_polynomial_tail_overflow_restarts_wider(monkeypatch):
     [
         # x -> y^200 three times: the remainder holds y^600, past 10 bits
         (["x", "y"], LEX, "x - y^200", "x^3 + 1/3*x*y", [10, 20], []),
-        # x -> 2*y^100 - 1/5 seven times: degree 700, past 10 bits
-        (["x", "y"], MonomialOrder("weighted", (1, 0)), "x - 2*y^100 + 1/5",
-         "x^7 - x", [10, 20], []),
+        # x -> 2*y^100 - 1/5 seven times, each step a rescale by the
+        # leading coefficient 5 of 5*x - 10*y^100 + 1: degree 700, past 9 bits
+        (["x", "y"], LEX, "x - 2*y^100 + 1/5", "x^7 - x", [9, 18], []),
         # grevlex division never raises the degree, so it never overflows:
         # f alone needs 11 bits, and the small input the basis's own 8
         (XYZ, GREVLEX, "x^2 - y", "x^300*y + 1/2*x*z", [11], [8]),
     ],
-    ids=["lex", "weighted", "grevlex"],
+    ids=["lex", "lex-rescaled", "grevlex"],
 )
 def test_division_repacks_wider_on_overflow(
     monkeypatch, names, order, relation, text, widths, small_widths
