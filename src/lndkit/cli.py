@@ -50,7 +50,7 @@ def _verified(args) -> VarietyDossier:
     return _load(args.file, MonomialOrder(args.order)).verify(args.bound)
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]):
+def _emit(payload: dict, as_json: bool, lines):
     if as_json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -68,13 +68,14 @@ def cmd_check_lnd(args) -> int:
         }
         for rel, img in cert
     ]
-    lines = ["well-defined: " + ("yes" if ok else "NO")]
-    for row in cert_rows:
-        lines.append(f"  D({row['relation']}) -> {row['image']}")
-    verdict = None
-    if ok:
-        verdict = D.nilpotency_check(args.bound)
-        lines.append(verdict.describe())
+    verdict = D.nilpotency_check(args.bound) if ok else None
+
+    def text():
+        yield "well-defined: " + ("yes" if ok else "NO")
+        yield from (f"  D({row['relation']}) -> {row['image']}" for row in cert_rows)
+        if ok:
+            yield verdict.describe()
+
     payload = {
         "command": "check-lnd",
         "name": args.name,
@@ -82,16 +83,19 @@ def cmd_check_lnd(args) -> int:
         "certificate": cert_rows,
         "verdict": None if verdict is None else verdict.to_dict(),
     }
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, text())
     return EXIT_OK if ok and verdict.verified else EXIT_FAILED
 
 
 def cmd_classify(args) -> int:
     report = classify(_verified(args))
-    lines = [f"verdict: {report.verdict}"]
-    for ev in report.evidence:
-        lines.append(f"  - {ev.criterion}" + (f" {ev.data}" if ev.data else ""))
-    _emit({"command": "classify", **report.to_dict()}, args.json, lines)
+
+    def text():
+        yield f"verdict: {report.verdict}"
+        for ev in report.evidence:
+            yield f"  - {ev.criterion}" + (f" {ev.data}" if ev.data else "")
+
+    _emit({"command": "classify", **report.to_dict()}, args.json, text())
     return EXIT_OK
 
 
@@ -120,17 +124,19 @@ def cmd_decompose(args) -> int:
         raise KeyError(f"no grading named {args.grading!r} in the dossier")
     parts = decompose(D, D.algebra.gradings[args.grading])
     rows = []
-    lines = []
     for part in parts:
         images = {
             v: D.algebra.format(img)
             for v, img in zip(D.algebra.vars, part.part.images)
         }
         rows.append({"degree": part.degree, "images": images})
-        lines.append(f"degree {part.degree}:")
-        for v in D.algebra.vars:
-            lines.append(f"  {v} -> {images[v]}")
-    _emit({"command": "decompose", "parts": rows}, args.json, lines)
+
+    def text():
+        for row in rows:
+            yield f"degree {row['degree']}:"
+            yield from (f"  {v} -> {row['images'][v]}" for v in D.algebra.vars)
+
+    _emit({"command": "decompose", "parts": rows}, args.json, text())
     return EXIT_OK
 
 
@@ -145,12 +151,13 @@ def cmd_roots(args) -> int:
         {"vector": list(r.vector), "distinguished_ray": r.distinguished}
         for r in roots
     ]
-    lines = [f"{len(rows)} roots within box {args.box}"]
-    lines += [f"  {row['vector']} (ray {row['distinguished_ray']})" for row in rows]
-    lines.append(
-        "line factor: "
-        + ("none" if line is None else str(list(line.vector)))
-    )
+
+    def text():
+        yield f"{len(rows)} roots within box {args.box}"
+        for row in rows:
+            yield f"  {row['vector']} (ray {row['distinguished_ray']})"
+        yield "line factor: " + ("none" if line is None else str(list(line.vector)))
+
     _emit(
         {
             "command": "roots",
@@ -159,7 +166,7 @@ def cmd_roots(args) -> int:
             "line_factor": None if line is None else list(line.vector),
         },
         args.json,
-        lines,
+        text(),
     )
     return EXIT_OK
 

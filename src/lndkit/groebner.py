@@ -61,7 +61,9 @@ ring, and its reduced basis is (1,), whatever pairs are left.
 At exit the minimal basis is unpacked, each element made monic by
 taking its leading coefficient as the denominator, and `reduce_poly`
 inter-reduces it in ascending order, each element by the smaller ones
-only; each such call packs the smaller elements afresh.
+only. No element is packed twice: each keeps in its memo, under the
+packing, the element the pair loop built for it, which `_Divisors` takes
+as dividend and divisor, and a remainder keeps the one it was left as.
 
 Deterministic throughout: for fixed generators and order, the reduced
 basis and every normal form are reproducible bit for bit.
@@ -76,7 +78,7 @@ from math import gcd, lcm
 from operator import itemgetter, le, mul
 
 from .errors import ArityMismatch, PointNotOnVariety, ResourceLimit
-from .poly import Monomial, Polynomial, _add_into, _from_num, _is_int, _number, grevlex_key
+from .poly import Monomial, Polynomial, _add_into, _from_num, _is_int, _number, _set, grevlex_key
 from .record import Frozen
 from .toric import column_echelon
 
@@ -160,7 +162,7 @@ class _Packing:
     """
 
     def __init__(self, order: MonomialOrder, n: int, width: int):
-        self.width, self.value = width, (1 << width - 1) - 1
+        self.order, self.width, self.value = order, width, (1 << width - 1) - 1
         self.ones = (1 << width) - 1  # 2^width is 1 modulo it
         # grevlex keys lead with a degree; lex keys end with one
         self.graded = order.kind != "lex"
@@ -178,7 +180,7 @@ class _Packing:
         return sum(map(mul, m, self.units))
 
     def unpack(self, p: int) -> Monomial:
-        return tuple(p >> s & self.value for s in self.shifts)
+        return tuple([p >> s & self.value for s in self.shifts])
 
     def max(self, *ps: int) -> int:
         """Field-wise maximum over every field of `ps`; 0 for none."""
@@ -234,6 +236,11 @@ def _pack(num: dict[Monomial, int], packing: _Packing, sugar: int = 0) -> tuple:
     keyed = {packing.pack(m) ^ packing.flip: c for m, c in num.items()}
     lk = max(keyed)
     return _element(_primitive({lk: keyed.pop(lk), **keyed}), packing, sugar)
+
+
+def _kept(g: Polynomial, packing: _Packing) -> tuple | None:
+    """The `_element` of g.num at `packing` that g's memo keeps, if any."""
+    return (g._memo or {}).get(packing)
 
 
 # ---- division -------------------------------------------------------------
@@ -322,48 +329,79 @@ def _pseudo_reduce(
 
 class _Divisors:
     """A basis as divisors: its leading monomials, its field width, and its
-    elements `_pack`ed, with their packing, for each field width a division
-    uses. Raises ArityMismatch if an element's arity is not `arity`."""
+    elements kept or `_pack`ed, with their packing, for each field width a
+    division uses. Raises ArityMismatch if an element's arity is not `arity`."""
 
     def __init__(self, basis: Sequence[Polynomial], order: MonomialOrder, arity: int):
         for g in basis:
             if g.arity != arity:
                 raise ArityMismatch(f"arity {arity} vs basis arity {g.arity}")
         self.basis, self.order, self.arity = basis, order, arity
-        self.lms = [g.leading(order)[0] for g in basis]
         self.packed: dict[int, tuple] = {}
         # the basis's field width, 0 until a division first packs: most
         # `reduce_poly` calls return at the early exit
         self.width = 0
 
+    @cached_property
+    def lms(self) -> list[Monomial]:
+        return [g.leading(self.order)[0] for g in self.basis]
+
+    def at(self, width: int) -> tuple[_Packing, list]:
+        if width not in self.packed:
+            packing = _packing(self.order, self.arity, width)
+            divisors = [_kept(g, packing) or _pack(g.num, packing) for g in self.basis]
+            self.packed[width] = packing, divisors
+        return self.packed[width]
+
     def remainder(self, f: Polynomial) -> Polynomial:
         """Full remainder of f under division by the basis, over Q: f
         itself when no leading monomial divides a monomial of f, else the
-        `_pseudo_reduce` remainder of f.num, at the field width that f and
-        the basis need, over f.den times the product of the rescales. On
-        _Overflow the division starts over with fields twice as wide."""
+        `_pseudo_reduce` remainder of f.num over f.den times the product
+        of the rescales. If f and every divisor keep an `_element` at one
+        packing, both run on those, and a remainder that keeps f's leading
+        term keeps its own; else the test reads exponent tuples and the
+        division packs at the width that f and the basis need, and on
+        _Overflow at twice that width."""
         num = f.num
-        if not any(_divides(lm, m) for m in num for lm in self.lms):
-            return f
-        if not self.width:
-            self.width = _field_width([g.num for g in self.basis])
-        width = max(self.width, _field_width([num]))
+        for packing in f._memo or ():
+            if type(packing) is _Packing and packing.order == self.order:
+                divisors = [_kept(g, packing) for g in self.basis]
+                if all(divisors):
+                    break
+        else:
+            packing = None
+        if packing:
+            width, flip, guard = packing.width, packing.flip, packing.guard
+            lm, _, _, tail, _, _ = _kept(f, packing)
+            ms = [lm, *[k ^ flip for k, _ in tail]]
+            if not any(not m - g[0] & guard for m in ms for g in divisors):
+                return f
+        else:
+            if not any(_divides(lm, m) for m in num for lm in self.lms):
+                return f
+            if not self.width:
+                self.width = _field_width([g.num for g in self.basis])
+            width = max(self.width, _field_width([num]))
+            packing, divisors = self.at(width)
         while True:
-            entry = self.packed.get(width)
-            if entry is None:
-                packing = _packing(self.order, self.arity, width)
-                entry = packing, [_pack(g.num, packing) for g in self.basis]
-                self.packed[width] = entry
-            packing, divisors = entry
             flip = packing.flip
-            acc = {packing.pack(m) ^ flip: c for m, c in num.items()}
+            kept = _kept(f, packing)
+            if kept:  # (key, lc) and the tail
+                acc = dict([kept[1:3], *kept[3]])
+            else:
+                acc = {packing.pack(m) ^ flip: c for m, c in num.items()}
             try:
                 r, scale, _ = _pseudo_reduce(acc, divisors, flip, packing.guard)
             except _Overflow:
                 width *= 2
+                packing, divisors = self.at(width)
                 continue
             remainder = {packing.unpack(k ^ flip): c for k, c in r.items()}
-            return _from_num(f.arity, remainder, f.den * scale)
+            out = _from_num(f.arity, remainder, f.den * scale)
+            if kept and r and next(iter(r)) == kept[1]:
+                kept = _element(dict(zip(r, out.num.values())), packing)
+                _set(out, "_memo", {packing: kept})
+            return out
 
 
 class GroebnerBasis(Frozen):
@@ -537,26 +575,22 @@ def _autoreduce(
     for e in sorted(G, key=itemgetter(1)):
         if not any(not e[0] - h[0] & guard for h in minimal):
             minimal.append(e)
-    # unpacked and monic: a primitive element over its positive leading
-    # coefficient is in lowest terms
-    unpack = packing.unpack
-    monic = [
-        _from_num(
-            arity, {unpack(lm): lc, **{unpack(k ^ flip): c for k, c in tail}}, lc
-        )
-        for lm, _, lc, tail, _, _ in minimal
-    ]
-    # inter-reduce each element by the smaller ones, already reduced. A
-    # tail monomial lies below its own leading monomial, and a leading
-    # monomial divides only monomials at or above it, so no larger
-    # element can reduce a tail; the leading terms survive, and the
-    # results are the unique reduced basis, monic and sorted. The
-    # division stays a reduce_poly call per element, on Polynomials, so
+    # then, in ascending order, each element is unpacked, made monic (a
+    # primitive element over its positive leading coefficient is in lowest
+    # terms) with its memo keeping the element, and inter-reduced by the
+    # smaller ones, already reduced. A tail monomial lies below its own
+    # leading monomial, and a leading monomial divides only monomials at
+    # or above it, so no larger element can reduce a tail; the leading
+    # terms survive, and the results are the unique reduced basis, monic
+    # and sorted. The division stays a reduce_poly call per element, so
     # that a traced benchmark run (perfbench/spans.py) still records it as
-    # groebner.reduce under groebner.buchberger; a call that divides packs
-    # the smaller elements afresh
+    # groebner.reduce under groebner.buchberger
+    unpack = packing.unpack
     out: list[Polynomial] = []
-    for g in monic:
+    for e in minimal:
+        lm, _, lc, tail, _, _ = e
+        g = _from_num(arity, {unpack(lm): lc, **{unpack(k ^ flip): c for k, c in tail}}, lc)
+        _set(g, "_memo", {packing: e})
         out.append(reduce_poly(g, out, order))
     return tuple(out)
 

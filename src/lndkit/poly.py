@@ -70,6 +70,7 @@ def _from_num(arity: int, num: dict[Monomial, int], den: int = 1) -> "Polynomial
     _set(p, "arity", arity)
     _set(p, "num", num)
     _set(p, "den", den)
+    _set(p, "_memo", None)
     return p
 
 
@@ -113,12 +114,11 @@ class Polynomial:
     """Immutable polynomial num/den: an int denominator under a dict from
     monomial to nonzero int numerator."""
 
-    # `_leads` is filled on first use. It is the one view kept, because
-    # leading terms are re-read: `_autoreduce` calls `reduce_poly` once per
-    # basis element, and each call reads the leading monomials of the
-    # elements reduced before it, for divisors of its own (399 of 534
-    # reads are repeats in a seed-1 `ideal` round, all from there).
-    __slots__ = ("arity", "num", "den", "_leads")
+    # `_memo` is None until something is kept: then a dict of the leading
+    # term per order, and on each element of a reduced basis the packed
+    # form of `num` under its `_Packing`, which `groebner` keeps so that no
+    # division packs the element again. Copy and pickle drop it.
+    __slots__ = ("arity", "num", "den", "_memo")
 
     def __new__(cls, arity: int, terms: Iterable[tuple[Monomial, Fraction]]):
         parts = []
@@ -194,11 +194,10 @@ class Polynomial:
         `order` is anything with a `key(monomial)` method, such as a
         `groebner.MonomialOrder`.
         """
-        try:
-            leads = self._leads
-        except AttributeError:
+        leads = self._memo
+        if leads is None:
             leads = {}
-            _set(self, "_leads", leads)
+            _set(self, "_memo", leads)
         lt = leads.get(order)
         if lt is None:
             if not self.num:

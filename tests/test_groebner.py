@@ -1,5 +1,7 @@
+import copy
 import itertools
 import linecache
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -23,6 +25,7 @@ from lndkit.groebner import (
     normal_form,
     reduce_poly,
     _divides,
+    _pack,
     _Packing,
 )
 from lndkit.poly import Polynomial, parse_poly
@@ -490,6 +493,141 @@ def test_groebner_bases_stay_equal_after_one_builds_its_divisors():
     assert "_divisors" in vars(a) and "_divisors" not in vars(b)
     assert a == b and hash(a) == hash(b)
     assert {a: "a"}[b] == "a"
+
+
+# ---- packed forms that basis elements keep -------------------------------
+
+
+KATSURA4 = (
+    ["x0", "x1", "x2", "x3", "x4"],
+    [
+        "x0 + 2*x1 + 2*x2 + 2*x3 + 2*x4 - 1",
+        "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 + 2*x4^2 - x0",
+        "2*x0*x1 + 2*x1*x2 + 2*x2*x3 + 2*x3*x4 - x1",
+        "x1^2 + 2*x0*x2 + 2*x1*x3 + 2*x2*x4 - x2",
+        "2*x0*x3 + 2*x1*x2 + 2*x1*x4 - x3",
+    ],
+)
+
+
+def _kept_forms(g):
+    """The (packing, element) pairs that g's memo keeps."""
+    memo = g._memo or {}
+    return [(k, e) for k, e in memo.items() if isinstance(k, _Packing)]
+
+
+def _assert_kept_forms_are_packings(g):
+    """Each form g keeps is g.num packed: the same keys, leading term, tail
+    and tail maximum as `_pack` builds, so the same primitive integers."""
+    for packing, (lm, lk, lc, tail, top, _) in _kept_forms(g):
+        plm, plk, plc, ptail, ptop, _ = _pack(g.num, packing)
+        assert (lm, lk, lc, dict(tail), top) == (plm, plk, plc, dict(ptail), ptop)
+
+
+_kept_term = st.tuples(st.tuples(*[st.integers(0, 2)] * 3), _coeff)
+_kept_gens = st.lists(
+    st.lists(_kept_term, min_size=1, max_size=3).map(lambda ts: Polynomial(3, ts)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens1=_kept_gens, gens2=_kept_gens, plain=_poly, order=st.sampled_from(ORDERS))
+def test_reduce_poly_on_kept_packed_forms_matches_fraction_division(
+    gens1, gens2, plain, order
+):
+    # two bases at one packing: each element keeps the form the pair loop
+    # built, and an element of one divides by the other on those forms
+    a = groebner(Ideal.of(gens1, 3), order).basis
+    b = groebner(Ideal.of(gens2, 3), order).basis
+    for g in a + b:
+        assert _kept_forms(g)
+        _assert_kept_forms_are_packings(g)
+
+    def check(f, divisors, order=order):
+        r = reduce_poly(f, divisors, order)
+        assert_reduced_form(r)
+        assert r == fraction_reduce(f, divisors, order)
+        _assert_kept_forms_are_packings(r)
+        return r
+
+    for g in a:
+        # a kept remainder, divided again and dividing in turn
+        r = check(g, b[:1])
+        check(r, b)
+        check(g, [r, *b] if r else b)
+        # kept and plain polynomials in one call, as dividends and divisors
+        check(plain, a + b)
+        check(g + plain, b)
+        check(g, [*b, plain] if plain else b)
+        # a dividend in its own basis
+        assert check(g, [g]).is_zero()
+        assert check(g, a).is_zero()
+        # forms kept at a packing the call does not use: the other order
+        check(g, b, LEX if order == GREVLEX else GREVLEX)
+    # and at a wider packing: x^100 - y*z keeps its form at 9 bits, the
+    # others at 8, so the call packs f and b at 9 bits
+    wide = groebner(Ideal.of([p("x^100 - y*z")]), order).basis
+    for g in a:
+        check(g, [*wide, *b])
+
+
+def test_a_kept_lex_division_that_outgrows_its_packing_widens(monkeypatch):
+    # both keep forms at the 10-bit packing of their degrees 200 and 150;
+    # x^3 -> y^600 outgrows it, and the division packs again at 20 bits
+    names = ["x", "y"]
+    (g,) = gb_of(["x - y^200"], names, LEX).basis
+    (h,) = gb_of(["x^3 + 1/3*x*y + y^150"], names, LEX).basis
+    assert [k.width for k, _ in _kept_forms(g)] == [10]
+    assert [k for k, _ in _kept_forms(g)] == [k for k, _ in _kept_forms(h)]
+    seen = []
+    packing = groebner_module._packing
+
+    def recording(order, n, width):
+        seen.append(width)
+        return packing(order, n, width)
+
+    monkeypatch.setattr(groebner_module, "_packing", recording)
+    r = reduce_poly(h, [g], LEX)
+    # the 10-bit attempt ran on the kept forms and packed nothing
+    assert seen == [20]
+    assert_reduced_form(r)
+    assert r == fraction_reduce(h, [g], LEX)
+    # the remainder was left at a packing h keeps no form at: it keeps none
+    assert _kept_forms(r) == []
+
+
+def test_groebner_packs_each_generator_and_basis_element_at_most_once(monkeypatch):
+    names, texts = KATSURA4
+    ideal = Ideal.of([parse_poly(t, names) for t in texts])
+    packed = []
+    pack = groebner_module._pack
+
+    def counting(num, packing, sugar=0):
+        packed.append(frozenset(num.items()))
+        return pack(num, packing, sugar)
+
+    monkeypatch.setattr(groebner_module, "_pack", counting)
+    gb = groebner(ideal, GREVLEX)
+    assert len(packed) == len(set(packed)) <= len(ideal.generators) + len(gb.basis)
+    # normal forms by the basis divide on the forms its elements keep
+    packed.clear()
+    for g in ideal.generators:
+        assert normal_form(g * g + g, gb).is_zero()
+    assert packed == []
+
+
+def test_a_basis_element_drops_its_packed_form_in_copy_and_pickle():
+    names, texts = KATSURA3
+    basis = gb_of(texts, names).basis
+    for g in basis:
+        assert _kept_forms(g)
+        data = pickle.dumps(g)
+        assert b"_Packing" not in data
+        for q in [copy.copy(g), copy.deepcopy(g), pickle.loads(data)]:
+            assert q == g and hash(q) == hash(g)
+            assert _kept_forms(q) == []
 
 
 # ---- the integer kernel against textbook Buchberger over Q ---------------
