@@ -32,9 +32,10 @@ field-wise max(b - a, 0) of the variable fields, whose degree is that
 value modulo 2^width - 1. The pair loop keys every term by its order
 key, so a plain `max` finds a leading term, and a product stays one add
 of keys: while no field reaches its guard bit, (a + b) ^ mask ==
-(a ^ mask) + (b ^ mask) - mask. An element is held as (packed leading monomial, its key, leading
-coefficient, tail keyed by order key, tail maximum, sugar);
-divisibility, lcms and the overflow tests use the packed monomial. The
+(a ^ mask) + (b ^ mask) - mask. An element is held as (packed leading
+monomial, its key, leading coefficient, tail keyed by order key, tail
+maximum, sugar under lex or signature under grevlex); divisibility,
+lcms and the overflow tests use the packed monomial. The
 field width is two bits more than a bound on the largest field value
 of any generator (of a division: of its input and basis), at least 8.
 Each element keeps the field-wise maximum of its tail, and before a
@@ -43,16 +44,18 @@ tested; a new pair's lcm is tested the same way. On overflow Buchberger
 or the division starts over with fields twice as wide, so exponents
 stay unbounded.
 
-Pending S-pairs sit in a heap keyed by (sugar, lcm's order key, i, j).
-Grevlex keys lead with a degree field, so their pairs keep the normal
-strategy: the sugar slot is 0 and the smallest lcm goes first. Lex keys
-do not lead with a degree, and the smallest lcm can be a pair of high
-degree; lex takes the pair of least sugar (Giovini, Mora,
-Niesi, Robbiano, Traverso, "One sugar cube, please, or selection
-strategies in the Buchberger algorithm", 1991). A generator's sugar is
-its total degree, a pair's is max(sug_i - deg lm_i, sug_j - deg lm_j) +
-deg lcm, and a remainder's is the largest of its pair's and deg t +
-sug g over every step t*g of its division. Only lex reads degrees.
+Under grevlex the pair loop is signature-based, `_signature_loop` (after
+Gao, Volny, Wang, "A new framework for computing Gröbner bases", 2016),
+whose criteria skip most S-pairs that would reduce to 0. Lex keeps
+pending S-pairs in a heap keyed by (sugar, lcm's order key, i, j),
+pruned by the product and chain criteria: lex keys do not lead with a
+degree, and the smallest lcm can be a pair of high degree, so lex takes
+the pair of least sugar (Giovini, Mora, Niesi, Robbiano, Traverso, "One
+sugar cube, please, or selection strategies in the Buchberger
+algorithm", 1991). A generator's sugar is its total degree, a pair's is
+max(sug_i - deg lm_i, sug_j - deg lm_j) + deg lcm, and a remainder's is
+the largest of its pair's and deg t + sug g over every step t*g of its
+division.
 
 Buchberger stops at the first generator or remainder whose packed
 leading monomial is 0, a nonzero constant: the ideal is then the whole
@@ -219,12 +222,13 @@ def _field_width(nums: Sequence[dict]) -> int:
     return max(8, top.bit_length() + 2)
 
 
-def _element(coeffs: dict[int, int], packing: _Packing, sugar: int = 0) -> tuple:
+def _element(coeffs: dict[int, int], packing: _Packing, sugar=0) -> tuple:
     """A primitive dict keyed by order key, its leading term first, as
     `_pseudo_reduce`'s divisor (lm, key, lc, tail, tail maximum, sugar):
     packed leading monomial, its key lm ^ flip, leading coefficient, the
     tail keyed by order key, the packed field-wise maximum of the tail,
-    and its sugar, which only lex Buchberger reads."""
+    and its sugar, which only lex Buchberger reads; the grevlex loop
+    puts its signature there."""
     flip = packing.flip
     (lk, lc), *tail = coeffs.items()
     return lk ^ flip, lk, lc, tail, packing.max(*[k ^ flip for k, _ in tail]), sugar
@@ -265,6 +269,7 @@ def _pseudo_reduce(
     guard: int,
     dmask: int = 0,
     sugar: int = 0,
+    bound: tuple[int, int] | None = None,
 ) -> tuple[dict[int, int], int, int]:
     """Pseudo-remainder of the integer dict `acc`, keyed by order key, the
     product of the rescales it made, and the remainder's sugar: the one
@@ -292,7 +297,9 @@ def _pseudo_reduce(
     Sugar (Giovini et al.): given `dmask`, the mask of lex's trailing
     degree field, each step x^q * g raises `sugar` to at least deg q +
     g's sugar, where deg q = q & dmask. With dmask 0 `sugar` comes back
-    as given.
+    as given. Given a signature `bound`, (order key, i), a divisor's last
+    slot is its signature (packed, i), and x^q * g divides only when its
+    signature (packed + q, i) lies below the bound, at every term.
     """
     remainder: list[tuple[int, int, int]] = []
     scale = 1
@@ -303,6 +310,8 @@ def _pseudo_reduce(
         for glm, gk, glc, tail, top, gsugar in divisors:
             q = lm - glm
             if not q & guard:
+                if bound and (gsugar[0] + q ^ flip, gsugar[1]) >= bound:
+                    continue
                 if top + q & guard:
                     raise _Overflow
                 if dmask and (q & dmask) + gsugar > sugar:
@@ -364,7 +373,7 @@ class _Divisors:
         _Overflow at twice that width."""
         num = f.num
         for packing in f._memo or ():
-            if type(packing) is _Packing and packing.order == self.order:
+            if packing.order == self.order:
                 divisors = [_kept(g, packing) for g in self.basis]
                 if all(divisors):
                     break
@@ -453,14 +462,16 @@ def groebner(
 ) -> GroebnerBasis:
     """Reduced Gröbner basis by Buchberger's algorithm.
 
-    Pair selection: under grevlex the normal strategy, smallest lcm in
-    the order; under lex the sugar strategy, least sugar, then smallest
-    lcm. Ties go by index. Each pair is keyed
-    once, when it enters a heap, by (sugar, packed order key of the lcm,
-    i, j), with sugar 0 outside lex. The product and chain criteria prune
-    pairs. Every pair taken from the heap counts against `pair_budget`,
-    a non-negative int (ValueError otherwise); past it, ResourceLimit is
-    raised. A run restarted at a wider packing counts its pairs afresh.
+    Under grevlex the pair loop is signature-based: generators and
+    J-pairs in signature order, pruned by the syzygy and rewrite
+    criteria, and `pair_budget` counts reductions: each S-pair
+    reduction, and each generator reduction that changes the generator.
+    Under lex pairs go by the sugar strategy, least sugar, then smallest
+    lcm, ties by index, pruned by the product and chain criteria, and
+    every pair taken from the heap counts against `pair_budget`. The
+    budget is a non-negative int (ValueError otherwise); past it,
+    ResourceLimit is raised. A run restarted at a wider packing counts
+    afresh.
     """
     if not _is_int(pair_budget) or pair_budget < 0:
         raise ValueError(f"pair_budget must be a non-negative int, got {pair_budget!r}")
@@ -479,25 +490,31 @@ def groebner(
 
 
 def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[tuple]:
-    """Buchberger's pair loop on primitive integer dicts keyed by order key.
+    """Buchberger's pair loop on primitive integer dicts keyed by order key:
+    under lex the sugar loop below, under grevlex `_signature_loop`.
 
     Each generator is `_pack`ed and each nonzero remainder made
     `_primitive`, so every basis element is an `_element`; the loop
     returns them, or only the first element whose packed leading
     monomial is 0: a nonzero constant, which generates the whole ring.
-    The pair heap, the criteria, the lcm and the overflow tests use the
-    packed leading monomials; the S-polynomial shifts each
-    tail key by the lcm's key minus the element's, which is exact for the
-    reason `_pseudo_reduce` gives. Under lex each element carries its
-    sugar, which `_pseudo_reduce` hands on to a remainder.
+    One generator is returned as it is packed. The pair heap, the
+    criteria, the lcm and the overflow tests use the packed leading
+    monomials; the S-polynomial shifts each tail key by the lcm's key
+    minus the element's, which is exact for the reason `_pseudo_reduce`
+    gives. Each element carries its sugar, which `_pseudo_reduce` hands
+    on to a remainder. Every pair taken from the heap counts against
+    `pair_budget`.
     """
+    if len(gens) == 1:
+        return [_pack(gens[0], packing)]
+    if packing.graded:
+        return _signature_loop(gens, packing, pair_budget)
     flip, guard = packing.flip, packing.guard
-    # lex takes pairs by sugar, with degrees from its trailing degree
-    # field; a graded key already leads with its degree
-    dmask = 0 if packing.graded else packing.value
+    # lex takes pairs by sugar, with degrees from its trailing degree field
+    dmask = packing.value
     G: list[tuple[int, int, int, list, int, int]] = []
     lms: list[int] = []  # lms[k] is the packed leading monomial of G[k]
-    ecarts: list[int] = []  # under lex, G[k]'s sugar minus the degree of lms[k]
+    ecarts: list[int] = []  # G[k]'s sugar minus the degree of lms[k]
     heap: list[tuple[int, int, int, int]] = []
     pairs: set[tuple[int, int]] = set()  # the pairs still in the heap
 
@@ -510,7 +527,7 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
             if l & guard:
                 raise _Overflow
             # a pair's sugar: max(sugar - deg lm) of the two, plus deg lcm
-            sugar = max(ecarts[i], ecart) + (l & dmask) if dmask else 0
+            sugar = max(ecarts[i], ecart) + (l & dmask)
             heapq.heappush(heap, (sugar, l ^ flip, i, j))
             pairs.add((i, j))
         G.append(e)
@@ -519,7 +536,7 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
 
     for g in gens:
         # a generator's sugar is its total degree
-        e = _pack(g, packing, max(map(sum, g)) if dmask else 0)
+        e = _pack(g, packing, max(map(sum, g)))
         if not e[0]:  # a nonzero constant: the ideal is the whole ring
             return [e]
         enter(e)
@@ -560,6 +577,98 @@ def _buchberger(gens: list[dict], packing: _Packing, pair_budget: int) -> list[t
             if not e[0]:
                 return [e]
             enter(e)
+    return G
+
+
+def _signature_loop(gens: list[dict], packing: _Packing, pair_budget: int) -> list[tuple]:
+    """The grevlex pair loop of `_buchberger`: RB with the "add" rewrite
+    order (Eder, Faugère, "A survey on signature-based algorithms for
+    computing Gröbner bases", 2017). An element's last slot is its
+    signature t*e_i as (packed t*lm(f_i), i); signatures compare by
+    (order key, i), a Schreyer-type module order, under which no leading
+    monomial exceeds its t*lm(f_i).
+
+    Generator i enters at e_i, as it is if no leading monomial divides a
+    term. The J-pair of two elements is the larger of x^(l - lm)*sig
+    over the two, l the lcm of their leading monomials; equal ones or
+    coprime leading monomials make none. A signature is skipped if a
+    syzygy signature divides it: the larger of lm(g)*sig(h) and
+    lm(h)*sig(g) where the two differ, or one whose reduction ended at
+    0; or unless the last element added whose signature divides it, its
+    rewriter, is the larger side of one of its J-pairs. Else the
+    rewriter times the quotient of the signatures is reduced below the
+    signature, and a nonzero remainder enters. Each reduction counts
+    against `pair_budget`, a generator's only if it changed it.
+    """
+    flip, guard = packing.flip, packing.guard
+    F = [_pack(g, packing) for g in gens]
+    for e in F:
+        if not e[0]:  # a nonzero constant: the ideal is the whole ring
+            return [e]
+    heap = [(e[1], i, -1) for i, e in enumerate(F)]
+    heapq.heapify(heap)
+    G: list[tuple] = []
+    rewriters: list[list] = [[] for _ in F]  # per index: (signature, place in G)
+    syz: list[list] = [[] for _ in F]  # per index: syzygy signatures, packed
+
+    def enter(e: tuple) -> None:
+        lm, (s, i) = e[0], e[5]
+        n = len(G)
+        for j, h in enumerate(G):
+            hlm, (t, hi) = h[0], h[5]
+            l = packing.lcm(hlm, lm)
+            a, b = l - lm + s, l - hlm + t
+            if (l | a | b) & guard:
+                raise _Overflow
+            sa, sb = (a ^ flip, i), (b ^ flip, hi)
+            if sa != sb and l != lm + hlm:
+                heapq.heappush(heap, (*sa, n) if sa > sb else (*sb, j))
+            # a Koszul product past a guard bit divides no signature taken
+            za, zb = (hlm + s ^ flip, i), (lm + t ^ flip, hi)
+            if za != zb:
+                z, zi = max(za, zb)
+                if not z & guard:  # flip leaves the guard bits
+                    syz[zi].append(z ^ flip)
+        G.append(e)
+        rewriters[i].append((s, n))
+
+    reductions = 0
+    while heap:
+        skey, i, k = heapq.heappop(heap)
+        sides = {k}
+        while heap and heap[0][0] == skey and heap[0][1] == i:
+            sides.add(heapq.heappop(heap)[2])
+        s, bound = skey ^ flip, (skey, i)
+        if k < 0:  # generator i, at signature e_i
+            lm, lk, lc, tail, top, _ = F[i]
+            acc = dict([(lk, lc), *tail])
+            if not any(not (m ^ flip) - h[0] & guard for m in acc for h in G):
+                enter((lm, lk, lc, tail, top, (s, i)))
+                continue
+            r = _pseudo_reduce(dict(acc), G, flip, guard, bound=bound)[0]
+            reductions += r != acc
+        else:
+            if any(not s - z & guard for z in syz[i]):
+                continue
+            rw = next(j for t, j in reversed(rewriters[i]) if not s - t & guard)
+            if rw not in sides:
+                continue
+            # x^u*G[rw], u = s - t: every field stays at or below the degree
+            # of s, so the keys shift by skey - (t ^ flip) with no carry
+            _, lk, lc, tail, _, (t, _) = G[rw]
+            d = skey - (t ^ flip)
+            acc = dict([(lk + d, lc), *[(m + d, c) for m, c in tail]])
+            r = _pseudo_reduce(acc, G, flip, guard, bound=bound)[0]
+            reductions += 1
+        if reductions > pair_budget:
+            raise ResourceLimit(f"S-pair budget {pair_budget} exceeded")
+        if not r:
+            syz[i].append(s)
+            continue
+        e = _element(_primitive(r), packing, (s, i))
+        if not e[0]:
+            return [e]
+        enter(e)
     return G
 
 

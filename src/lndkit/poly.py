@@ -19,7 +19,7 @@ only parenthesised groups are multiplied. All end in the trusted
 rational views ``coeffs`` (monomial to ``Fraction``) and ``terms``
 (grevlex-descending pairs) are built from num/den on each read. Term
 order appears only where it is asked for: ``terms``, ``format`` and
-``leading(order)`` (memoised per order).
+``leading(order)``.
 """
 
 from __future__ import annotations
@@ -114,10 +114,9 @@ class Polynomial:
     """Immutable polynomial num/den: an int denominator under a dict from
     monomial to nonzero int numerator."""
 
-    # `_memo` is None until something is kept: then a dict of the leading
-    # term per order, and on each element of a reduced basis the packed
-    # form of `num` under its `_Packing`, which `groebner` keeps so that no
-    # division packs the element again. Copy and pickle drop it.
+    # `_memo` is None, or on each element of a reduced basis a dict from
+    # its `_Packing` to the packed form of `num`, which `groebner` keeps so
+    # that no division packs the element again. Copy and pickle drop it.
     __slots__ = ("arity", "num", "den", "_memo")
 
     def __new__(cls, arity: int, terms: Iterable[tuple[Monomial, Fraction]]):
@@ -189,22 +188,15 @@ class Polynomial:
         return all(not any(m) for m in self.num)
 
     def leading(self, order=None) -> tuple[Monomial, Fraction]:
-        """Leading term under `order` (grevlex when None), memoised per order.
+        """Leading term under `order` (grevlex when None).
 
         `order` is anything with a `key(monomial)` method, such as a
         `groebner.MonomialOrder`.
         """
-        leads = self._memo
-        if leads is None:
-            leads = {}
-            _set(self, "_memo", leads)
-        lt = leads.get(order)
-        if lt is None:
-            if not self.num:
-                raise ValueError("zero polynomial has no leading term")
-            lm = max(self.num, key=grevlex_key if order is None else order.key)
-            lt = leads[order] = (lm, Fraction(self.num[lm], self.den))
-        return lt
+        if not self.num:
+            raise ValueError("zero polynomial has no leading term")
+        lm = max(self.num, key=grevlex_key if order is None else order.key)
+        return lm, Fraction(self.num[lm], self.den)
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return Fraction(self.num.get(tuple(mono), 0), self.den)

@@ -271,12 +271,21 @@ TRACKED_SUGAR = (
 
 # the fixed locus of a 3-block type-1 trinomial with its LND's images,
 # as test_type_a builds it: a unit ideal. Buchberger stops at its first
-# constant remainder, after 9 grevlex pairs and 6 lex pairs; a full basis
-# took 36 and 45
+# constant remainder, after 8 grevlex reductions and 6 lex pairs
 TRINOMIAL3_LOCUS = (
     ["T11", "T12", "T21", "T22", "T31"],
     ["3*T22^2*T31^2", "3*T12^3*T31^2", "T12^3*T22^2",
      "T11*T12^3 - T21*T22^2 - 4", "T21*T22^2 - T31^3 + 8"],
+)
+
+
+# a random ideal with a 32-element reduced grevlex basis, which the normal
+# strategy (smallest lcm first, product and chain criteria) reached only
+# after thousands of S-pairs
+PAIR_HEAVY = (
+    ["x0", "x1", "x2", "x3"],
+    ["-5*x0^5 + 6*x0^3*x2^2 + 8*x0^2*x2^3 - 4*x1", "4*x1^3*x3 - 6*x0^2 + 2*x1 + 4",
+     "4*x0^2*x1^3 + 1", "-3*x2^3 - 5*x2^2 - 6*x1"],
 )
 
 
@@ -293,12 +302,12 @@ def test_lex_pair_budget_boundary(system, budget):
 
 @pytest.mark.parametrize(
     "system, budget",
-    [(_cyclic(4), 45), (KATSURA3, 36), (TRINOMIAL3_LOCUS, 9)],
-    ids=["cyclic4", "katsura3", "trinomial3-locus"],
+    [(_cyclic(4), 7), (KATSURA3, 6), (TRINOMIAL3_LOCUS, 8), (PAIR_HEAVY, 54)],
+    ids=["cyclic4", "katsura3", "trinomial3-locus", "pair-heavy"],
 )
 def test_grevlex_pair_budget_boundary(system, budget):
-    # grevlex keeps the normal strategy (smallest lcm first): these are
-    # the counts of the selection before lex took pairs by sugar
+    # under grevlex the budget counts reductions, in signature order: each
+    # S-pair reduction, and each generator reduction that changes it
     _assert_pair_budget_boundary(system, GREVLEX, budget)
 
 
@@ -744,6 +753,56 @@ def test_a_constant_generator_needs_no_pair(order):
     # the constant enters after two generators whose pair is never taken
     ideal = Ideal.of([p("x^2 - y"), p("y^2 - x"), p("-3/2"), p("x*z - 1")])
     assert groebner(ideal, order, pair_budget=0).basis == (Polynomial.constant(3, 1),)
+
+
+# ---- the grevlex signature loop -------------------------------------------
+
+X01 = ["x0", "x1"]
+
+
+# two unit ideals that the signature loop gets wrong if it records a
+# Koszul signature whose two products are equal, or drops a remainder
+# that a multiple of equal signature top-reduces
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["-6*x1^3", "-6*x0^7 + 5*x0^3*x1^3 + 7", "-5*x1^5", "8*x0^4*x1^2 - 5*x0*x1^4 + 7"],
+        ["9*x0^5*x1^3 - 3", "8*x1^5 + 6*x0^3 + 7*x0*x1^2", "7*x0^4*x1^3 - 3*x0^5 + 3"],
+    ],
+    ids=["koszul-equal-products", "singular-top-reducible"],
+)
+def test_signature_loop_finds_the_unit_ideal(texts):
+    ideal = Ideal.of([p(t, X01) for t in texts])
+    basis = groebner(ideal, GREVLEX).basis
+    assert basis == (Polynomial.constant(2, 1),)
+    assert basis == _reference_groebner(ideal.generators, GREVLEX)
+
+
+def _random_binary_ideals(seed, count):
+    """`count` seeded ideals of 3 or 4 generators in x0, x1: each one or
+    two terms of degree 1 to 10, and a constant term more often than not."""
+    rng = random.Random(seed)
+    coeffs = [c for c in range(-9, 10) if c]
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(3, 4)):
+            terms = []
+            for _ in range(rng.randint(1, 2)):
+                e = [0, 0]
+                for _ in range(rng.randint(1, 10)):
+                    e[rng.randrange(2)] += 1
+                terms.append((tuple(e), rng.choice(coeffs)))
+            if rng.random() < 0.6:
+                terms.append(((0, 0), rng.choice(coeffs)))
+            gens.append(Polynomial(2, terms))
+        yield Ideal.of(gens, 2)
+
+
+def test_signature_loop_matches_textbook_buchberger_on_random_ideals():
+    # either unsound shortcut above gets some of these 60 wrong
+    for ideal in _random_binary_ideals(33, 60):
+        basis = groebner(ideal, GREVLEX).basis
+        assert basis == _reference_groebner(ideal.generators, GREVLEX)
 
 
 # ---- monomial order validation -------------------------------------------

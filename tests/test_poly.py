@@ -395,7 +395,6 @@ def test_leading_per_order(terms):
     assert p.leading() == p.terms[0] == p.leading(GREVLEX)
     lm = max(p.coeffs)
     assert p.leading(LEX) == (lm, p.coeffs[lm])
-    assert p.leading(LEX) is p.leading(LEX)
 
 
 def test_leading_of_zero():
@@ -625,8 +624,6 @@ def test_power_of_a_trinomial_has_the_multinomial_coefficients():
 @pytest.mark.parametrize("text", ["x + 1", "1/3*x*y - 2/5", "0"])
 def test_copy_deepcopy_and_pickle_keep_the_polynomial(text):
     p = parse_poly(text, ["x", "y"])
-    if not p.is_zero():
-        p.leading()  # copied with its leading-term memo filled
     for q in [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))]:
         assert q == p and hash(q) == hash(p)
         with pytest.raises(AttributeError, match="immutable"):
