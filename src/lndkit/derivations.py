@@ -9,7 +9,9 @@ with their numerators over one common image denominator, so applying D
 is one pass over the terms of f. It also keeps the last chain f, D(f),
 D^2(f), ... that reached zero, keyed by the normal form of f; the
 nilpotency check, exp(sD) and the Dixmier projection all read their
-chains through `Derivation.iterate`.
+chains through `Derivation.iterate`, and the last two sum a chain in one
+pass, adding its entries' numerators with integer weights straight into
+one result dict.
 """
 
 from __future__ import annotations
@@ -366,20 +368,27 @@ class Derivation:
                     f"variable {FORMAL_PARAMETER!r} is reserved for exp"
                 )
             ext = cylinder(self.algebra, FORMAL_PARAMETER)
-            # the terms of s^i D^i(f) / i! are the only ones with _s-degree i
-            parts = [
-                ({m + (i,): c for m, c in term.num.items()}, term.den * factorial(i))
-                for i, term in enumerate(self.iterate(f))
-            ]
-            return _sum(ext.arity, parts), ext
+            # the terms of s^i D^i(f) / i! are the only ones with _s-degree i,
+            # so each is written once, over the common denominator
+            chain = list(self.iterate(f))
+            den = lcm(*[term.den * factorial(i) for i, term in enumerate(chain)])
+            acc = {}
+            for i, term in enumerate(chain):
+                k = den // (term.den * factorial(i))
+                for m, c in term.num.items():
+                    acc[m + (i,)] = c * k
+            return _from_num(ext.arity, acc, den), ext
         s = _number(s)
+        if not s:
+            return self.algebra.normal(f)
         p, q = s.numerator, s.denominator
-        # s^i D^i(f) / i! over its denominator; for s = 0 only i = 0 counts
-        parts = [
-            ({m: c * p**i for m, c in term.num.items()}, term.den * q**i * factorial(i))
-            for i, term in enumerate(self.iterate(f))
-            if p or not i
-        ]
+        # s^i D^i(f) / i! is D^i(f).num weighted p^i over D^i(f).den q^i i!
+        parts = []
+        pi = qi = fact = 1
+        for i, term in enumerate(self.iterate(f)):
+            if i:
+                pi, qi, fact = pi * p, qi * q, fact * i
+            parts.append((term.num, pi, term.den * qi * fact))
         return _sum(self.algebra.arity, parts)
 
     def kernel_membership(self, f: Polynomial) -> bool:
@@ -394,15 +403,15 @@ class Derivation:
         self.require_lnd()
         if not self.check_slice(s):
             raise NotASlice(f"D({self.algebra.format(s)}) != 1")
-        neg_s = {m: -c for m, c in s.num.items()}
-        weight = {(0,) * self.algebra.arity: 1}  # the numerator of (-s)^i
+        # (-s)^i D^i(f) / i! is D^i(f).num s.num^i weighted (-1)^i over
+        # D^i(f).den s.den^i i!
+        power = {(0,) * self.algebra.arity: 1}  # s.num^i
         parts = []
+        sign = den = 1
         for i, term in enumerate(self.iterate(f)):
             if i:
-                weight = _mul(weight, neg_s)
-            parts.append(
-                (_mul(term.num, weight), term.den * s.den**i * factorial(i))
-            )
+                power, sign, den = _mul(power, s.num), -sign, den * s.den * i
+            parts.append((_mul(term.num, power), sign, term.den * den))
         return self.algebra.normal(_sum(self.algebra.arity, parts))
 
     def image_ideal(self) -> Ideal:

@@ -386,7 +386,8 @@ class _Divisors:
             if not any(not m - g[0] & guard for m in ms for g in divisors):
                 return f
         else:
-            if not any(_divides(lm, m) for m in num for lm in self.lms):
+            lms = self.lms
+            if not any(all(map(le, lm, m)) for m in num for lm in lms):
                 return f
             if not self.width:
                 self.width = _field_width([g.num for g in self.basis])

@@ -74,10 +74,11 @@ def _from_num(arity: int, num: dict[Monomial, int], den: int = 1) -> "Polynomial
     return p
 
 
-def _add_into(acc: dict[Monomial, int], num: dict[Monomial, int]) -> None:
-    """acc += num in place, dropping the monomials that cancel."""
+def _add_into(acc: dict[Monomial, int], num: dict[Monomial, int], k: int = 1) -> None:
+    """acc += k * num in place, dropping the monomials that cancel."""
+    get = acc.get
     for m, c in num.items():
-        c += acc.get(m, 0)
+        c = get(m, 0) + c * k
         if c:
             acc[m] = c
         else:
@@ -99,14 +100,15 @@ def _mul(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
     return acc
 
 
-def _sum(arity: int, parts: Sequence[tuple[dict[Monomial, int], int]]) -> "Polynomial":
-    """The sum of num/den over the (num, den) pairs of `parts`, each den > 0,
-    brought to the lcm of the denominators."""
-    den = lcm(*[d for _, d in parts])
+def _sum(arity: int, parts: Sequence[tuple[dict, int, int]]) -> "Polynomial":
+    """The sum of w * num / den over the (num, w, den) triples of `parts`:
+    num a numerator dict, w a nonzero int, den > 0. Each num is added, times
+    w and its rescale to the lcm of the denominators, straight into one
+    accumulator, so no part is copied."""
+    den = lcm(*[d for _, _, d in parts])
     acc: dict[Monomial, int] = {}
-    for num, d in parts:
-        k = den // d
-        _add_into(acc, num if k == 1 else {m: c * k for m, c in num.items()})
+    for num, w, d in parts:
+        _add_into(acc, num, den // d * w)
     return _from_num(arity, acc, den)
 
 
@@ -131,7 +133,7 @@ class Polynomial:
                 raise ValueError(f"exponents must be non-negative ints, got {mono}")
             c = _number(coeff)
             if c:
-                parts.append(({mono: c.numerator}, c.denominator))
+                parts.append(({mono: c.numerator}, 1, c.denominator))
         return _sum(arity, parts)
 
     def __setattr__(self, name, value):
@@ -229,7 +231,7 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        return _sum(self.arity, [(self.num, self.den), (other.num, other.den)])
+        return _sum(self.arity, [(self.num, 1, self.den), (other.num, 1, other.den)])
 
     __radd__ = __add__
 
@@ -237,7 +239,8 @@ class Polynomial:
         return _from_num(self.arity, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return _sum(self.arity, [(self.num, 1, self.den), (other.num, -1, other.den)])
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other) - self

@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,41 @@ def test_exp_and_projection_reuse_the_chain_and_match_a_fresh_derivation():
             assert applied == []  # the whole chain came from the last one
     # the projection applies D only to check its slice
     assert applied == [s]
+
+
+def test_exp_at_zero_applies_nothing():
+    algebra, D = _triangular()
+    D.require_lnd()
+    g = algebra.parse("x*y")
+    list(D.iterate(g))
+    kept = D._last_chain
+    applied = []
+    apply = D.apply
+
+    def recording_apply(h):
+        applied.append(h)
+        return apply(h)
+
+    D.apply = recording_apply
+    f = algebra.parse("z^3 + x*y")
+    for s in (0, Fraction(0), "0"):
+        assert D.exp_action(f, s) == algebra.normal(f)
+    assert applied == []
+    assert D._last_chain is kept
+    # the gate still decides first
+    euler = Derivation.from_strings(algebra, {"x": "x", "y": "0", "z": "0"})
+    with pytest.raises(NotVerifiedLND):
+        euler.exp_action(f, 0)
+
+
+def test_exp_of_zero_is_zero():
+    algebra, D = _triangular()
+    zero = Polynomial.zero(algebra.arity)
+    for s in (0, Fraction(-2, 3), 5):
+        assert D.exp_action(zero, s) == zero
+    formal, ext = D.exp_action(zero, None)
+    assert formal == Polynomial.zero(ext.arity)
+    assert_reduced_form(formal)
 
 
 def test_an_interrupted_iteration_keeps_no_chain():
@@ -501,6 +538,76 @@ def test_derivation_results_are_in_lowest_terms(case):
     assert_reduced_form(D.apply(f))
     assert_reduced_form(D.exp_action(f, s))
     assert_reduced_form(D.exp_action(f, None)[0])
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@cache
+def slice_case(name: str):
+    """An LND with a slice s, and a kernel element k, so that s + c*k is a
+    slice too: the triangular derivation, or the `mixed` derivation of the
+    W_1 cylinder dossier."""
+    if name == "triangular":
+        algebra, D = _triangular()
+        return algebra, D, algebra.parse("x"), algebra.parse("1")
+    doc = json.loads((DATA / "w1_cylinder.json").read_text())
+    vars = doc["vars"]
+    algebra = PresentedAlgebra(vars, [parse_poly(r, vars) for r in doc["relations"]])
+    D = Derivation.from_strings(algebra, doc["derivations"]["mixed"])
+    return algebra, D, algebra.parse("u"), algebra.parse("x")
+
+
+SLICE_CASES = ["triangular", "w1_cylinder"]
+
+
+@st.composite
+def sum_inputs(draw):
+    """A case of EXP_CASES or SLICE_CASES, a polynomial as in `exp_inputs`,
+    a small rational parameter and, for a slice case, a slice."""
+    case = draw(st.sampled_from(EXP_CASES + SLICE_CASES))
+    if case in SLICE_CASES:
+        algebra, D, s, k = slice_case(case)
+        s = s + k.scale(draw(st.fractions(-2, 2, max_denominator=3)))
+    else:
+        algebra, D = exp_case(*case)
+        s = None
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * algebra.arity),
+        st.fractions(-3, 3, max_denominator=3),
+    )
+    f = Polynomial(algebra.arity, draw(st.lists(term, max_size=3)))
+    return algebra, D, f, draw(st.fractions(-2, 2, max_denominator=4)), s
+
+
+def chain_sum(algebra, chain, weights):
+    """sum_i weights[i] * chain[i] / i!, by public operations only."""
+    total = Polynomial.zero(algebra.arity)
+    for i, (term, w) in enumerate(zip(chain, weights)):
+        total = total + term * w.scale(Fraction(1, factorial(i)))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(sum_inputs())
+def test_exp_and_projection_match_the_sums_of_the_chain(case):
+    algebra, D, f, t, s = case
+    chain = list(D.iterate(f))
+    one = Polynomial.constant(algebra.arity, 1)
+    numeric = D.exp_action(f, t)
+    assert numeric == chain_sum(algebra, chain, [one.scale(t**i) for i in range(len(chain))])
+    # the formal sum with _s set to t: each _s-degree d component times t^d
+    formal, ext = D.exp_action(f, None)
+    at_t = Polynomial.zero(algebra.arity)
+    for d, part in formal.weighted_components([0] * algebra.arity + [1]):
+        base = Polynomial(algebra.arity, [(m[:-1], c) for m, c in part.coeffs.items()])
+        at_t = at_t + base.scale(t**d)
+    assert at_t == numeric
+    if s is not None:
+        powers = [(-s) ** i for i in range(len(chain))]
+        want = algebra.normal(chain_sum(algebra, chain, powers))
+        assert D.kernel_projection(s, f) == want
+        assert D.kernel_membership(want)
 
 
 def test_exp_requires_verified_lnd():

@@ -19,7 +19,7 @@ from lndkit.errors import (
     UnknownVariable,
 )
 from lndkit.groebner import GREVLEX, LEX
-from lndkit.poly import Polynomial, grevlex_key, parse_poly
+from lndkit.poly import Polynomial, _sum, grevlex_key, parse_poly
 
 from helpers import assert_reduced_form, cli_env, rand_poly
 
@@ -607,6 +607,77 @@ def test_equal_polynomials_have_equal_numerators_and_denominator(terms):
     q = p.scale(Fraction(7, 3)).scale(Fraction(3, 7))
     assert (q.den, q.num) == (p.den, p.num)
     assert q == p and hash(q) == hash(p)
+
+
+def _sum_oracle(parts) -> dict:
+    """The sum of w * num / den over (num, w, den) parts, on Fractions."""
+    return oracle(
+        (m, Fraction(c * w, den)) for num, w, den in parts for m, c in num.items()
+    )
+
+
+X, Y, ONE = (1, 0), (0, 1), (0, 0)
+
+
+@pytest.mark.parametrize(
+    "parts, want",
+    [
+        pytest.param([], {}, id="no parts"),
+        pytest.param([({X: 3, Y: -1}, 1, 1)], {X: 3, Y: -1}, id="one part"),
+        pytest.param(
+            [({X: 1, Y: 1}, 1, 2), ({X: 1}, -1, 2)], {Y: Fraction(1, 2)},
+            id="cancel across parts",
+        ),
+        pytest.param(
+            [({X: 1, ONE: 2}, 1, 3), ({X: -1}, 1, 3), ({ONE: 2}, -1, 3)], {},
+            id="cancel to zero",
+        ),
+        pytest.param(
+            [({X: 1}, 1, 2), ({X: 1, Y: 1}, 1, 3)],
+            {X: Fraction(5, 6), Y: Fraction(1, 3)},
+            id="coprime denominators",
+        ),
+        pytest.param(
+            [({X: 1}, 1, 4), ({X: 1}, 1, 4), ({Y: 5}, 1, 6)],
+            {X: Fraction(1, 2), Y: Fraction(5, 6)},
+            id="shared denominators",
+        ),
+        pytest.param(
+            [({X: 1}, 3, 4), ({X: 1, Y: 3}, -2, 6), ({Y: 1}, 7, 1)],
+            {X: Fraction(5, 12), Y: 6},
+            id="weights",
+        ),
+        pytest.param(
+            [({X: 2, Y: 4}, -3, 6), ({ONE: 9}, 1, 9)], {X: -1, Y: -2, ONE: 1},
+            id="negative weight to an integer polynomial",
+        ),
+    ],
+)
+def test_sum_adds_weighted_parts_in_lowest_terms(parts, want):
+    before = [dict(num) for num, _, _ in parts]
+    got = _sum(2, parts)
+    assert got.arity == 2
+    assert_reduced_form(got)
+    assert got.coeffs == want == _sum_oracle(parts)
+    # no part is changed
+    assert [num for num, _, _ in parts] == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.dictionaries(monomials, st.integers(-9, 9).filter(bool), max_size=5),
+            st.integers(-4, 4).filter(bool),
+            st.integers(1, 12),
+        ),
+        max_size=5,
+    )
+)
+def test_sum_matches_a_fraction_oracle(parts):
+    got = _sum(ARITY, parts)
+    assert_reduced_form(got)
+    assert got.coeffs == _sum_oracle(parts)
 
 
 def test_power_of_a_trinomial_has_the_multinomial_coefficients():
