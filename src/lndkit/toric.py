@@ -7,10 +7,11 @@ built on its first ray (type B); the one solve that builds that root
 also refuses a cone that is not pointed. Ranks and integer solutions
 come from each cone's one column echelon form A*V = H of its rays,
 built on first use. Root enumeration, for listing roots, is box-bounded
-(root sets can be infinite). It is a depth-first search over the box,
-one coordinate at a time, that prunes a prefix as soon as no completion
-can be a root and solves for the last coordinate; its output, order
-included, is that of testing every point of the box with `root_of`.
+(root sets can be infinite): a depth-first search over all coordinates
+but the last two prunes a prefix as soon as no completion can be a root;
+at each prefix, the values of the last two that pair a ray to -1 form a
+line, which the other rays and the box cut to one interval. Its output,
+order included, is that of testing every point of the box with `root_of`.
 """
 
 from __future__ import annotations
@@ -97,8 +98,18 @@ class DemazureRoot(Frozen):
 
     _fields = ("vector", "distinguished")
 
-    def __init__(self, vector: tuple[int, ...], distinguished: int):
+    def __init__(self, vector: Sequence[int], distinguished: int):
+        vector = tuple(vector)
+        if not all(map(_is_int, vector)) or not _is_int(distinguished) or distinguished < 0:
+            raise ValueError(f"not an int vector and ray index: {vector!r}, {distinguished!r}")
         self.__dict__.update(vector=vector, distinguished=distinguished)
+
+
+def _root(vector: tuple[int, ...], distinguished: int) -> DemazureRoot:
+    """Trusted constructor of a root from checked or computed fields."""
+    root = object.__new__(DemazureRoot)
+    root.__dict__.update(vector=vector, distinguished=distinguished)
+    return root
 
 
 def _pair(m: Sequence[int], v: Sequence[int]) -> int:
@@ -138,38 +149,76 @@ def root_of(e: Sequence[int], cone: Cone) -> DemazureRoot | None:
             return None
     if distinguished is None:
         return None
-    return DemazureRoot(tuple(e), distinguished)
+    return _root(tuple(e), distinguished)
 
 
 def enumerate_roots(cone: Cone, box: int) -> list[DemazureRoot]:
     """All roots of max-norm <= box, in lexicographic vector order.
 
-    A depth-first search fixes the coordinates before the last one in
-    increasing value, which is lexicographic order, and carries every
-    ray's partial pairing along the path. It drops a prefix as soon as
-    some ray can no longer come back up to -1, or two rays would both
-    have to end negative. Each leaf takes one pass over the rays: in the
-    window of last coordinates x that keep every pairing >= -1, it maps
-    each x where some ray pairs to exactly -1 to that ray, or marks it
-    when two rays do, and emits the unmarked x in increasing order (a ray
-    with last entry 0 that already pairs to -1 claims the whole window,
-    so only the other rays are checked there). The list is the one a
-    scan of every point of the box with `root_of` gives, in that order.
+    A depth-first search fixes the coordinates before the last two in
+    increasing value, carrying every ray's partial pairing s, and drops
+    a prefix as soon as some ray can no longer come back up to -1, or
+    two rays would both have to end negative. At a prefix, ray i with
+    last entries a, b is at -1 where a*x + b*y = -1 - s: on the points
+    of a line if gcd(a, b) divides -1 - s (extended Euclid), on a region
+    if a = b = 0 and s = -1. The other rays and the box leave one
+    interval of the line, or of y per x. A point at -1 on one ray and
+    >= 0 on the rest is that ray's alone, so sorting each prefix's points
+    keeps the order of a scan of the box with `root_of`, and its list.
+    Dimension 1 gets a phantom last coordinate, held at 0.
     """
     if not _is_int(box) or box < 1:
         raise ValueError(f"box must be an integer >= 1, got {box!r}")
-    columns = list(zip(*cone.rays))
-    last = cone.dim - 1
+    dim, n = cone.dim, len(cone.rays)
+    columns = list(zip(*cone.rays)) + [(0,) * n] * (dim == 1)  # the phantom
+    last = len(columns) - 2
     # reach[k][i]: the most that coordinates k.. can add to ray i's pairing
-    reach = [
-        [box * sum(abs(x) for x in v[k:]) for v in cone.rays]
-        for k in range(cone.dim + 1)
-    ]
+    reach = [[box * sum(map(abs, v[k:])) for v in cone.rays] for k in range(last + 1)]
+    # a*x + b*y + s >= 0 must hold for each ray but the one at -1, where s
+    # is its prefix pairing, and for the box's four sides, where s is box
+    ends = [*zip(*columns[last:]), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    edges = [box, box] + [box if dim > 1 else 0] * 2
+    lines = []
+    for i, (a, b) in enumerate(ends[:n]):
+        # a*u + b*w = g: ray i is at -1 on the line (u*t + p*k, w*t + q*k)
+        # where g*t = -1 - s, or, if a = b = 0, on the region x = t, y = k
+        g = gcd(a, b)
+        u = pow(a // g, -1, abs(b // g)) if b else a // g if a else 1
+        w, p, q = ((g - a * u) // b if b else 0, b // g, -a // g) if g else (0, 0, 1)
+        bounds = ([], [], [])  # along k: constant, rising, falling
+        for j, (aj, bj) in enumerate(ends):
+            m = aj * p + bj * q
+            if j != i:
+                bounds[(m > 0) - (m < 0)].append((j, aj * u + bj * w, abs(m)))
+        lines.append((g, u, w, p, q, reach[last][i], *bounds))
     found: list[DemazureRoot] = []
     prefix: list[int] = []
 
-    def walk(partial: list[int], k: int):
-        column, slack = columns[k], reach[k + 1]
+    def walk(partial: list[int], level: int):
+        if level == last:
+            s, hits = partial + edges, []
+            for i, (g, u, w, p, q, r, flat, up, down) in enumerate(lines):
+                need = -1 - s[i]
+                if g:  # the one t of the line, if g divides and the box allows
+                    ts = () if need % g or need < -r else (need // g,)
+                else:  # each x = t of the region, if ray i is at -1
+                    ts = () if need else range(-box, box + 1)
+                for t in ts:
+                    if flat and not all(s[j] + t * c >= 0 for j, c, _ in flat):
+                        continue
+                    lo, hi = -inf, inf
+                    for j, c, m in down:
+                        if (cut := (s[j] + t * c) // m) < hi:
+                            hi = cut
+                    for j, c, m in up:
+                        if (cut := -((s[j] + t * c) // m)) > lo:
+                            lo = cut
+                    for k in range(lo, hi + 1):
+                        hits.append((u * t + p * k, w * t + q * k, i))
+            hits.sort()
+            found.extend([_root((*prefix, x, y)[:dim], i) for x, y, i in hits])
+            return
+        column, slack = columns[level], reach[level + 1]
         # the x with s + x*c + r >= -1 for every ray; a ray with c = 0
         # bounds nothing, since the level above kept s + r >= -1
         lo, hi = -box, box
@@ -178,40 +227,16 @@ def enumerate_roots(cone: Cone, box: int) -> list[DemazureRoot]:
                 lo = -((1 + s + r) // c)
             elif c < 0 and (-1 - s - r) // c < hi:
                 hi = (-1 - s - r) // c
-        if lo > hi:
-            return
-        if k < last:
-            nxt = [s + lo * c for s, c in zip(partial, column)]
-            for x in range(lo, hi + 1):
-                # a ray whose best is -1 must end at -1; two such cannot both
-                if list(map(add, nxt, slack)).count(-1) < 2:
-                    prefix.append(x)
-                    walk(nxt, k + 1)
-                    prefix.pop()
-                nxt = list(map(add, nxt, column))
-            return
-        # every pairing s + x*c in the window is >= -1, so x gives a root
-        # iff exactly one ray pairs to -1 there: hits maps each x where
-        # some ray does to that ray, or to None where two do
-        hits, flat = {}, []
-        for i, (s, c) in enumerate(zip(partial, column)):
-            if c:
-                x = (-1 - s) // c
-                if s + x * c == -1 and lo <= x <= hi:
-                    hits[x] = None if x in hits else i
-            elif s == -1:
-                flat.append(i)
-        if flat:
-            ray = flat[0] if len(flat) == 1 else None
-            hits = {x: None if x in hits else ray for x in range(lo, hi + 1)}
-        head = tuple(prefix)
-        found.extend(
-            DemazureRoot((*head, x), ray)
-            for x, ray in sorted(hits.items())
-            if ray is not None
-        )
+        nxt = [s + lo * c for s, c in zip(partial, column)]
+        for x in range(lo, hi + 1):
+            # a ray whose best is -1 must end at -1; two such cannot both
+            if list(map(add, nxt, slack)).count(-1) < 2:
+                prefix.append(x)
+                walk(nxt, level + 1)
+                prefix.pop()
+            nxt = list(map(add, nxt, column))
 
-    walk([0] * len(cone.rays), 0)
+    walk([0] * n, 0)
     return found
 
 
@@ -226,7 +251,7 @@ def detect_line_factor(cone: Cone) -> DemazureRoot | None:
     for i in range(n):
         p = _solve_echelon(cone._echelon, [-1 if j == i else 0 for j in range(n)])
         if p is not None:
-            return DemazureRoot(tuple(p), i)
+            return _root(tuple(p), i)
     return None
 
 

@@ -293,6 +293,132 @@ def test_enumerate_roots_leaf_branches_are_the_box_scan():
     ]
 
 
+def _roots_of_ray(roots, i):
+    return [r.vector for r in roots if r.distinguished == i]
+
+
+def test_enumerate_roots_solves_coprime_last_entries():
+    # rays 0 and 2 end in the coprime pairs (2, 3) and (1, 1)
+    cone = Cone.of([[0, 2, 3], [1, 0, 0], [0, 1, 1]])
+    roots = enumerate_roots(cone, 4)
+    assert roots == scan_roots(cone, 4)
+    assert _roots_of_ray(roots, 0) and _roots_of_ray(roots, 2)
+
+
+@pytest.mark.parametrize("rays, g", [([[1, 2, 4], [0, 1, 0], [0, 0, 1]], 2),
+                                     ([[2, 3, 6], [0, 1, 0], [0, 0, 1]], 3)])
+def test_enumerate_roots_solves_last_entries_with_common_divisor(rays, g):
+    # ray 0 reaches -1 only at prefixes where g divides -1 - <prefix, ray 0>
+    cone = Cone.of(rays)
+    roots = enumerate_roots(cone, 4)
+    assert roots == scan_roots(cone, 4)
+    mine = _roots_of_ray(roots, 0)
+    assert mine
+    assert all((1 + rays[0][0] * e[0]) % g == 0 for e in mine)
+    assert {e[0] for e in mine} < set(range(-4, 5))
+
+
+def test_enumerate_roots_solves_a_zero_last_entry_on_either_side():
+    cone = Cone.of([[1, 0, 2], [1, 2, 0], [-1, 1, 1]])
+    roots = enumerate_roots(cone, 3)
+    assert roots == scan_roots(cone, 3)
+    assert _roots_of_ray(roots, 0) and _roots_of_ray(roots, 1)
+
+
+def test_enumerate_roots_fills_the_region_of_a_ray_ending_in_zeros():
+    # ray 0 ends in (0, 0): at x0 = -1 it is at -1 on the whole region the
+    # other rays leave, at any other x0 on no point
+    cone = Cone.of([[1, 0, 0], [1, 0, 1], [0, 1, -1]])
+    roots = enumerate_roots(cone, 4)
+    assert roots == scan_roots(cone, 4)
+    region = [(-1, y, z) for y in range(1, 5) for z in range(1, 5) if y >= z]
+    assert _roots_of_ray(roots, 0) == region
+    flat = Cone.of([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 1, -3]])
+    assert enumerate_roots(flat, 3) == scan_roots(flat, 3)
+
+
+@pytest.mark.parametrize("ray", [1, -1])
+def test_enumerate_roots_in_dimension_one(ray):
+    cone = Cone.of([[ray]])
+    for box in (1, 2, 7):
+        assert enumerate_roots(cone, box) == scan_roots(cone, box)
+        assert enumerate_roots(cone, box) == [DemazureRoot((-ray,), 0)]
+
+
+def test_enumerate_roots_sorts_lines_that_run_against_x():
+    # ray 0 ends in (2, -3): on its line (x0 - 3k, y0 - 2k) x falls as
+    # k rises, so the points of a prefix need sorting
+    for rays, box in [([[2, -3], [1, 1]], 20), ([[1, 2, -3], [0, -1, 2], [1, 1, 1]], 5)]:
+        cone = Cone.of(rays)
+        roots = enumerate_roots(cone, box)
+        assert roots == scan_roots(cone, box)
+        assert len(_roots_of_ray(roots, 0)) > 1
+
+
+@st.composite
+def wide_cones_and_boxes(draw):
+    """Like cones_and_boxes, with entries in -9..9: common divisors of the
+    last two entries and entries past 1 in size are frequent."""
+    dim = draw(st.integers(1, 5))
+    vectors = draw(
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=dim, max_size=dim),
+            min_size=1,
+            max_size=dim + 3,
+        )
+    )
+    rays = []
+    for v in vectors:
+        if any(v):
+            g = gcd(*[abs(x) for x in v])
+            v = tuple(x // g for x in v)
+            if all(not _prop(v, r) for r in rays):
+                rays.append(v)
+    if not rays:
+        rays = [(1,) + (0,) * (dim - 1)]
+    return Cone.of(rays), draw(st.integers(1, SCAN_BOX[dim]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_cones_and_boxes())
+def test_enumerate_roots_is_the_box_scan_on_wide_entries(cone_box):
+    cone, box = cone_box
+    assert enumerate_roots(cone, box) == scan_roots(cone, box)
+
+
+def test_enumerate_roots_matches_naive_oracle_on_a_large_plane_box():
+    rng = random.Random(61)
+    for _ in range(6):
+        rays = []
+        while len(rays) < 2:
+            v = (rng.randint(-9, 9), rng.randint(-9, 9))
+            if any(v):
+                g = gcd(*map(abs, v))
+                v = (v[0] // g, v[1] // g)
+                if all(not _prop(v, r) for r in rays):
+                    rays.append(v)
+        cone = Cone.of(rays)
+        assert [r.vector for r in enumerate_roots(cone, 60)] == naive_roots(cone, 60)
+
+
+def test_demazure_root_checks_its_input():
+    assert DemazureRoot([-1, 0], 0) == DemazureRoot((-1, 0), 0)
+    assert hash(DemazureRoot([-1, 0], 0)) == hash(DemazureRoot((-1, 0), 0))
+    assert DemazureRoot([-1, 0], 0).vector == (-1, 0)
+    for vector, ray in [
+        ((1.5, 0), 0),
+        ((1, 0), True),
+        ("ab", 3),
+        ((1, 0), -3),
+        ((True, 0), 0),
+        ((1, Fraction(1)), 0),
+        ((1, 0), 1.0),
+        ((1, 0), None),
+    ]:
+        with pytest.raises(ValueError):
+            DemazureRoot(vector, ray)
+
+
 def test_enumerate_roots_rejects_empty_box():
     cone = Cone.of([[1, 0], [0, 1]])
     for box in (0, -1):
