@@ -24,18 +24,17 @@ from .trinomial import TrinomialData, classify_trinomial
 class VarietyDossier(Frozen):
     """An algebra for Y plus whatever LNDs and structural tags are known.
 
-    tags may carry only "toric" (a Cone), "trinomial" (a TrinomialData),
-    "rigid_asserted" (a bool) and, given an algebra, "invariant_line" (a
-    point of Y, one `_number` per var, whose cylinder line is asserted
-    invariant); names is empty or names each derivation once, by a str.
-    A dossier copies tags, so it is unhashable; it refuses other tags or
-    names, and a derivation whose algebra has other vars or another
-    reduced basis `gb` (ValueError).
+    It holds the tags `toric` (a Cone), `trinomial` (a TrinomialData),
+    `rigid_asserted` (a bool) and, given an algebra, `invariant_line` (one
+    Fraction per var: a point of Y whose cylinder line is asserted
+    invariant) as attributes, None or False when unset; `tags` is a new
+    dict of those set on each read. It is unhashable, and refuses with
+    ValueError other tags, names that do not name each derivation once by
+    a str, and a derivation whose algebra has other vars or another reduced
+    basis `gb`. `classify` refuses a toric and a trinomial verdict that differ.
     """
 
     _fields = ("algebra", "lnds", "tags", "names")
-    _tag_types = {"toric": Cone, "trinomial": TrinomialData, "rigid_asserted": bool,
-                  "invariant_line": Sequence}
 
     def __init__(
         self,
@@ -52,22 +51,28 @@ class VarietyDossier(Frozen):
         strs = all(isinstance(n, str) for n in names)
         if names and (len(names) != len(lnds) or not strs or len(set(names)) < len(names)):
             raise ValueError(f"names {names!r} must name each of {len(lnds)} derivations once")
-        for key, value in tags.items():
-            kind = self._tag_types.get(key)
-            if kind is None:
-                raise ValueError(f"unknown dossier tag {key!r}")
-            if not isinstance(value, kind) or isinstance(value, str):
-                raise ValueError(f"tag {key!r} must be a {kind.__name__}, not {value!r}")
-            if key == "invariant_line":
-                if algebra is None:
-                    raise ValueError("invariant_line requires vars")
-                line = tags[key] = [_number(x) for x in value]
-                if len(line) != algebra.arity:
-                    raise ValueError(
-                        "invariant_line must have one entry per variable"
-                        f" ({algebra.arity}), not {len(line)}"
-                    )
-        self.__dict__.update(algebra=algebra, lnds=lnds, tags=tags, names=names)
+        toric, trinomial = _tag(tags, "toric", Cone), _tag(tags, "trinomial", TrinomialData)
+        rigid, line = _tag(tags, "rigid_asserted", bool), _tag(tags, "invariant_line", Sequence)
+        if tags:
+            raise ValueError(f"unknown dossier tag {next(iter(tags))!r}")
+        if line is not None:
+            if algebra is None:
+                raise ValueError("invariant_line requires vars")
+            line = tuple(_number(x) for x in line)
+            if len(line) != algebra.arity:
+                raise ValueError(
+                    "invariant_line must have one entry per variable"
+                    f" ({algebra.arity}), not {len(line)}"
+                )
+        self.__dict__.update(algebra=algebra, lnds=lnds, names=names, toric=toric,
+                             trinomial=trinomial, rigid_asserted=bool(rigid), invariant_line=line)
+
+    @property
+    def tags(self) -> dict:
+        line = None if self.invariant_line is None else list(self.invariant_line)
+        tags = {"toric": self.toric, "trinomial": self.trinomial,
+                "rigid_asserted": self.rigid_asserted or None, "invariant_line": line}
+        return {key: value for key, value in tags.items() if value is not None}
 
     @staticmethod
     def from_json(
@@ -83,8 +88,7 @@ class VarietyDossier(Frozen):
             name: _shape(w, f"grading {name!r}", list, int)
             for name, w in _shape(doc.get("gradings", {}), "gradings", dict).items()
         }
-        algebra = None
-        tags: dict = {}
+        algebra = trinomial = toric = line = None
         if "trinomial" in doc:
             tri = _shape(doc["trinomial"], "trinomial", dict)
             variant = _shape(tri.get("type"), "trinomial type", int)
@@ -96,20 +100,18 @@ class VarietyDossier(Frozen):
                 _shape(block, "a trinomial l block", list, int)
             if variant == 1:
                 a = _rationals(tri.get("a"), "trinomial a")
-                tags["trinomial"] = TrinomialData.type1(l, a, m)
+                trinomial = TrinomialData.type1(l, a, m)
             else:
                 rows = _shape(tri.get("A"), "trinomial A", list, list)
                 A = [_rationals(row, "a trinomial A row") for row in rows]
-                tags["trinomial"] = TrinomialData.type2(l, A, m)
+                trinomial = TrinomialData.type2(l, A, m)
         if "toric" in doc:
-            toric = _shape(doc["toric"], "toric", dict)
-            rays = _shape(toric.get("rays"), "toric rays", list, list)
-            tags["toric"] = Cone.of([_shape(r, "a toric ray", list, int) for r in rays])
+            rays = _shape(_shape(doc["toric"], "toric", dict).get("rays"), "toric rays", list, list)
+            toric = Cone.of([_shape(r, "a toric ray", list, int) for r in rays])
         assertions = _shape(doc.get("assertions", {}), "assertions", dict)
-        if _shape(assertions.get("rigid", False), "assertions rigid", bool):
-            tags["rigid_asserted"] = True
+        rigid = _shape(assertions.get("rigid", False), "assertions rigid", bool)
         if "invariant_line" in assertions:
-            tags["invariant_line"] = _rationals(assertions["invariant_line"], "invariant_line")
+            line = _rationals(assertions["invariant_line"], "invariant_line")
         if "vars" in doc:
             vars = _shape(doc["vars"], "vars", list, str)
             relations = [
@@ -130,6 +132,7 @@ class VarietyDossier(Frozen):
             )
             for name, images in derivations.items()
         ]
+        tags = dict(toric=toric, trinomial=trinomial, rigid_asserted=rigid, invariant_line=line)
         return VarietyDossier(algebra, tuple(lnds), tags, tuple(derivations))
 
     def derivation(self, name: str) -> Derivation:
@@ -183,6 +186,14 @@ def _shape(value, what: str, kind: type = list, item: type = object):
     if item is not object:
         noun += f" of {item.__name__}s"
     raise ValueError(f"{what} must be {noun}, not {value!r}")
+
+
+def _tag(tags: dict, key: str, kind: type):
+    """tags.pop(key, None): None (unset), or a `kind` that is not a str (else ValueError)."""
+    value = tags.pop(key, None)
+    if value is not None and (not isinstance(value, kind) or isinstance(value, str)):
+        raise ValueError(f"tag {key!r} must be a {kind.__name__}, not {value!r}")
+    return value
 
 
 def _rationals(value, what: str) -> list[Fraction]:
@@ -257,9 +268,10 @@ class JiCertificate(Frozen):
     """Exhibits image-ideal generators inside J_i via lifted LNDs."""
 
     _fields = ("i", "entries", "degenerate")
+    degenerate = property(lambda self: self.i == 0)
 
-    def __init__(self, i: int, entries: tuple[dict, ...], degenerate: bool = False):
-        self.__dict__.update(i=i, entries=entries, degenerate=degenerate)
+    def __init__(self, i: int, entries: tuple[dict, ...]):
+        self.__dict__.update(i=i, entries=entries)
 
 
 def ji_lower_bound_check(
@@ -298,30 +310,32 @@ def ji_lower_bound_check(
             for j, g in enumerate(D.images)
             if not g.is_zero()
         )
-    return JiCertificate(i, tuple(entries), degenerate=(i == 0))
+    return JiCertificate(i, tuple(entries))
 
 
 def classify(V: VarietyDossier) -> ClassificationReport:
     """Trichotomy dispatch; honest Inconclusive when evidence runs out.
 
-    A trinomial or toric tag decides absolutely; a toric cone is always
-    A or B (`classify_toric`). Otherwise the verdict rests on the
-    supplied LNDs and assertions, and may be Inconclusive. B, a nonzero
-    LND with the asserted invariant-line point in the fixed locus, is
-    checked before A, which needs a Gröbner basis; both verify every
-    derivation first. A rigidity
-    assertion gives C, unless a supplied nonzero derivation is a verified
-    LND or the structural verdict is A or B, either of which contradicts
-    it: that raises ValueError.
+    A trinomial datum or toric cone decides absolutely (a cone gives A or
+    B, `classify_toric`). Otherwise the verdict rests on the supplied LNDs
+    and assertions, and may be Inconclusive. B, a nonzero LND with the
+    asserted invariant-line point in the fixed locus, is checked before A,
+    which needs a Gröbner basis; both verify every derivation first. A
+    rigidity assertion gives C. Data that disagree raise ValueError: a
+    trinomial and a toric verdict that differ, or a rigidity assertion
+    against a structural A or B or a verified nonzero LND.
     """
-    structural = None
-    if "trinomial" in V.tags:
-        structural = "trinomial datum", classify_trinomial(V.tags["trinomial"])
-    elif "toric" in V.tags:
-        structural = "toric cone", classify_toric(V.tags["toric"])
-    if structural is not None:
-        what, report = structural
-        if V.tags.get("rigid_asserted") and report.verdict != "C":
+    structural = []
+    if V.trinomial is not None:
+        structural.append(("trinomial datum", classify_trinomial(V.trinomial)))
+    if V.toric is not None:
+        structural.append(("toric cone", classify_toric(V.toric)))
+    if structural:
+        if len({report.verdict for _, report in structural}) > 1:
+            claims = (f"the {what} gives verdict {report.verdict}" for what, report in structural)
+            raise ValueError(", but ".join(claims))
+        what, report = structural[0]
+        if V.rigid_asserted and report.verdict != "C":
             raise ValueError(
                 f"rigidity is asserted, but the {what} gives verdict {report.verdict}"
             )
@@ -332,7 +346,7 @@ def classify(V: VarietyDossier) -> ClassificationReport:
             {"lnd_count": len(V.lnds)},
         )
     ]
-    if V.tags.get("rigid_asserted"):
+    if V.rigid_asserted:
         # past this loop every D is 0, and the relations are never a unit ideal: no A
         for idx, D in enumerate(V.lnds):
             if not D.is_zero():
@@ -345,7 +359,7 @@ def classify(V: VarietyDossier) -> ClassificationReport:
         evidence.append(Evidence("rigidity asserted by the caller", {}))
         return ClassificationReport("C", tuple(evidence))
     if V.lnds:
-        point = None if all(D.is_zero() for D in V.lnds) else V.tags.get("invariant_line")
+        point = None if all(D.is_zero() for D in V.lnds) else V.invariant_line
         locus = fixed_locus(V)
         if point is not None:
             data = {"point": [_rational(x) for x in point]}

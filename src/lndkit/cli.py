@@ -4,9 +4,9 @@ Each subcommand reads a dossier file with `VarietyDossier.from_json`,
 calls the library and prints the result as text, or with `--json` as one
 JSON object with sorted keys. Exit codes: 0 success/verified/member,
 1 semantic failure (failed verification, from every subcommand that
-verifies, or non-membership), 2 usage or input error (including a
-rigidity assertion that a verified nonzero LND or a structural A or B
-verdict contradicts).
+verifies, or non-membership), 2 usage or input error (including data
+that disagree: a rigidity assertion against a verified nonzero LND or a
+structural A or B, or a toric and a trinomial verdict that differ).
 
 Importing this module builds nothing. The `argparse` parser is built on
 the first `main` call and kept for the life of the process, so a caller
@@ -141,10 +141,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    tags = _load(args.file).tags
-    if "toric" not in tags:
+    cone = _load(args.file).toric
+    if cone is None:
         raise ValueError("dossier has no toric cone data")
-    cone = tags["toric"]
     roots = enumerate_roots(cone, args.box)
     line = detect_line_factor(cone)
     rows = [

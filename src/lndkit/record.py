@@ -1,8 +1,8 @@
 """The shared base of lndkit's value types.
 
 A record lists its fields in `_fields`, in constructor order, and writes
-its own `__init__`, which stores the fields straight into
-`self.__dict__`, where a `cached_property` also keeps its value, unseen
+its own `__init__`, which stores them (or what a field `property` reads)
+in `self.__dict__`, where a `cached_property` also keeps its value, unseen
 by ==, hash and repr. A record's key is the tuple of its fields, or its
 one field's value if it has one. A record refuses assignment, compares
 equal to a record of the same class with an equal key (NotImplemented

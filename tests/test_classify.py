@@ -11,6 +11,7 @@ from lndkit import (
     Cone,
     Derivation,
     Ideal,
+    JiCertificate,
     PresentedAlgebra,
     TrinomialData,
     VarietyDossier,
@@ -226,6 +227,31 @@ def test_a_dossier_rebuilt_from_its_fields_is_equal():
         assert VarietyDossier(V.algebra, V.lnds, V.tags, V.names) == V
 
 
+def test_a_dossier_holds_its_tags_as_typed_fields():
+    V = VarietyDossier.from_json(json.loads((DATA / "quadric.json").read_text()))
+    assert (V.toric, V.trinomial, V.rigid_asserted) == (None, None, False)
+    assert V.invariant_line == (0, 0, 0) and type(V.invariant_line) is tuple
+    for path in sorted(DATA.glob("*.json")):
+        V = VarietyDossier.from_json(json.loads(path.read_text()))
+        assert not any(isinstance(v, (dict, list)) for v in vars(V).values())
+    # an unset tag, False or None, reads back as no key
+    unset = VarietyDossier(None, tags={"rigid_asserted": False, "toric": None})
+    assert unset.tags == {} and unset == VarietyDossier(None)
+
+
+def test_a_write_to_the_tags_view_reaches_no_dossier():
+    # the view was the dossier's own dict: a list written for the cone made
+    # classify raise AttributeError, and a string counted as a true assertion
+    algebra, D = quadric_cone()
+    V = VarietyDossier.create(algebra, [D], tags={"invariant_line": (0, 0, 0)})
+    report, tags = classify(V), V.tags
+    V.tags["toric"] = [[1, 0]]
+    V.tags["rigid_asserted"] = "yes"
+    V.tags["invariant_line"][0] = 1
+    assert classify(V) == report and report.verdict == "B"
+    assert V.tags == tags == {"invariant_line": [0, 0, 0]}
+
+
 # ---- image ideals -----------------------------------------------------------
 
 
@@ -364,6 +390,13 @@ def test_ji_zero_is_degenerate(w1_dossier):
     assert ji_lower_bound_check(w1_dossier, 0).degenerate
 
 
+def test_ji_degenerate_follows_i():
+    # a caller could store degenerate=True with i = 1
+    assert JiCertificate(0, ()).degenerate and not JiCertificate(1, ()).degenerate
+    with pytest.raises(TypeError):
+        JiCertificate(1, (), degenerate=True)
+
+
 def test_ji_lift_not_verified_within_bound(w1_dossier):
     # `bound` verifies a D not verified yet, and the error names D itself
     D = w1_dossier.lnds[0]
@@ -464,6 +497,39 @@ def test_classify_trinomial_tag_takes_priority():
 def test_classify_toric_tag():
     V = VarietyDossier(None, tags={"toric": Cone.of([[1, 0], [1, 2]])})
     assert classify(V).verdict == "B"
+
+
+def test_classify_refuses_a_toric_and_a_trinomial_verdict_that_differ():
+    # the quadrant is A^2 (A) and T11^2 - T21^2 = 1 is rigid (C); the
+    # trinomial verdict was taken silently
+    quadrant, rigid = Cone.of([[1, 0], [0, 1]]), TrinomialData.type1([[2], [2]], [0, 1])
+    V = VarietyDossier(None, tags={"toric": quadrant, "trinomial": rigid})
+    with pytest.raises(ValueError) as caught:
+        classify(V)
+    assert str(caught.value) == (
+        "the trinomial datum gives verdict C, but the toric cone gives verdict A"
+    )
+
+
+@pytest.mark.parametrize(
+    "toric, trinomial, verdict",
+    [
+        ("toric_plane.json", "trinomial_type1.json", "A"),
+        ("toric_quadric.json", "trinomial_type2.json", "B"),
+    ],
+)
+def test_agreeing_toric_and_trinomial_data_give_the_trinomial_report(toric, trinomial, verdict):
+    docs = [json.loads((DATA / name).read_text()) for name in (toric, trinomial)]
+    both = {**docs[0], **docs[1]}
+    report = classify(VarietyDossier.from_json(both))
+    assert report == classify(VarietyDossier.from_json(docs[1]))
+    assert report.verdict == verdict
+    both["assertions"] = {"rigid": True}
+    with pytest.raises(ValueError) as caught:
+        classify(VarietyDossier.from_json(both))
+    assert str(caught.value) == (
+        f"rigidity is asserted, but the trinomial datum gives verdict {verdict}"
+    )
 
 
 def test_classify_rigid_assertion():

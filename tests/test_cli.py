@@ -124,6 +124,31 @@ def test_classify_refuses_a_rigidity_assertion_a_structural_verdict_contradicts(
     assert out.startswith("verdict: C\n")
 
 
+def test_classify_refuses_contradictory_structural_data(tmp_path, capsys):
+    # the quadrant gives A and T11^2 - T21^2 = 1 gives C; "verdict: C" was printed
+    def both(toric, trinomial):
+        docs = [json.loads((DATA / name).read_text()) for name in (toric, trinomial)]
+        doc = {**docs[0], **docs[1]}
+        path = tmp_path / f"{toric[:-5]}+{trinomial}"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    assert run_main(capsys, "classify", both("toric_plane.json", "trinomial_rigid.json")) == (
+        EXIT_INPUT,
+        "",
+        "error: the trinomial datum gives verdict C, but the toric cone gives verdict A\n",
+    )
+    # data that agree print the trinomial report
+    for toric, trinomial in [
+        ("toric_plane.json", "trinomial_type1.json"),
+        ("toric_quadric.json", "trinomial_type2.json"),
+    ]:
+        for flags in [(), ("--json",)]:
+            expected = run_main(capsys, "classify", str(DATA / trinomial), *flags)
+            assert expected[0] == EXIT_OK
+            assert run_main(capsys, "classify", both(toric, trinomial), *flags) == expected
+
+
 def test_classify_text_output(capsys):
     code, out, _ = run_main(capsys, "classify", str(DATA / "w1.json"))
     assert code == EXIT_OK

@@ -198,9 +198,10 @@ def test_dossier_is_frozen_unhashable_and_owns_its_tags():
     tags = {"rigid_asserted": True}
     a, b, c = VarietyDossier(None), VarietyDossier(None), VarietyDossier(None, tags=tags)
     assert a.tags == {} and a.tags is not b.tags and c.tags is not tags
-    a.tags["rigid_asserted"] = True
+    a.tags["rigid_asserted"] = True  # a write to the view reaches no dossier
     tags.clear()
-    assert b.tags == {} and a != b and a == c
+    assert a.tags == b.tags == {} and a == b and a != c
+    assert c.tags == {"rigid_asserted": True} and c.tags is not c.tags
     with pytest.raises(AttributeError, match="cannot assign to field 'names'"):
         a.names = ("d",)
     assert a.names == ()
